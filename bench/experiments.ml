@@ -682,6 +682,11 @@ let e21 () =
   let rw, t_rw = time (fun () -> Rpq_views.rewrite ~views q) in
   pf "  rewriting over {vk, vf}: lossless=%b, %d rewriting states (%.4fs)@."
     rw.Rpq_views.lossless rw.Rpq_views.rauto.Rpq_nfa.n t_rw;
+  pf "  direct translation: %d Thompson states -> %d minimal-DFA states, \
+      %d anchored rules@."
+    (Rpq_nfa.of_regex q).Rpq_nfa.n
+    (Rpq_nfa.minimize (Rpq_nfa.of_regex q)).Rpq_nfa.n
+    (List.length (Rpq_translate.anchored q).Datalog.program);
   (* source-anchored product-BFS oracle: frontier over (node, state) *)
   let oracle_from e g src =
     let nfa = Rpq_nfa.of_regex e in

@@ -25,6 +25,46 @@ let compare_letter a b =
 let letters a =
   List.sort_uniq compare_letter (List.map (fun (_, l, _) -> l) a.delta)
 
+(* ---------- restriction ---------- *)
+
+(* states reachable from [roots] along [adj] *)
+let marked adj roots =
+  let seen = Array.make (Array.length adj) false in
+  let rec go p =
+    if not seen.(p) then begin
+      seen.(p) <- true;
+      List.iter go adj.(p)
+    end
+  in
+  List.iter go roots;
+  seen
+
+(* the sub-automaton on the states [keep] marks, renumbered in order *)
+let restrict keep a =
+  let renum = Array.make a.n (-1) in
+  let m = ref 0 in
+  for i = 0 to a.n - 1 do
+    if keep.(i) then begin
+      renum.(i) <- !m;
+      incr m
+    end
+  done;
+  let map =
+    List.filter_map (fun p -> if keep.(p) then Some renum.(p) else None)
+  in
+  {
+    n = !m;
+    starts = map a.starts;
+    finals = map a.finals;
+    delta =
+      List.sort_uniq Stdlib.compare
+        (List.filter_map
+           (fun (p, l, q) ->
+             if keep.(p) && keep.(q) then Some (renum.(p), l, renum.(q))
+             else None)
+           a.delta);
+  }
+
 (* ---------- ε-elimination ---------- *)
 
 (* [of_raw] closes every transition target and the start set under
@@ -37,17 +77,8 @@ let of_raw ~n ~starts ~finals ~trans ~eps =
   let succ = Array.make n [] in
   List.iter (fun (p, q) -> if p <> q then succ.(p) <- q :: succ.(p)) eps;
   let closure p =
-    let seen = Array.make n false in
-    let rec go p = if not seen.(p) then begin
-      seen.(p) <- true;
-      List.iter go succ.(p)
-    end in
-    go p;
-    let out = ref [] in
-    for i = n - 1 downto 0 do
-      if seen.(i) then out := i :: !out
-    done;
-    !out
+    let seen = marked succ [ p ] in
+    List.filter (fun i -> seen.(i)) (List.init n Fun.id)
   in
   let closed = Array.init n closure in
   let starts' =
@@ -59,36 +90,10 @@ let of_raw ~n ~starts ~finals ~trans ~eps =
       trans
   in
   (* reachability from the closed starts over the closed transitions *)
-  let reach = Array.make n false in
   let by_src = Array.make n [] in
-  List.iter (fun ((p, _, _) as t) -> by_src.(p) <- t :: by_src.(p)) delta';
-  let rec visit p =
-    if not reach.(p) then begin
-      reach.(p) <- true;
-      List.iter (fun (_, _, q) -> visit q) by_src.(p)
-    end
-  in
-  List.iter visit starts';
-  let renum = Array.make n (-1) in
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    if reach.(i) then begin
-      renum.(i) <- !m;
-      incr m
-    end
-  done;
-  let keep p = renum.(p) >= 0 in
-  {
-    n = !m;
-    starts = List.map (fun p -> renum.(p)) starts';
-    finals = List.filter_map (fun p -> if keep p then Some renum.(p) else None) finals;
-    delta =
-      List.sort_uniq Stdlib.compare
-        (List.filter_map
-           (fun (p, a, q) ->
-             if keep p && keep q then Some (renum.(p), a, renum.(q)) else None)
-           delta');
-  }
+  List.iter (fun (p, _, q) -> by_src.(p) <- q :: by_src.(p)) delta';
+  restrict (marked by_src starts')
+    { n; starts = starts'; finals; delta = delta' }
 
 (* ---------- Thompson construction ---------- *)
 
@@ -155,10 +160,13 @@ let accepts a w =
 
 (* ---------- determinization ---------- *)
 
+exception Capped
+
 (* Subset construction over an explicit alphabet, always total: the
    empty subset is the sink, and every (state, letter) has exactly one
-   successor.  Subsets are keyed by their sorted element list. *)
-let determinize ~alphabet a =
+   successor.  Subsets are keyed by their sorted element list.  [cap]
+   bounds the number of DFA states; reaching it raises [Capped]. *)
+let subset_dfa ~cap ~alphabet a =
   let alphabet = List.sort_uniq compare_letter alphabet in
   let tbl = Hashtbl.create 16 in
   let states = ref [] and count = ref 0 in
@@ -167,6 +175,7 @@ let determinize ~alphabet a =
     | Some i -> i
     | None ->
         let i = !count in
+        if i = cap then raise Capped;
         incr count;
         Hashtbl.add tbl set i;
         states := (set, i) :: !states;
@@ -201,9 +210,76 @@ let determinize ~alphabet a =
   in
   { n = !count; starts = [ start ]; finals; delta = !delta }
 
+let determinize ~alphabet a = subset_dfa ~cap:max_int ~alphabet a
+
 let complement ~alphabet a =
   let d = determinize ~alphabet a in
   { d with finals = List.filter (fun s -> not (List.mem s d.finals)) (List.init d.n Fun.id) }
+
+(* ---------- minimization ---------- *)
+
+let trim a =
+  let fwd = Array.make a.n [] and bwd = Array.make a.n [] in
+  List.iter
+    (fun (p, _, q) ->
+      fwd.(p) <- q :: fwd.(p);
+      bwd.(q) <- p :: bwd.(q))
+    a.delta;
+  let reach = marked fwd a.starts and coreach = marked bwd a.finals in
+  restrict (Array.init a.n (fun p -> reach.(p) && coreach.(p))) a
+
+(* Moore partition refinement of a total DFA: split the states by
+   finality, then by the classes of their successors letter by letter,
+   until the partition is stable, and take the quotient.  Classes are
+   numbered by first occurrence in state order, so the start, state 0
+   of [subset_dfa], stays state 0. *)
+let moore d =
+  let succ = Array.make d.n [] in
+  List.iter (fun (p, l, q) -> succ.(p) <- (l, q) :: succ.(p)) d.delta;
+  let succ =
+    Array.map (List.sort (fun (l, _) (l', _) -> compare_letter l l')) succ
+  in
+  let refine cls =
+    let ids = Hashtbl.create d.n in
+    Array.init d.n (fun p ->
+        let key = (cls.(p), List.map (fun (_, q) -> cls.(q)) succ.(p)) in
+        match Hashtbl.find_opt ids key with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length ids in
+            Hashtbl.add ids key c;
+            c)
+  in
+  let count cls = Array.fold_left (fun m c -> max m (c + 1)) 0 cls in
+  let rec fix cls =
+    let cls' = refine cls in
+    if count cls' = count cls then cls else fix cls'
+  in
+  let cls =
+    fix (refine (Array.init d.n (fun p -> Bool.to_int (List.mem p d.finals))))
+  in
+  let map = List.map (fun p -> cls.(p)) in
+  {
+    n = count cls;
+    starts = map d.starts;
+    finals = List.sort_uniq Int.compare (map d.finals);
+    delta =
+      List.sort_uniq Stdlib.compare
+        (List.map (fun (p, l, q) -> (cls.(p), l, cls.(q))) d.delta);
+  }
+
+(* The subset construction runs over the trimmed NFA's own letters and
+   may build the trimmed NFA's state count plus one (the sink, which
+   the final [trim] drops with every other dead state); past that it
+   gives up, so it never takes exponential time.  A minimal DFA that
+   still ends up larger than the trimmed NFA is discarded for it too. *)
+let minimize a =
+  let a = trim a in
+  match subset_dfa ~cap:(a.n + 1) ~alphabet:(letters a) a with
+  | exception Capped -> a
+  | d ->
+      let m = trim (moore d) in
+      if m.n > a.n then a else m
 
 (* ---------- tree-automaton encoding ---------- *)
 

@@ -56,6 +56,22 @@ val determinize : alphabet:letter list -> t -> t
     included), with a single start state.  Letters of the automaton not
     in [alphabet] are dropped. *)
 
+val trim : t -> t
+(** Restrict to the states reachable from a start and co-reachable to a
+    final, renumbered in order.  The language is unchanged. *)
+
+val minimize : t -> t
+(** The minimal partial DFA of the language: subset construction over
+    the automaton's own letters, Moore partition refinement, then
+    {!trim}, which drops the sink and every other dead state.  Every
+    state is reachable and co-reachable, there is one start (unless the
+    language is empty) and at most one successor per (state, letter).
+    The subset construction is capped at the trimmed automaton's state
+    count plus one (for the sink), so this never takes exponential
+    time; and it never grows the automaton: when the cap is hit, or the
+    minimal DFA is still larger, the result is [trim a] instead, still
+    an NFA. *)
+
 val complement : alphabet:letter list -> t -> t
 (** [Σ* \ L], relative to [alphabet]: determinize, then flip finals. *)
 

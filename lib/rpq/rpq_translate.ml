@@ -1,4 +1,6 @@
-(* RPQ → linear Datalog.  One binary IDB per NFA state for all-pairs
+(* RPQ → linear Datalog over the automaton's minimal DFA (or, when the
+   capped subset construction gives up, its trimmed NFA — see
+   [Rpq_nfa.minimize]).  One binary IDB per state for all-pairs
    evaluation, one unary IDB per state for source-anchored evaluation
    (seeded from the reserved [rpq_src] EDB, since rule heads cannot
    carry constants — this keeps the program independent of the source,
@@ -38,6 +40,7 @@ let edge_atom (l : Rpq_nfa.letter) x y =
 
 let pairs_of_nfa ?(prefix = default_prefix) (a : Rpq_nfa.t) =
   check_alphabet prefix (List.map (fun l -> l.Rpq_nfa.rel) (Rpq_nfa.letters a));
+  let a = Rpq_nfa.minimize a in
   let ans = ans_rel ~prefix () in
   let seed =
     List.concat_map
@@ -75,6 +78,7 @@ let pairs_of_nfa ?(prefix = default_prefix) (a : Rpq_nfa.t) =
 
 let anchored_of_nfa ?(prefix = default_prefix) (a : Rpq_nfa.t) =
   check_alphabet prefix (List.map (fun l -> l.Rpq_nfa.rel) (Rpq_nfa.letters a));
+  let a = Rpq_nfa.minimize a in
   let ans = ans_rel ~prefix () and src = src_rel ~prefix () in
   let seed =
     List.concat_map
@@ -140,10 +144,25 @@ let eval ?strategy ?cancel e inst =
   let tuples = Dl_engine.eval ?strategy ?cancel (pairs e) inst in
   List.sort_uniq compare (List.map (fun t -> (t.(0), t.(1))) tuples)
 
+let seeded src inst = Instance.add (Fact.make (src_rel ()) [ src ]) inst
+
 let eval_from ?strategy ?cancel e inst src =
-  let inst = Instance.add (Fact.make (src_rel ()) [ src ]) inst in
-  let tuples = Dl_engine.eval ?strategy ?cancel (anchored e) inst in
+  let tuples =
+    Dl_engine.eval ?strategy ?cancel (anchored e) (seeded src inst)
+  in
   List.sort_uniq Const.compare (List.map (fun t -> t.(0)) tuples)
 
+let diagonal e inst =
+  if not (Rpq.nullable e) then Const.Set.empty
+  else
+    let rels = Rpq.rels e in
+    Instance.adom (Instance.restrict (fun r -> List.mem r rels) inst)
+
+(* the anchored program seeded with [x], stopped as soon as [y] appears *)
+let holds_nfa ?strategy ?cancel a inst x y =
+  Dl_engine.holds ?strategy ?cancel (anchored_of_nfa a) (seeded x inst)
+    [| y |]
+
 let holds ?strategy ?cancel e inst x y =
-  Dl_engine.holds ?strategy ?cancel (pairs e) inst [| x; y |]
+  (Const.equal x y && Const.Set.mem x (diagonal e inst))
+  || holds_nfa ?strategy ?cancel (Rpq_nfa.of_regex e) inst x y

@@ -143,22 +143,18 @@ let image ?strategy ?cancel views inst =
         (Rpq_translate.eval ?strategy ?cancel def inst))
     Instance.empty views
 
-(* the base-instance diagonal of the nullable case: nodes of G
-   restricted to Q's alphabet (see the .mli headnote) *)
-let diag_nodes query inst =
-  let rels = Rpq.rels query in
-  Instance.adom (Instance.restrict (fun r -> List.mem r rels) inst)
-
 let certain ?strategy ?cancel t inst =
   let img = image ?strategy ?cancel t.views inst in
   let tuples =
     Dl_engine.eval ?strategy ?cancel (Rpq_translate.pairs_of_nfa t.rauto) img
   in
   let pairs = List.map (fun tp -> (tp.(0), tp.(1))) tuples in
+  (* the base-instance diagonal (see the .mli headnote) *)
   let diag =
-    if Rpq.nullable t.query then
-      Const.Set.fold (fun c acc -> (c, c) :: acc) (diag_nodes t.query inst) []
-    else []
+    Const.Set.fold
+      (fun c acc -> (c, c) :: acc)
+      (Rpq_translate.diagonal t.query inst)
+      []
   in
   List.sort_uniq compare (diag @ pairs)
 
@@ -175,11 +171,7 @@ let certain_from ?strategy ?cancel t inst src =
   List.sort_uniq Const.compare out
 
 let certain_holds ?strategy ?cancel t inst x y =
-  (Const.equal x y
-  && Rpq.nullable t.query
-  && Const.Set.mem x (diag_nodes t.query inst))
-  ||
-  let img = image ?strategy ?cancel t.views inst in
-  Dl_engine.holds ?strategy ?cancel
-    (Rpq_translate.pairs_of_nfa t.rauto)
-    img [| x; y |]
+  (Const.equal x y && Const.Set.mem x (Rpq_translate.diagonal t.query inst))
+  || Rpq_translate.holds_nfa ?strategy ?cancel t.rauto
+       (image ?strategy ?cancel t.views inst)
+       x y

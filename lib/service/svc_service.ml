@@ -724,8 +724,9 @@ let handle_batch t reqs : response list =
      additionally hold [t.heavy]: their decision procedures lean on
      process-global memo tables that are not domain-safe, so at most one
      such computation runs at a time, whatever the session;
-   - the cache carries its own lock, and evaluation is forced to the
-     [Indexed] strategy — the [Parallel] strategy would re-enter the
+   - the cache carries its own lock, and evaluation runs
+     [Dl_engine.pool_strategy ()] (the VM unless the process default is
+     [naive]) — the [Parallel] strategy would re-enter the
      single-coordinator domain pool, and [Magic] caches its demand
      transformations in a global table.
 

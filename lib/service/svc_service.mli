@@ -15,7 +15,8 @@
       once — the TCP connection workers do.  They serialize per session
       (whole-request session lock), serialize the non-worker-safe verbs
       globally (their decision procedures share coordinator-only memo
-      tables), force the [Indexed] evaluation strategy, and shed
+      tables), evaluate with {!Dl_engine.pool_strategy} (the VM unless
+      the process default is [naive]), and shed
       over-quota requests with [busy] before planning.
 
     {2 Deadlines}

@@ -18,7 +18,7 @@
    - requests go through {!Svc_service.handle_concurrent}, which
      carries the whole cross-domain safety discipline (per-session
      serialization, the heavy-verb mutex, the cache's own lock, the
-     forced [Indexed] strategy);
+     pool strategy [Dl_engine.pool_strategy ()]);
    - admission control sheds, never queues: when [max_conns]
      connections are active the accept loop answers the newcomer with
      one [- busy] line and closes it.  The client knows immediately and

@@ -10,7 +10,10 @@
 #   3. every `--flag` README.md mentions must still be a flag defined in
 #      bin/mondet.ml (catches docs of removed/renamed options);
 #   4. every mondet subcommand must appear in README.md;
-#   5. every wire verb must appear in the docs/GUIDE.md walkthroughs.
+#   5. every wire verb must appear in the docs/GUIDE.md walkthroughs;
+#   6. the concurrent request path runs Dl_engine.pool_strategy: the
+#      service must still call it, and neither ARCHITECTURE.md nor the
+#      service/TCP sources may claim that path forces the Indexed engine.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -68,6 +71,20 @@ subs=$(grep -o 'Cmd\.info "[a-z-]*"' "$main_ml" | sed 's/.*"\(.*\)"/\1/' |
   grep -v '^mondet$' | sort -u)
 for s in $subs; do
   grep -q "$s" README.md || err "subcommand '$s' not mentioned in README.md"
+done
+
+# 6. the concurrent path's engine.  The call is matched in its
+#    parenthesized code shape, which the comments naming it ([...]) do
+#    not have; claims wrap across lines, so each file is flattened to
+#    one line before matching.
+service_ml=lib/service/svc_service.ml
+grep -q '(Dl_engine\.pool_strategy ()' "$service_ml" ||
+  err "$service_ml no longer calls Dl_engine.pool_strategy (update rule 6 and the docs)"
+for f in ARCHITECTURE.md lib/service/svc_service.mli "$service_ml" \
+  lib/service/svc_tcp.ml; do
+  if tr -s ' \n' '  ' <"$f" | grep -Eqi 'forc(e|es|ed|ing)( to)?( the)? [`[]?Indexed'; then
+    err "$f claims the concurrent path forces Indexed; it runs Dl_engine.pool_strategy"
+  fi
 done
 
 if [ "$fail" -eq 0 ]; then

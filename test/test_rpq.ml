@@ -1,10 +1,11 @@
 (* RPQ subsystem tests: parser/printer round-trips and reversal, word
-   NFA membership and complementation, the Datalog translation on small
-   graphs, the view-rewriting constructions (lossless and lossy cases),
-   and qcheck differentials — the Datalog translation against a naive
-   product-construction reachability oracle under the indexed, vm and
-   parallel strategies, plus rewriting soundness/lossless-equality on
-   random view sets. *)
+   NFA membership, complementation and minimization, the Datalog
+   translation on small graphs, the view-rewriting constructions
+   (lossless and lossy cases), and qcheck differentials — the Datalog
+   translation against a naive product-construction reachability oracle
+   under the indexed, vm and parallel strategies, minimization against
+   the trimmed NFA, Boolean membership against all-pairs evaluation,
+   plus rewriting soundness/lossless-equality on random view sets. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -120,6 +121,29 @@ let test_nfa () =
   check_string "word printing" "a.b^" (Rpq_nfa.word_to_string (w "a.b^"));
   check_string "empty word prints" "eps" (Rpq_nfa.word_to_string [])
 
+(* the translation runs on the minimal DFA: pinned sizes for the
+   serve-churn query and the closure shape *)
+let test_minimize () =
+  let states s =
+    (Rpq_nfa.minimize (Rpq_nfa.of_regex (Rpq.parse s))).Rpq_nfa.n
+  in
+  let q = Rpq.parse "(knows|follows)*.follows" in
+  check_int "churn query: thompson states" 9 (Rpq_nfa.of_regex q).Rpq_nfa.n;
+  check_int "churn query: minimal states" 2 (states "(knows|follows)*.follows");
+  let prog = (Rpq_translate.anchored q).Datalog.program in
+  check_int "churn query: anchored rules" 7 (List.length prog);
+  let heads =
+    List.sort_uniq String.compare
+      (List.map (fun r -> r.Datalog.head.Cq.rel) prog)
+  in
+  check_int "churn query: state relations" 2
+    (List.length (List.filter (fun r -> r <> Rpq_translate.ans_rel ()) heads));
+  check_int "e* has one state" 1 (states "e*");
+  check_int "e.e* has two" 2 (states "e.e*");
+  (* an empty language minimizes to no states at all *)
+  let empty = { Rpq_nfa.n = 2; starts = [ 0 ]; finals = []; delta = [] } in
+  check_int "empty language" 0 (Rpq_nfa.minimize empty).Rpq_nfa.n
+
 (* ---------- Datalog translation ---------- *)
 
 let test_translate () =
@@ -218,6 +242,18 @@ let test_rewrite_lossy () =
   let r0 = Rpq_views.rewrite ~views:[ ("v", Rpq.parse "b") ] (Rpq.parse "a") in
   check_bool "empty rewriting" false r0.Rpq_views.lossless;
   check_bool "nothing certain" true (Rpq_views.certain r0 g = []);
+  check_bool "nothing holds" false (Rpq_views.certain_holds r0 g (n 0) (n 1));
+  (* Boolean mode agrees with the all-pairs answers, diagonal included,
+     on nodes in and out of the graph *)
+  let nodes = [ n 0; n 1; n 3; n 4; n 9 ] in
+  List.iter
+    (fun x ->
+      List.iter
+        (fun y ->
+          check_bool "certain_holds = certain" (List.mem (x, y) certain)
+            (Rpq_views.certain_holds r g x y))
+        nodes)
+    nodes;
   check_bool "duplicate views rejected" true
     (match Rpq_views.rewrite ~views:[ ("v", Rpq.Eps); ("v", Rpq.Eps) ] Rpq.Eps with
     | _ -> false
@@ -347,6 +383,41 @@ let prop_anchored =
           got = expect)
         [ n 0; n 3 ])
 
+(* minimize: a trim DFA with one start, no larger than the trimmed NFA,
+   and language-equivalent to it — or, when the capped subset
+   construction gave up, exactly the trimmed NFA *)
+let prop_minimize =
+  QCheck.Test.make ~name:"minimize: trim DFA, equivalent" ~count:300
+    (QCheck.make ~print:Rpq.to_string gen_rpq)
+    (fun e ->
+      let a = Rpq_nfa.of_regex e in
+      let t = Rpq_nfa.trim a and m = Rpq_nfa.minimize a in
+      let deterministic =
+        let moves = List.map (fun (p, l, _) -> (p, l)) m.Rpq_nfa.delta in
+        List.length m.Rpq_nfa.starts = 1
+        && List.length (List.sort_uniq compare moves) = List.length moves
+      in
+      let alphabet = Rpq_nfa.letters a in
+      (deterministic || m = t)
+      && (Rpq_nfa.trim m).Rpq_nfa.n = m.Rpq_nfa.n
+      && m.Rpq_nfa.n <= t.Rpq_nfa.n
+      && Rpq_nfa.subseteq ~alphabet a m = None
+      && Rpq_nfa.subseteq ~alphabet m a = None)
+
+(* Boolean mode agrees with all-pairs membership, on nodes in and out
+   of the graph (n 7 never occurs in [gen_graph]) *)
+let prop_holds =
+  QCheck.Test.make ~name:"rpq holds = all-pairs membership" ~count:120
+    rpq_pair_arb (fun (e, g) ->
+      let all = Rpq_translate.eval e g in
+      let nodes = [ n 0; n 2; n 5; n 7 ] in
+      List.for_all
+        (fun x ->
+          List.for_all
+            (fun y -> Rpq_translate.holds e g x y = List.mem (x, y) all)
+            nodes)
+        nodes)
+
 let prop_rewrite_sound =
   QCheck.Test.make ~name:"rewriting sound, lossless exact" ~count:60
     (QCheck.make
@@ -365,6 +436,7 @@ let suite =
   [
     Alcotest.test_case "parse and print" `Quick test_parse_print;
     Alcotest.test_case "word nfa" `Quick test_nfa;
+    Alcotest.test_case "minimal dfa" `Quick test_minimize;
     Alcotest.test_case "datalog translation" `Quick test_translate;
     Alcotest.test_case "lossless rewriting" `Quick test_rewrite_lossless;
     Alcotest.test_case "lossy rewriting" `Quick test_rewrite_lossy;
@@ -375,5 +447,7 @@ let suite =
         prop_vm;
         prop_parallel;
         prop_anchored;
+        prop_minimize;
+        prop_holds;
         prop_rewrite_sound;
       ]
