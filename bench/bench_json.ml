@@ -369,8 +369,9 @@ let incr_tests =
   in
   (* pendant edge off the chain's end: a light assert (~129 new paths) *)
   let pendant = [ Fact.make "E" [ node 128; xnode 0 ] ] in
-  (* mid-chain edge: a real DRed workload — the shortcut edges keep the
-     chain connected, so most over-deleted paths rederive *)
+  (* mid-chain edge: a load-bearing cut — 256 paths really go, while
+     Backward/Forward finds alternative proofs through the shortcut
+     edges for the paths that only seemed to depend on it *)
   let mid = [ Fact.make "E" [ node 63; node 64 ] ] in
   let cold =
     Test.make ~name:"tc-128-cold"

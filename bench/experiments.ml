@@ -554,10 +554,13 @@ let e19 () =
 (* E20 — incremental maintenance vs cold re-evaluation.
 
    Methodology: three transitive-closure workloads with different
-   rederivation profiles — a 128-chain with shortcut edges (as in the
-   engine rows), a 12x12 grid (right/down edges: wide fixpoint, every
-   internal cut genuinely loses paths), and a 32-diamond chain (every
-   deleted arm rederives through the other arm, DRed's best case).
+   alternative-proof profiles — a 128-chain with shortcut edges (as in
+   the engine rows: a mid-chain cut is load-bearing for a few hundred
+   paths while the shortcuts keep thousands of others provable), a
+   12x12 grid (right/down edges: wide fixpoint, every internal cut
+   genuinely loses paths), and a 32-diamond chain (every deleted arm
+   has an alternative proof through the other arm, so Backward/Forward
+   deletes almost nothing but searches the whole downstream for it).
    For each: a cold materialization build ([Dl_incr.create], the price
    a cache-missed eval pays), then averaged single-fact and batch-32
    mutations in both directions — asserting fresh edges / retracting
@@ -565,7 +568,9 @@ let e19 () =
    it.  After all mutations the maintained fixpoint is asserted equal
    to a cold [Dl_eval.fixpoint] of the final base (the same oracle the
    qcheck differential suite uses).  Reported speedups are cold-build
-   time over per-mutation repair time. *)
+   time over per-mutation repair time; each row also prints the
+   Backward/Forward counters ([Dl_incr.last_repair]) of its last
+   repetition. *)
 let e20 () =
   pf "@.### E20 — incremental maintenance vs cold re-evaluation ###@.";
   let tc =
@@ -618,55 +623,62 @@ let e20 () =
     ]
   in
   let reps = 5 in
-  let avg_pair f g =
-    let ta = ref 0. and tb = ref 0. in
-    for _ = 1 to reps do
-      let (), a = time f in
-      ta := !ta +. a;
-      let (), b = time g in
-      tb := !tb +. b
-    done;
-    (!ta /. float_of_int reps, !tb /. float_of_int reps)
-  in
-  pf "  %-14s %-18s %10s %10s %s@." "workload" "mutation" "repair" "cold"
-    "speedup";
+  pf "  %-14s %-18s %10s %10s %8s %8s %8s %8s@." "workload" "mutation" "repair"
+    "cold" "speedup" "checked" "proved" "deleted";
   List.iter
     (fun (name, g, fresh1, fresh32, mid1) ->
       let m, tcold = time (fun () -> Dl_incr.create tc.Datalog.program g) in
-      pf "  %-14s %-18s %10s %8.4fs %s@." name "(cold build)" "-" tcold "-";
-      let row what ta =
-        pf "  %-14s %-18s %8.5fs %8.4fs %7.1fx@." name what ta tcold
-          (tcold /. ta)
+      pf "  %-14s %-18s %10s %8.4fs %8s@." name "(cold build)" "-" tcold "-";
+      (* mean time of each direction of a mutate/undo pair, with the
+         B/F counters of its last repetition *)
+      let avg_pair f g =
+        let ta = ref 0. and tb = ref 0. in
+        let ra = ref (Dl_incr.last_repair m) and rb = ref (Dl_incr.last_repair m) in
+        for _ = 1 to reps do
+          let (), a = time f in
+          ta := !ta +. a;
+          ra := Dl_incr.last_repair m;
+          let (), b = time g in
+          tb := !tb +. b;
+          rb := Dl_incr.last_repair m
+        done;
+        ( (!ta /. float_of_int reps, !ra),
+          (!tb /. float_of_int reps, !rb) )
       in
-      let ta, tr =
+      let row what (ta, (r : Dl_incr.repair)) =
+        pf "  %-14s %-18s %8.5fs %8.4fs %7.1fx %8d %8d %8d@." name what ta tcold
+          (tcold /. ta) r.checked r.proved r.deleted
+      in
+      let a, r =
         avg_pair
           (fun () -> Dl_incr.assert_facts m fresh1)
           (fun () -> Dl_incr.retract_facts m fresh1)
       in
-      row "assert-1-fresh" ta;
-      row "retract-1-fresh" tr;
-      let td, tb =
+      row "assert-1-fresh" a;
+      row "retract-1-fresh" r;
+      let d, b =
         avg_pair
           (fun () -> Dl_incr.retract_facts m mid1)
           (fun () -> Dl_incr.assert_facts m mid1)
       in
-      row "retract-1-internal" td;
-      row "assert-1-internal" tb;
-      let ta32, tr32 =
+      row "retract-1-internal" d;
+      row "assert-1-internal" b;
+      let a32, r32 =
         avg_pair
           (fun () -> Dl_incr.assert_facts m fresh32)
           (fun () -> Dl_incr.retract_facts m fresh32)
       in
-      row "assert-32" ta32;
-      row "retract-32" tr32;
+      row "assert-32" a32;
+      row "retract-32" r32;
       assert (
         Instance.equal (Dl_incr.full m)
           (Dl_eval.fixpoint (Dl_incr.program m) (Dl_incr.base m))))
     workloads;
   pf "  (repair = one maintenance pass over an existing materialization;@.";
   pf "   cold = Dl_incr.create, a full fixpoint + derivation counting —@.";
-  pf "   what a cache-missed eval pays.  Single-core container numbers,@.";
-  pf "   caveats as in E15)@."
+  pf "   what a cache-missed eval pays; checked/proved/deleted = the@.";
+  pf "   Backward/Forward counters of the repair (Dl_incr.last_repair).@.";
+  pf "   Single-core container numbers, caveats as in E15)@."
 
 (* E21 — RPQs over views at graph scale (Francis–Segoufin–Sirangelo,
    arXiv:1511.00938): direct Datalog evaluation of an RPQ against

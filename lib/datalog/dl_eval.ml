@@ -1,5 +1,3 @@
-type env = Const.t Smap.t
-
 (* Argument positions of [a] already fixed by [env] (or by constants). *)
 let bound_positions (a : Cq.atom) env =
   let bound = ref [] in
@@ -34,79 +32,6 @@ let extend_env (a : Cq.atom) tup env =
             | None -> env' := Smap.add v tup.(i) !env'))
     a.args;
   if !ok then Some !env' else None
-
-(* Enumerate all matches of the (atom, source-instance) pairs in [sources],
-   choosing the next atom dynamically: the one with the fewest index
-   candidates under the bindings accumulated so far.  Returns [false] when
-   a [yield] stopped the enumeration. *)
-let match_plan sources env yield =
-  let arr = Array.of_list sources in
-  let n = Array.length arr in
-  let swap i j =
-    let t = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- t
-  in
-  let rec solve k env =
-    if k = n then yield env
-    else begin
-      let best = ref k
-      and best_bound = ref (bound_positions (fst arr.(k)) env)
-      and best_cost = ref max_int in
-      let a0, src0 = arr.(k) in
-      best_cost := Instance.estimate_with src0 a0.Cq.rel !best_bound;
-      for j = k + 1 to n - 1 do
-        if !best_cost > 0 then begin
-          let a, src = arr.(j) in
-          let b = bound_positions a env in
-          let c = Instance.estimate_with src a.Cq.rel b in
-          if c < !best_cost then begin
-            best := j;
-            best_bound := b;
-            best_cost := c
-          end
-        end
-      done;
-      swap k !best;
-      let a, src = arr.(k) in
-      let candidates = Instance.tuples_with src a.Cq.rel !best_bound in
-      let rec go = function
-        | [] -> true
-        | tup :: rest -> (
-            match extend_env a tup env with
-            | Some env' -> if solve (k + 1) env' then go rest else false
-            | None -> go rest)
-      in
-      let continue_ = go candidates in
-      swap k !best;
-      continue_
-    end
-  in
-  solve 0 env
-
-(* semi-naive split: some atom matches the delta; atoms before it match
-   only the old facts [old = inst \ delta] (so a derivation using several
-   delta facts is produced exactly once), atoms after it match the full
-   instance. *)
-let match_body_semi ~old ~delta inst atoms env yield =
-  let rec split pre = function
-    | [] -> true
-    | a :: post ->
-        let sources =
-          (a, delta)
-          :: List.rev_append
-               (List.rev_map (fun x -> (x, old)) pre)
-               (List.map (fun x -> (x, inst)) post)
-        in
-        if match_plan sources env yield then split (a :: pre) post else false
-  in
-  ignore (split [] atoms)
-
-let match_body ?delta inst atoms env yield =
-  match delta with
-  | None ->
-      ignore (match_plan (List.map (fun a -> (a, inst)) atoms) env yield)
-  | Some d -> match_body_semi ~old:(Instance.diff inst d) ~delta:d inst atoms env yield
 
 let head_fact (r : Datalog.rule) env =
   let args =
@@ -181,28 +106,29 @@ let match_tuple (a : catom) tup env trail tp =
   in
   go 0 0
 
-(* Enumerate matches of [cr.cbody] where atom [i] draws its candidates from
-   [sources.(i)]; atoms are matched most-constrained-first.  [on_match]
-   returns [false] to stop.  Returns [false] iff stopped. *)
-let run_compiled (cr : crule) (sources : Instance.t array) on_match =
+(* Enumerate matches of [cr.cbody] extending the bindings already in
+   [env], where atom [i] draws its candidates from [sources.(i)]; atoms are
+   matched most-constrained-first.  [on_match] returns [false] to stop.
+   Only slots bound here are undone, so [env] comes back as given. *)
+let run_env (cr : crule) env trail (sources : Instance.t array) on_match =
   let nb = Array.length cr.cbody in
-  let env = Array.make (max cr.nvars 1) None in
-  let trail = Array.make (max cr.nvars 1) (-1) in
-  let order = Array.init nb (fun i -> i) in
+  let order = Array.init nb Fun.id in
   let rec solve k tp =
     if k = nb then on_match env
     else begin
       let best = ref k and best_cost = ref max_int in
-      for j = k to nb - 1 do
-        if !best_cost > 0 then begin
-          let i = order.(j) in
-          let c = estimate_atom cr.cbody.(i) env sources.(i) in
-          if c < !best_cost then begin
-            best := j;
-            best_cost := c
+      (* the last atom needs no estimate: it goes next regardless *)
+      if k < nb - 1 then
+        for j = k to nb - 1 do
+          if !best_cost > 0 then begin
+            let i = order.(j) in
+            let c = estimate_atom cr.cbody.(i) env sources.(i) in
+            if c < !best_cost then begin
+              best := j;
+              best_cost := c
+            end
           end
-        end
-      done;
+        done;
       let tmp = order.(k) in
       order.(k) <- order.(!best);
       order.(!best) <- tmp;
@@ -229,16 +155,30 @@ let run_compiled (cr : crule) (sources : Instance.t array) on_match =
   in
   ignore (solve 0 0)
 
-(* The firing path builds the head's argument array directly and hands it
+let run_compiled (cr : crule) sources on_match =
+  let n = max cr.nvars 1 in
+  run_env cr (Array.make n None) (Array.make n (-1)) sources on_match
+
+(* Pre-bind the slots of [a] (the head or a body atom of [cr]) to [tup];
+   a clash (constant or repeated slot) means no match at all.  Matching
+   only undoes the slots it bound itself, so the seed bindings stay. *)
+let run_seeded (cr : crule) (a : catom) tup sources on_match =
+  let n = max cr.nvars 1 in
+  let env = Array.make n None and trail = Array.make n (-1) in
+  if match_tuple a tup env trail 0 >= 0 then run_env cr env trail sources on_match
+
+(* The firing path builds the atom's argument array directly and hands it
    to the interned array constructor: one allocation, no list, no symbol
-   lookup — the head's relation id was cached at compile time. *)
-let chead_fact (cr : crule) env =
-  Fact.of_interned cr.chead.crid
+   lookup — the relation id was cached at compile time. *)
+let catom_fact (a : catom) env =
+  Fact.of_interned a.crid
     (Array.map
        (function
          | Cslot s -> ( match env.(s) with Some c -> c | None -> assert false)
-         | Cconst _ -> assert false (* ruled out by Datalog.rule *))
-       cr.chead.cterms)
+         | Cconst c -> c)
+       a.cterms)
+
+let chead_fact (cr : crule) env = catom_fact cr.chead env
 
 (* One semi-naive round over [rules]: for each rule and each body position
    whose relation has delta facts, match that occurrence against the delta,

@@ -3,25 +3,6 @@
     [fixpoint p i] is the paper's [FPEval(Π, I)]: the minimal IDB-extension
     of [I] satisfying all rules of [Π]. *)
 
-type env = Const.t Smap.t
-(** Variable bindings, see {!Smap}. *)
-
-val match_body :
-  ?delta:Instance.t ->
-  Instance.t ->
-  Cq.atom list ->
-  env ->
-  (env -> bool) ->
-  unit
-(** [match_body ?delta inst atoms env yield] enumerates extensions of [env]
-    matching all atoms into [inst]; when [delta] is given, at least one atom
-    must match a fact of [delta], atoms to its left match only
-    [inst \ delta] (so no derivation is enumerated twice), and atoms to its
-    right match [inst].  Atoms are joined most-constrained-first: the next
-    atom matched is always the one with the fewest index candidates under
-    the bindings accumulated so far.  [yield] returns false to stop
-    early. *)
-
 val fixpoint : ?cancel:Dl_cancel.t -> Datalog.program -> Instance.t -> Instance.t
 (** Least fixpoint; returns the input instance extended with IDB facts.
     [cancel] is probed at every semi-naive round boundary (and once on
@@ -103,5 +84,24 @@ val run_compiled :
     [sources.(i)], most-constrained-first.  [on_match] receives the slot
     bindings and returns [false] to stop the enumeration. *)
 
+val run_seeded :
+  crule ->
+  catom ->
+  Const.t array ->
+  Instance.t array ->
+  (Const.t option array -> bool) ->
+  unit
+(** [run_seeded cr a tup sources on_match] is {!run_compiled} restricted
+    to the matches binding atom [a] — the rule's head or one of its body
+    atoms — to the tuple [tup]: [a]'s slots are pre-bound before the body
+    is matched (a clash means no match).  A seeded body atom is still
+    matched against its source, so [tup] must be in it.  This is the
+    goal-directed entry of {!Dl_incr}'s Backward/Forward repair: head
+    seeding enumerates the derivations of one fact, body seeding the
+    derivations one fact takes part in. *)
+
 val chead_fact : crule -> Const.t option array -> Fact.t
 (** The head fact under a complete binding of the rule's slots. *)
+
+val catom_fact : catom -> Const.t option array -> Fact.t
+(** Any atom's fact under a binding of all its slots. *)

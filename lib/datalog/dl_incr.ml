@@ -1,5 +1,6 @@
 (* Incremental view maintenance: counting for the non-recursive strata,
-   Delete-and-Rederive (DRed) for the recursive ones.
+   Backward/Forward (B/F) deletion followed by a delta fixpoint for the
+   recursive ones.
 
    The maintained invariant is [ifull = Dl_engine.fixpoint iprogram ibase]
    with membership of every fact read as [base ∨ derived].  The program is
@@ -15,10 +16,23 @@ type stratum = {
   spreds : string list;  (* IDB predicates of this SCC, sorted *)
   srecursive : bool;
   srules : Datalog.program;  (* rules whose head is in [spreds] *)
-  scrules : Dl_eval.crule list;  (* the same, slot-compiled once *)
+  scrules : (Dl_eval.crule * bool array) list;
+      (* the same, slot-compiled once, each with its body positions
+         drawing from this stratum marked *)
   scounts : (Fact.t, int) Hashtbl.t;
       (* derivation counts; only populated when [not srecursive] *)
 }
+
+type repair = { checked : int; proved : int; deleted : int }
+
+let no_repair = { checked = 0; proved = 0; deleted = 0 }
+
+let add_repair a b =
+  {
+    checked = a.checked + b.checked;
+    proved = a.proved + b.proved;
+    deleted = a.deleted + b.deleted;
+  }
 
 type t = {
   iprogram : Datalog.program;
@@ -27,6 +41,7 @@ type t = {
   mutable ibase : Instance.t;
   mutable ifull : Instance.t;
   mutable iok : bool;  (* false while (or after) a mutation went wrong *)
+  mutable ilast : repair;  (* B/F counters of the last [apply] *)
 }
 
 let program t = t.iprogram
@@ -34,6 +49,7 @@ let strategy t = t.istrategy
 let base t = t.ibase
 let full t = t.ifull
 let valid t = t.iok
+let last_repair t = t.ilast
 let strata t = List.map (fun s -> (s.spreds, s.srecursive)) t.istrata
 
 (* ---------- stratification ---------- *)
@@ -77,7 +93,14 @@ let make_stratum p comp =
     spreds = List.sort String.compare comp;
     srecursive;
     srules;
-    scrules = Dl_eval.compile srules;
+    scrules =
+      List.map
+        (fun cr ->
+          ( cr,
+            Array.map
+              (fun a -> List.mem a.Dl_eval.crel comp)
+              cr.Dl_eval.cbody ))
+        (Dl_eval.compile srules);
     scounts = Hashtbl.create 64;
   }
 
@@ -90,7 +113,7 @@ let make_stratum p comp =
    fact exactly once — the invariant the counting passes rely on. *)
 let fire_split crules ~delta ~lo ~hi k =
   List.iter
-    (fun cr ->
+    (fun (cr, _) ->
       if List.exists (fun r -> Instance.cardinal_id delta r > 0) cr.Dl_eval.crels
       then begin
         let nb = Array.length cr.Dl_eval.cbody in
@@ -132,7 +155,7 @@ let create ?strategy ?(cancel = Dl_cancel.none) p inst =
            enumeration over the state seen so far counts every
            derivation of the stratum exactly once. *)
         List.iter
-          (fun cr ->
+          (fun (cr, _) ->
             let sources = Array.make (Array.length cr.Dl_eval.cbody) !state in
             Dl_eval.run_compiled cr sources (fun env ->
                 bump s.scounts (Dl_eval.chead_fact cr env) 1;
@@ -151,49 +174,176 @@ let create ?strategy ?(cancel = Dl_cancel.none) p inst =
     ibase = inst;
     ifull = !state;
     iok = true;
+    ilast = no_repair;
   }
 
-(* ---------- rederivation (DRed phase 2) ---------- *)
+(* ---------- Backward/Forward deletion ---------- *)
 
-(* Head-bound one-step derivability: seed the environment by unifying the
-   rule head with the fact, then let the indexed matcher check the body
-   against the deletion-free state. *)
-let unify_head (head : Cq.atom) (f : Fact.t) =
-  let args = f.Fact.args in
-  if
-    (not (String.equal head.Cq.rel f.Fact.rel))
-    || List.length head.Cq.args <> Array.length args
-  then None
-  else
-    let rec go i env = function
-      | [] -> Some env
-      | Cq.Var v :: rest -> (
-          match Smap.find_opt v env with
-          | Some c -> if Const.equal c args.(i) then go (i + 1) env rest else None
-          | None -> go (i + 1) (Smap.add v args.(i) env) rest)
-      | Cq.Cst c :: rest ->
-          if Const.equal c args.(i) then go (i + 1) env rest else None
+(* Per-repair status of a stratum fact.  [Checked] facts had their old
+   derivations searched (backward) without finding a proof yet; a proof
+   found later — even one completed while the fact is still on the
+   search stack — reaches them through the forward pass of [prove]. *)
+type status = Checked | Proved | Deleted
+type entry = { mutable st : status }
+
+module FH = Hashtbl.Make (struct
+  type t = Fact.t
+
+  let equal = Fact.equal
+  let hash = Fact.hash
+end)
+
+(* B/F deletion for one recursive stratum (Motik, Nenov, Piro and
+   Horrocks, "Maintenance of Datalog materialisations revisited", AIJ
+   2019).  [state] holds the final lower strata and the stratum's old
+   facts; [seeds] are the stratum facts whose old derivations lost
+   support.  Returns the facts with no derivation left: those derivable
+   neither from the new base nor from the surviving lower facts through
+   surviving stratum facts.  Every candidate is searched for an
+   alternative proof before it is deleted, so nothing is deleted only to
+   be derived again.
+
+   Invariant: between top-level [check] calls, a checked fact that is
+   still derivable is proved (its best derivation's body was checked
+   when it was, and the last body fact's proof fires [prove]'s forward
+   pass), so a checked-but-unproved fact can be deleted on sight. *)
+let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
+  let tbl = FH.create 256 in
+  let checked = ref 0 and proved = ref 0 in
+  let rules =
+    List.map
+      (fun (cr, local) ->
+        (cr, local, Array.make (Array.length cr.Dl_eval.cbody) state))
+      s.scrules
+  in
+  let has st f =
+    match FH.find_opt tbl f with Some e -> e.st = st | None -> false
+  in
+  let is_proved = has Proved in
+  (* the stratum body facts of a match, or [None] if one is deleted *)
+  let body cr local env =
+    let rec go i acc =
+      if i < 0 then Some acc
+      else if not local.(i) then go (i - 1) acc
+      else
+        let f = Dl_eval.catom_fact cr.Dl_eval.cbody.(i) env in
+        if has Deleted f then None else go (i - 1) (f :: acc)
     in
-    go 0 Smap.empty head.Cq.args
-
-let rederivable srules state1 f =
-  List.exists
-    (fun r ->
-      match unify_head r.Datalog.head f with
-      | None -> false
-      | Some env ->
-          let found = ref false in
-          Dl_eval.match_body state1 r.Datalog.body env (fun _ ->
-              found := true;
-              false);
-          !found)
-    srules
+    go (Array.length local - 1) []
+  in
+  (* Forward: [e]'s fact is proved; so is every checked head whose whole
+     stratum body is now proved (lower facts matched the new state). *)
+  let prove f e =
+    let work = Queue.create () in
+    let mark f e =
+      e.st <- Proved;
+      incr proved;
+      Queue.push f work
+    in
+    mark f e;
+    while not (Queue.is_empty work) do
+      let p = Queue.pop work in
+      List.iter
+        (fun (cr, local, sources) ->
+          Array.iter
+            (fun (a : Dl_eval.catom) ->
+              if a.crid = p.Fact.rid then
+                Dl_eval.run_seeded cr a p.Fact.args sources (fun env ->
+                    let h = Dl_eval.chead_fact cr env in
+                    (match FH.find_opt tbl h with
+                    | Some ({ st = Checked } as e) -> (
+                        match body cr local env with
+                        | Some b when List.for_all is_proved b -> mark h e
+                        | _ -> ())
+                    | _ -> ());
+                    true))
+            cr.Dl_eval.cbody)
+        rules
+    done
+  in
+  (* Backward: mark [f] checked and look for a proof among its
+     derivations that avoid deleted facts (stratum facts from the old
+     state, lower facts from the repaired one); returns the stratum
+     bodies still worth searching. *)
+  let start f =
+    Dl_cancel.check cancel;
+    let e = { st = Checked } in
+    FH.replace tbl f e;
+    incr checked;
+    if Instance.mem f new_base then (prove f e; (e, []))
+    else begin
+      let pending = ref [] and found = ref false in
+      List.iter
+        (fun (cr, local, sources) ->
+          if (not !found) && cr.Dl_eval.chead.crid = f.Fact.rid then
+            Dl_eval.run_seeded cr cr.Dl_eval.chead f.Fact.args sources
+              (fun env ->
+                match body cr local env with
+                | None -> true
+                | Some b ->
+                    if List.for_all is_proved b then (found := true; false)
+                    else (pending := b :: !pending; true)))
+        rules;
+      if !found then (prove f e; (e, [])) else (e, List.rev !pending)
+    end
+  in
+  (* depth-first search with an explicit stack: recursive strata can
+     chain arbitrarily long *)
+  let check f =
+    let e, pending = start f in
+    let stack = ref [ (e, ref pending) ] in
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | (g, pending) :: rest -> (
+          if g.st = Proved then stack := rest
+          else
+            match !pending with
+            | [] -> stack := rest
+            | b :: more -> (
+                match List.find_opt (fun h -> not (FH.mem tbl h)) b with
+                | Some h ->
+                    let e', pending' = start h in
+                    stack := (e', ref pending') :: !stack
+                | None -> pending := more))
+    done;
+    e
+  in
+  (* Rounds: settle every candidate (checking it at most once), delete
+     the unproved, then fire the round's deletions once over the old
+     state to queue the heads of their old derivations. *)
+  let deleted = ref Instance.empty in
+  let queue = ref seeds in
+  while !queue <> [] do
+    Dl_cancel.check cancel;
+    let round =
+      List.filter
+        (fun f ->
+          let e =
+            match FH.find_opt tbl f with Some e -> e | None -> check f
+          in
+          e.st = Checked
+          && (e.st <- Deleted;
+              true))
+        !queue
+    in
+    queue := [];
+    if round <> [] then begin
+      let round = Instance.of_list round in
+      fire_split s.scrules ~delta:round ~lo:old_full ~hi:old_full (fun h ->
+          queue := h :: !queue);
+      deleted := Instance.union !deleted round
+    end
+  done;
+  ( !deleted,
+    { checked = !checked; proved = !proved; deleted = Instance.size !deleted } )
 
 (* ---------- apply ---------- *)
 
 let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
   if not t.iok then
     invalid_arg "Dl_incr: materialization poisoned by a cancelled mutation";
+  t.ilast <- no_repair;
   (* Normalize to real base edits (sets, restricted to actual changes):
      retracting an absent fact and re-asserting a present one are no-ops
      and must not poison anything. *)
@@ -223,6 +373,7 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
     let state = ref (Instance.union (Instance.diff old_full edb_del) edb_add) in
     let dall = ref edb_del in
     let aall = ref edb_add in
+    let repair = ref no_repair in
     List.iter
       (fun s ->
         Dl_cancel.check cancel;
@@ -272,54 +423,35 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
           aall := Instance.union !aall !fin
         end
         else begin
-          (* DRed.  Phase 1: over-delete every stratum fact with an old
-             derivation touching a deleted fact, frontier round by round
-             over the OLD state — facts asserted in the new base are
-             never over-deleted (membership holds regardless). *)
-          let d = ref Instance.empty in
-          let freshly = ref Instance.empty in
-          let note f =
-            if (not (Instance.mem f !d)) && not (Instance.mem f new_base)
-            then begin
-              d := Instance.add f !d;
-              freshly := Instance.add f !freshly
-            end
+          (* B/F deletion, then close under insertions (lower-strata
+             additions and asserted seeds) with a delta fixpoint — this
+             is where the engine strategies serve maintenance. *)
+          let seeds = ref (Instance.facts local_del) in
+          fire_split s.scrules ~delta:!dall ~lo:old_full ~hi:old_full (fun f ->
+              seeds := f :: !seeds);
+          let d, r =
+            if !seeds = [] then (Instance.empty, no_repair)
+            else
+              bf_delete ~cancel s ~state:!state ~old_full ~new_base !seeds
           in
-          Instance.iter note local_del;
-          let frontier = ref (Instance.union !dall !freshly) in
-          while not (Instance.is_empty !frontier) do
-            Dl_cancel.check cancel;
-            freshly := Instance.empty;
-            fire_split s.scrules ~delta:!frontier ~lo:old_full ~hi:old_full
-              note;
-            frontier := !freshly
-          done;
-          (* Phase 2: one-step rederive each over-deleted fact against
-             the deletion-free state. *)
-          let state1 = Instance.diff !state !d in
-          let r = ref Instance.empty in
-          Instance.iter
-            (fun f -> if rederivable s.srules state1 f then r := Instance.add f !r)
-            !d;
+          repair := add_repair !repair r;
+          let state1 = Instance.diff !state d in
           Dl_cancel.check cancel;
-          (* Phase 3: close under insertions (lower-strata additions,
-             rederived survivors, asserted seeds) with a delta fixpoint —
-             this is where the engine strategies serve maintenance. *)
-          let delta = Instance.union !aall (Instance.union !r local_add) in
+          let delta = Instance.union !aall local_add in
           let full2, derived =
             if Instance.is_empty delta then (state1, Instance.empty)
             else
               Dl_engine.fixpoint_delta ?strategy:t.istrategy ~cancel s.srules
                 ~old:state1 ~delta
           in
-          let out_del = Instance.diff !d full2 in
+          let out_del = Instance.diff d full2 in
           let out_add =
-            (* pure-assert fast path: with nothing over-deleted and no
+            (* pure-assert fast path: with nothing deleted and no
                IDB seeds, every derived fact is fresh by construction
                ([fixpoint_delta] only accumulates facts beyond [state1]),
                so the membership filter is a no-op — skip its
                O(derived · log) rebuild. *)
-            if Instance.is_empty !d && Instance.is_empty local_add then
+            if Instance.is_empty d && Instance.is_empty local_add then
               derived
             else
               Instance.filter
@@ -333,6 +465,7 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
       t.istrata;
     t.ibase <- new_base;
     t.ifull <- !state;
+    t.ilast <- !repair;
     t.iok <- true
   end
 

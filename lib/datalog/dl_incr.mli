@@ -28,14 +28,22 @@
       derivations against the new — each derivation counted exactly
       once; membership flips exactly when the count crosses zero (and
       the fact is not base-asserted).
-    - {e Recursive strata} run Delete-and-Rederive (DRed): over-delete
-      everything reachable from the deleted inputs through old
-      derivations (base-asserted facts are never over-deleted), rederive
-      the over-deleted facts that still have a one-step derivation from
-      the survivors, then close under insertions with a delta fixpoint —
-      {!Dl_engine.fixpoint_delta}, so the indexed, bytecode-VM and
-      parallel engines all serve maintenance fixpoints, reusing the warm
-      {!Instance.union} paths and incremental fingerprints.
+    - {e Recursive strata} run Backward/Forward (B/F) deletion (Motik,
+      Nenov, Piro and Horrocks, "Maintenance of Datalog materialisations
+      revisited", AIJ 2019), then close under insertions.  Every stratum
+      fact whose old derivations lost support is first searched for an
+      alternative proof: backward through its old derivations that avoid
+      deleted facts, down to base-asserted facts and surviving lower
+      facts, and forward from every newly proved fact to the searched
+      facts waiting on it.  Only facts left unproved are deleted, and
+      their deletion queues the next candidates — so unlike
+      delete-and-rederive nothing is over-deleted and then derived
+      again, and a fact whose only support is a cycle through itself is
+      still deleted.  Insertions (lower-strata additions and asserted
+      seeds) then run a delta fixpoint — {!Dl_engine.fixpoint_delta}, so
+      the indexed, bytecode-VM and parallel engines all serve
+      maintenance fixpoints, reusing the warm {!Instance.union} and
+      {!Instance.diff} paths and incremental fingerprints.
 
     {2 Ownership and threading}
 
@@ -51,7 +59,8 @@
 
     {2 Cancellation}
 
-    Both mutators take a {!Dl_cancel} token, probed per stratum and at
+    Both mutators take a {!Dl_cancel} token, probed per stratum, per
+    deletion round and fact searched for an alternative proof, and at
     every delta-fixpoint round.  A mutation is {e atomic}: it either
     completes (base and fixpoint both updated) or raises, in which case
     the base is untouched but internal tables may be half-repaired — the
@@ -96,7 +105,7 @@ val apply : ?cancel:Dl_cancel.t -> t -> adds:Fact.t list -> dels:Fact.t list -> 
 (** Apply a combined edit — assertions and retractions together — in
     {e one} maintenance pass: the whole payload is normalized into a
     single add-delta and a single delete-delta, and every stratum runs
-    its counting or DRed repair once over the coalesced deltas (never
+    its counting or B/F repair once over the coalesced deltas (never
     fact-by-fact).  This is what makes batch edits scale: a 32-edge
     pendant chain asserted through [apply] costs one delta fixpoint, not
     32.  [assert_facts] and [retract_facts] are thin wrappers.  Both
@@ -117,7 +126,19 @@ val retract_facts : ?cancel:Dl_cancel.t -> t -> Fact.t list -> unit
     that is also derivable keeps it in {!full} (membership is
     [base ∨ derived]).  Raises [Invalid_argument] if not {!valid}. *)
 
+type repair = {
+  checked : int;  (** stratum facts searched for an alternative proof *)
+  proved : int;  (** of those, facts found (or kept) derivable *)
+  deleted : int;  (** facts removed by the deletion pass *)
+}
+
+val last_repair : t -> repair
+(** Backward/Forward counters of the last {!apply} (summed over the
+    recursive strata; all zero when it deleted nothing there).  [deleted]
+    counts facts the deletion pass removed before the insertion fixpoint
+    ran — on a pure retraction exactly the facts lost. *)
+
 val strata : t -> (string list * bool) list
 (** The stratification, in processing order: each stratum's IDB
-    predicates and whether it is recursive (maintained by DRed rather
-    than counting).  Exposed for tests and diagnostics. *)
+    predicates and whether it is recursive (maintained by B/F deletion
+    and a delta fixpoint rather than counting).  Exposed for tests and diagnostics. *)

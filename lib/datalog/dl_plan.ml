@@ -93,19 +93,31 @@ let compile (p : Datalog.program) =
 (* ------------------------------------------------------------------ *)
 (* Dynamic planning primitives (used per-firing by Dl_eval.run_compiled). *)
 
+(* An atom whose every position is fixed (constants or bound slots) has
+   at most one match.  Past a few candidates, a membership test in the
+   relation's tuple set beats scanning the smallest bucket for it. *)
+let scan_limit = 16
+
+let ground_tuple (a : catom) env =
+  Array.map
+    (function
+      | Cconst c -> c
+      | Cslot s -> ( match env.(s) with Some c -> c | None -> assert false))
+    a.cterms
+
 (* Smallest index bucket consistent with the bindings so far (the whole
    relation if no position is bound); also reports the best bucket's
    position/constant so the caller can fetch exactly those candidates. *)
 let select_candidates (a : catom) env src =
   match Instance.index_id src a.crid with
   | None -> []
-  | Some idx ->
-      let best = ref (Index.size idx) and where = ref None in
+  | Some idx -> (
+      let best = ref (Index.size idx) and where = ref None and free = ref false in
       Array.iteri
         (fun p t ->
           let c = match t with Cconst c -> Some c | Cslot s -> env.(s) in
           match c with
-          | None -> ()
+          | None -> free := true
           | Some c ->
               let n = Index.count idx p c in
               if n < !best || !where = None then begin
@@ -113,22 +125,25 @@ let select_candidates (a : catom) env src =
                 where := Some (p, c)
               end)
         a.cterms;
-      (match !where with
+      match !where with
       | None -> Index.all idx
+      | Some _ when (not !free) && !best > scan_limit ->
+          let tup = ground_tuple a env in
+          if Instance.mem_tuple_id src a.crid tup then [ tup ] else []
       | Some (p, c) -> Index.lookup idx p c)
 
 let estimate_atom (a : catom) env src =
   match Instance.index_id src a.crid with
   | None -> 0
   | Some idx ->
-      let best = ref (Index.size idx) in
+      let best = ref (Index.size idx) and free = ref false in
       Array.iteri
         (fun p t ->
           match (match t with Cconst c -> Some c | Cslot s -> env.(s)) with
           | Some c -> best := min !best (Index.count idx p c)
-          | None -> ())
+          | None -> free := true)
         a.cterms;
-      !best
+      if !free then !best else min !best 1
 
 (* ------------------------------------------------------------------ *)
 (* Static plans. *)

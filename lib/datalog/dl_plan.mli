@@ -46,13 +46,16 @@ val compile : Datalog.program -> crule list
 val estimate_atom : catom -> Const.t option array -> Instance.t -> int
 (** Upper bound on the number of candidate tuples for the atom under the
     bindings accumulated so far: the smallest index bucket among its
-    bound positions, or the relation's cardinality if none is bound. *)
+    bound positions, or the relation's cardinality if none is bound.  A
+    ground atom (every position fixed) estimates at most 1. *)
 
 val select_candidates :
   catom -> Const.t option array -> Instance.t -> Const.t array list
 (** The candidate tuples behind {!estimate_atom}'s bound: the most
     selective bound position's bucket (the whole relation if no position
-    is bound). *)
+    is bound).  A ground atom whose best bucket holds more than a few
+    tuples is a membership test instead: its tuple if present, else
+    nothing. *)
 
 (** {2 Static plans}
 

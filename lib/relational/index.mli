@@ -20,11 +20,21 @@ val extend : t -> Const.t array list -> t
     O(distinct keys of [idx]) + O(|tups| · arity) — cheaper than a rebuild
     when [tups] is a small delta — and [idx] itself is left untouched. *)
 
+val shrink : t -> Const.t array list -> t
+(** [shrink idx tups] is a fresh index over the old tuples minus [tups],
+    the dual of {!extend}.  [tups] must be a subset of the indexed tuples
+    (counts would be wrong otherwise).  Bucket records are copied and only
+    the buckets holding a removed tuple change — each walked up to its
+    last removed tuple, sharing the rest, or dropped unwalked when it
+    empties — so the cost is O(distinct keys of [idx]) + O(touched bucket
+    prefixes); [idx] itself is left untouched.  The shrunk index's {!all}
+    is re-derived from its buckets on first request. *)
+
 val size : t -> int
 (** Number of tuples indexed. *)
 
 val all : t -> Const.t array list
-(** The indexed tuples, as given to {!build}. *)
+(** The indexed tuples, in no particular order. *)
 
 val count : t -> int -> Const.t -> int
 (** [count idx p c] is the number of tuples holding [c] at position [p],

@@ -147,6 +147,9 @@ let mem (f : Fact.t) t =
   | None -> false
   | Some r -> TS.mem f.args r.ts
 
+let mem_tuple_id t rid tup =
+  match M.find_opt rid t.rels with None -> false | Some r -> TS.mem tup r.ts
+
 let size t = M.fold (fun _ r n -> n + r.n) t.rels 0
 let is_empty t = M.is_empty t.rels
 
@@ -188,6 +191,11 @@ let union a b =
            Some r)
        a.rels b.rels)
 
+(* Decremental difference, the dual of [union]: a relation that loses
+   tuples subtracts their hashes from its fingerprint sums, and a cached
+   index shrinks by the removed tuples (see {!Index.shrink}) instead of
+   being rebuilt on next use — unless over a quarter of the relation
+   goes, where shrinking stops beating a lazy rebuild of the survivors. *)
 let diff a b =
   wrap
     (M.merge
@@ -196,10 +204,25 @@ let diff a b =
          | None, _ -> None
          | Some x, None -> Some x
          | Some x, Some y ->
-             let d = TS.diff x.ts y.ts in
-             if TS.is_empty d then None
-             else if TS.cardinal d = x.n then Some x
-             else Some (mk rid d))
+             let gone = TS.inter x.ts y.ts in
+             if TS.is_empty gone then Some x
+             else
+               let k, s1, s2 =
+                 TS.fold
+                   (fun tup (k, s1, s2) ->
+                     let h1, h2 = Fact.tuple_hash rid tup in
+                     (k + 1, s1 - h1, s2 - h2))
+                   gone (0, x.s1, x.s2)
+               in
+               if k = x.n then None
+               else
+                 let idx =
+                   match x.idx with
+                   | Some idx when 4 * k <= x.n ->
+                       Some (Index.shrink idx (TS.elements gone))
+                   | _ -> None
+                 in
+                 Some { ts = TS.diff x.ts gone; n = x.n - k; s1; s2; idx })
        a.rels b.rels)
 
 let inter a b =

@@ -5,12 +5,13 @@
 
     Internally relations are keyed by interned {!Symtab} ids and every
     instance carries an order-independent 126-bit structural fingerprint,
-    maintained incrementally by {!add}, {!remove} and {!union} (including
-    the warm index-extending union path) and recomputed per affected
-    relation by the set operations.  Structurally equal instances always
-    have equal fingerprints, however they were built; unequal fingerprints
-    prove inequality.  Fingerprints depend on intern order and fresh-null
-    identity, so they are only meaningful within one process. *)
+    maintained incrementally by {!add}, {!remove}, {!union} and {!diff}
+    (including their warm index-extending and index-shrinking paths) and
+    recomputed per affected relation by the other set operations.
+    Structurally equal instances always have equal fingerprints, however
+    they were built; unequal fingerprints prove inequality.  Fingerprints
+    depend on intern order and fresh-null identity, so they are only
+    meaningful within one process. *)
 
 type t
 
@@ -36,6 +37,12 @@ val union : t -> t -> t
     (see {!Index.extend}) instead of rebuilding it on next use. *)
 
 val diff : t -> t -> t
+(** Set difference.  The decremental dual of {!union}: a relation losing
+    tuples subtracts their hashes from its fingerprint sums, and a cached
+    index shrinks by the removed tuples (see {!Index.shrink}) instead of
+    being rebuilt on next use — unless over a quarter of the relation
+    goes, where the index is left to a lazy rebuild of the survivors. *)
+
 val inter : t -> t -> t
 val subset : t -> t -> bool
 
@@ -89,6 +96,7 @@ val estimate_with : t -> string -> (int * Const.t) list -> int
     the table. *)
 
 val cardinal_id : t -> Symtab.sym -> int
+val mem_tuple_id : t -> Symtab.sym -> Const.t array -> bool
 val index_id : t -> Symtab.sym -> Index.t option
 val tuples_with_id : t -> Symtab.sym -> (int * Const.t) list -> Const.t array list
 val estimate_with_id : t -> Symtab.sym -> (int * Const.t) list -> int

@@ -54,9 +54,9 @@
     ({!Dl_incr.t}) per instance, keyed by program fingerprint: a
     cache-missed tuple-returning [eval] creates one (on the
     single-request and concurrent paths — batch pool workers never touch
-    session state), mutations repair all of them (counting + DRed), and
-    subsequent [eval]/[holds] answer from a repaired one instead of
-    re-running the fixpoint.  Because cache keys include the instance
+    session state), mutations repair all of them (counting +
+    Backward/Forward deletion), and subsequent [eval]/[holds] answer
+    from a repaired one instead of re-running the fixpoint.  Because cache keys include the instance
     fingerprint, a mutation changes every affected key — the cache can
     never serve a pre-mutation answer.  A deadline expiring mid-repair
     drops the instance's materializations wholesale and leaves the

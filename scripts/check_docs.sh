@@ -13,7 +13,10 @@
 #   5. every wire verb must appear in the docs/GUIDE.md walkthroughs;
 #   6. the concurrent request path runs Dl_engine.pool_strategy: the
 #      service must still call it, and neither ARCHITECTURE.md nor the
-#      service/TCP sources may claim that path forces the Indexed engine.
+#      service/TCP sources may claim that path forces the Indexed engine;
+#   7. recursive strata are maintained by Backward/Forward deletion:
+#      lib/datalog/dl_incr.ml must still name it, and no maintenance doc
+#      may claim recursive strata run DRed / delete-and-rederive again.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -84,6 +87,23 @@ for f in ARCHITECTURE.md lib/service/svc_service.mli "$service_ml" \
   lib/service/svc_tcp.ml; do
   if tr -s ' \n' '  ' <"$f" | grep -Eqi 'forc(e|es|ed|ing)( to)?( the)? [`[]?Indexed'; then
     err "$f claims the concurrent path forces Indexed; it runs Dl_engine.pool_strategy"
+  fi
+done
+
+# 7. the recursive-strata maintenance algorithm.  A claim is a sentence
+#    (no period in between, flattened across lines as in rule 6) naming
+#    recursive strata together with DRed or delete-and-rederive, in
+#    either order, or pairing it with counting as the repair scheme.
+incr_ml=lib/datalog/dl_incr.ml
+grep -q 'Backward/Forward' "$incr_ml" ||
+  err "$incr_ml no longer names Backward/Forward (update rule 7 and the docs)"
+recursive='recursive (strata|stratum|ones)'
+dred='(dred|delete-and-rederive)'
+for f in lib/datalog/dl_incr.mli "$incr_ml" DESIGN.md README.md docs/GUIDE.md \
+  lib/service/svc_service.mli ARCHITECTURE.md; do
+  if tr -s ' \n' '  ' <"$f" |
+    grep -Eqi "$recursive[^.]*$dred|$dred[^.]*$recursive|counting \+ $dred"; then
+    err "$f claims recursive strata run DRed; they run Backward/Forward deletion"
   fi
 done
 

@@ -289,6 +289,55 @@ let prop_warm_union_index =
              <= Instance.estimate_with u rel cs)
         (Instance.relations u))
 
+let prop_warm_diff_index =
+  (* diffing shrinks the left operand's cached index (Index.shrink); the
+     shrunk buckets must agree with a fresh build over the survivors, at
+     every removal fraction the stride produces, and the decrementally
+     maintained fingerprint with a cold rebuild *)
+  QCheck.Test.make ~name:"warm diff index = scan filter" ~count:120
+    (QCheck.triple
+       (QCheck.make
+          ~print:(Fmt.str "%a" Fmt.(list ~sep:comma Fact.pp))
+          QCheck.Gen.(list_size (int_range 1 40) fact_gen))
+       (QCheck.int_range 1 8) instance_arb)
+    (fun (facts, stride, extra) ->
+      let a = Instance.of_list facts in
+      List.iter (fun r -> ignore (Instance.index a r)) (Instance.relations a);
+      let picked = List.filteri (fun i _ -> i mod stride = 0) facts in
+      let d = Instance.diff a (Instance.union (Instance.of_list picked) extra) in
+      let norm ts = List.sort compare (List.map Array.to_list ts) in
+      let same i j =
+        Index.size i = Index.size j
+        && norm (Index.all i) = norm (Index.all j)
+        && List.for_all
+             (fun p ->
+               List.for_all
+                 (fun k ->
+                   let cc = c ("e" ^ string_of_int k) in
+                   Index.count i p cc = Index.count j p cc
+                   && norm (Index.lookup i p cc) = norm (Index.lookup j p cc))
+                 [ 0; 1; 2; 3; 4; 5 ])
+             [ 0; 1 ]
+      in
+      let fresh = Instance.of_list (Instance.facts d) in
+      Instance.fingerprint d = Instance.fingerprint fresh
+      && List.for_all
+           (fun rel ->
+             let tups = Instance.tuples a rel in
+             let gone =
+               List.filter
+                 (fun t -> not (List.mem t (Instance.tuples d rel)))
+                 tups
+             in
+             let survivors = Instance.tuples d rel in
+             (survivors = []
+             || same (Option.get (Instance.index d rel))
+                  (Option.get (Instance.index fresh rel)))
+             && same
+                  (Index.shrink (Index.build tups) gone)
+                  (Index.build survivors))
+           (Instance.relations a))
+
 (* ---------------------------------------------------------------- *)
 (* Structural fingerprints and the interning layer                    *)
 
@@ -402,6 +451,7 @@ let suite =
         prop_estimate_upper_bound;
         prop_no_empty_relations;
         prop_warm_union_index;
+        prop_warm_diff_index;
         prop_fp_structural;
         prop_fp_union_order;
         prop_fp_warm_union;
