@@ -82,10 +82,11 @@ let micro_tests =
              (Md_tests.decide_bounded ~max_depth:3 (Reduction.query tp)
                 (Reduction.views tp))))
   in
-  let e8 =
-    Test.make ~name:"e8/tp-star-2-consistency"
+  let e8 suffix n =
+    (* the n×n grid; 4×4 is where the deletion sweep cost most *)
+    Test.make ~name:("e8/tp-star-2-consistency" ^ suffix)
       (Staged.stage
-         (let g = Tiling.grid 3 3 and s = Tiling.structure Parity.tp_star in
+         (let g = Tiling.grid n n and s = Tiling.structure Parity.tp_star in
           fun () -> ignore (Pebble.duplicator_wins ~k:2 g s)))
   in
   let e9 =
@@ -105,7 +106,7 @@ let micro_tests =
           fun () -> ignore (Md_rewrite.forward_backward_atomic q views)))
   in
   Test.make_grouped ~name:"mondet"
-    [ t1; t2; f1; f2; f3; f4; e6; e8; e9; e11 ]
+    [ t1; t2; f1; f2; f3; f4; e6; e8 "" 3; e8 "-4x4" 4; e9; e11 ]
 
 (* ------------------------------------------------------------------ *)
 (* Scaling series and raw engine throughput.                           *)

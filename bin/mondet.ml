@@ -154,9 +154,11 @@ let pebble_cmd =
   let k_arg = Arg.(value & opt int 2 & info [ "k" ] ~doc:"Number of pebbles.") in
   let run k d1 d2 =
     let i1 = instance_of d1 and i2 = instance_of d2 in
-    Format.printf "duplicator wins the existential %d-pebble game: %b@." k
-      (Pebble.duplicator_wins ~k i1 i2);
-    `Ok ()
+    match Pebble.duplicator_wins ~k i1 i2 with
+    | wins ->
+        Format.printf "duplicator wins the existential %d-pebble game: %b@." k wins;
+        `Ok ()
+    | exception Invalid_argument msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "pebble"
