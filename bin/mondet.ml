@@ -319,7 +319,9 @@ let socket_arg =
     & info [ "socket" ] ~docv:"PATH"
         ~doc:
           "Serve on (resp. connect to) a Unix-domain socket at $(docv) \
-           instead of stdio.")
+           instead of stdio.  The server runs the same worker pool, \
+           admission control and line cap as $(b,--tcp); a stale socket \
+           file is reclaimed, and the file is removed on shutdown.")
 
 (* HOST:PORT (":PORT" and "*:PORT" bind every interface) *)
 let tcp_addr_of_string s =
@@ -360,8 +362,8 @@ let workers_arg =
     value & opt int 4
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Connection worker domains for $(b,--tcp) (clamped to \
-           [1, 64]).  Each worker multiplexes its share of the \
+          "Connection worker domains for $(b,--tcp) and $(b,--socket) \
+           (clamped to [1, 64]).  Each worker multiplexes its share of the \
            connections; more workers than cores buys nothing.")
 
 let max_conns_arg =
@@ -369,9 +371,9 @@ let max_conns_arg =
     value & opt int 64
     & info [ "max-conns" ] ~docv:"N"
         ~doc:
-          "Admission cap for $(b,--tcp): a connection arriving while \
-           $(docv) are active is answered $(b,- busy) and closed \
-           (shed, not queued).")
+          "Admission cap for $(b,--tcp) and $(b,--socket): a connection \
+           arriving while $(docv) are active is answered $(b,- busy) and \
+           closed (shed, not queued).")
 
 let max_line_arg =
   Arg.(
@@ -379,8 +381,8 @@ let max_line_arg =
     & opt int (1 lsl 20)
     & info [ "max-line" ] ~docv:"BYTES"
         ~doc:
-          "Per-request line cap for $(b,--tcp); longer lines are \
-           discarded as they stream in and answered with an error.")
+          "Per-request line cap for $(b,--tcp) and $(b,--socket); longer \
+           lines are discarded as they stream in and answered with an error.")
 
 let quota_arg =
   Arg.(
@@ -388,9 +390,10 @@ let quota_arg =
     & opt (some int) None
     & info [ "quota" ] ~docv:"N"
         ~doc:
-          "Per-session request quota for $(b,--tcp): at most $(docv) \
-           requests per quota window (see $(b,--quota-window)); excess \
-           requests are answered $(b,busy) without being evaluated.")
+          "Per-session request quota for $(b,--tcp) and $(b,--socket): \
+           at most $(docv) requests per quota window (see \
+           $(b,--quota-window)); excess requests are answered $(b,busy) \
+           without being evaluated.")
 
 let quota_window_arg =
   Arg.(
@@ -447,9 +450,8 @@ let sequential_arg =
     value & flag
     & info [ "sequential" ]
         ~doc:
-          "Handle batched requests sequentially on the coordinating \
-           thread instead of dispatching cache misses onto the domain \
-           pool.")
+          "Handle the batch sequentially on the coordinating thread \
+           instead of dispatching cache misses onto the domain pool.")
 
 let read_lines_of = function
   | "-" ->
@@ -468,42 +470,39 @@ let script_arg =
         ~doc:"Request script, one request per line ($(b,-) for stdin).")
 
 let serve_cmd =
-  let run socket tcp cache sequential workers max_conns max_line quota
-      quota_window cache_file engine domains verbose =
+  let run socket tcp cache workers max_conns max_line quota quota_window
+      cache_file engine domains verbose =
     set_engine verbose engine domains;
     let service =
-      Svc_service.create ~cache_capacity:cache ~parallel:(not sequential)
-        ?quota ~quota_window ()
+      Svc_service.create ~cache_capacity:cache ?quota ~quota_window ()
     in
     load_cache_file service cache_file;
+    let serve addr =
+      let stop = install_stop_signals () in
+      let config = { Svc_tcp.workers; max_conns; max_line } in
+      Svc_tcp.serve ~stop
+        ~on_listen:(fun bound ->
+          match bound with
+          | Unix.ADDR_INET (ip, port) ->
+              Printf.eprintf "mondet: serving on %s:%d\n%!"
+                (Unix.string_of_inet_addr ip)
+                port
+          | Unix.ADDR_UNIX _ -> ())
+        config service addr;
+      save_cache_file service cache_file;
+      `Ok ()
+    in
     match (socket, tcp) with
     | Some _, Some _ -> `Error (true, "--socket and --tcp are exclusive")
     | None, None ->
         Svc_server.serve_stdio service;
         save_cache_file service cache_file;
         `Ok ()
-    | Some path, None ->
-        let stop = install_stop_signals () in
-        Svc_server.serve_socket ~stop ~path service;
-        save_cache_file service cache_file;
-        `Ok ()
+    | Some path, None -> serve (Unix.ADDR_UNIX path)
     | None, Some spec -> (
         match tcp_addr_of_string spec with
         | exception Failure m -> `Error (true, m)
-        | addr ->
-            let stop = install_stop_signals () in
-            let config = { Svc_tcp.workers; max_conns; max_line } in
-            Svc_tcp.serve ~stop
-              ~on_listen:(fun bound ->
-                match bound with
-                | Unix.ADDR_INET (ip, port) ->
-                    Printf.eprintf "mondet: serving on %s:%d\n%!"
-                      (Unix.string_of_inet_addr ip)
-                      port
-                | _ -> ())
-              config service addr;
-            save_cache_file service cache_file;
-            `Ok ())
+        | addr -> serve addr)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -513,16 +512,15 @@ let serve_cmd =
           edit a session instance in place (incrementally repairing its \
           materialized fixpoints), an LRU result cache (optionally \
           persisted across restarts with $(b,--cache-file)), per-request \
-          deadlines, and — with $(b,--tcp) — concurrent connection \
-          handling on a fixed pool of worker domains with shed-not-queue \
-          admission control.  Protocol: see lib/service/svc_proto.mli \
-          and the README.")
+          deadlines, and — with $(b,--tcp) or $(b,--socket) — \
+          concurrent connection handling on a fixed pool of worker \
+          domains with shed-not-queue admission control.  Protocol: see \
+          lib/service/svc_proto.mli and the README.")
     Term.(
       ret
-        (const run $ socket_arg $ tcp_arg $ cache_arg $ sequential_arg
-       $ workers_arg $ max_conns_arg $ max_line_arg $ quota_arg
-       $ quota_window_arg $ cache_file_arg $ engine_arg $ domains_arg
-       $ verbose_arg))
+        (const run $ socket_arg $ tcp_arg $ cache_arg $ workers_arg
+       $ max_conns_arg $ max_line_arg $ quota_arg $ quota_window_arg
+       $ cache_file_arg $ engine_arg $ domains_arg $ verbose_arg))
 
 let batch_cmd =
   let run script cache sequential cache_file engine domains verbose =

@@ -222,14 +222,16 @@ let rec bprint b prec e =
   | Sym (r, Bwd) ->
       Buffer.add_string b r;
       Buffer.add_char b '^'
+  (* the parser nests [.] and [|] to the right, so a left operand of
+     the same operator keeps its parentheses *)
   | Seq (x, y) ->
       paren 1 (fun () ->
-          bprint b 1 x;
+          bprint b 2 x;
           Buffer.add_char b '.';
           bprint b 1 y)
   | Alt (x, y) ->
       paren 0 (fun () ->
-          bprint b 0 x;
+          bprint b 1 x;
           Buffer.add_char b '|';
           bprint b 0 y)
   | Star x ->

@@ -1,8 +1,7 @@
 (* Structurally-hashed LRU result cache.
 
-   Keys are digests of canonical pretty-printed forms (see
-   {!Svc_cache.key}) or fingerprint compositions; values are the
-   response bodies of successful requests.  A doubly-linked list over
+   Keys are fingerprint compositions built by Svc_service; values are
+   the response bodies of successful requests.  A doubly-linked list over
    the hash table's nodes keeps recency order so both lookup and insert
    are O(1).
 
@@ -42,11 +41,7 @@ let create capacity =
     evictions = 0;
   }
 
-let key parts = Digest.to_hex (Digest.string (String.concat "\x00" parts))
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked t f = Mutex.protect t.mu f
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);

@@ -1,12 +1,11 @@
 (** Structurally-hashed LRU result cache for the decision service.
 
-    Maps digest keys (built with {!key} from canonical pretty-printed
-    forms of programs, goals and instances) or fingerprint-composed keys
-    to response bodies of successful requests.  Bounded capacity with
-    least-recently-used eviction; O(1) lookup and insert.
+    Maps keys composed of structural fingerprints (built by
+    {!Svc_service}) to response bodies of successful requests.  Bounded
+    capacity with least-recently-used eviction; O(1) lookup and insert.
 
     Domain-safe: every operation takes the cache's internal mutex, so
-    the concurrent TCP connection workers share one cache.  The critical
+    the concurrent socket connection workers share one cache.  The critical
     sections are pointer swaps only — no evaluation ever runs under the
     lock. *)
 
@@ -14,10 +13,6 @@ type t
 
 val create : int -> t
 (** [create capacity].  @raise Invalid_argument if [capacity < 1]. *)
-
-val key : string list -> string
-(** Digest of the canonical parts (verb tag, program text, instance
-    text, ...), order-sensitive. *)
 
 val find : t -> string -> string option
 (** Lookup; counts a hit (and refreshes recency) or a miss. *)

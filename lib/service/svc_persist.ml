@@ -16,22 +16,25 @@
    Format (text, one record per line):
 
    {v
-   mondet-cache/1 mode=<fingerprint|printed> syms=<N> entries=<M>
+   mondet-cache/1 mode=fingerprint syms=<N> entries=<M>
    <N lines: "%S", symbol names in id order 0..N-1>
    <M lines: "%S %S", key then body, least-recently-used first>
    v}
 
-   Entries are written least-recent first so that replaying them through
+   The mode field names the key scheme.  Fingerprint keys are the only
+   scheme the service has, so [load] rejects any other mode.  Entries
+   are written least-recent first so that replaying them through
    {!Svc_cache.add} reproduces both contents and recency order.  [save]
    writes to a temporary sibling and renames, so a crash mid-write never
    clobbers a good snapshot. *)
 
-let version_line mode ~syms ~entries =
+let mode = "fingerprint"
+
+let version_line ~syms ~entries =
   Printf.sprintf "mondet-cache/1 mode=%s syms=%d entries=%d" mode syms entries
 
 let save path svc =
   let cache = Svc_service.cache svc in
-  let mode = Svc_service.key_mode_name svc in
   (* snapshot the entries first: the symbol table only ever grows, so
      every id a key mentions is covered by a [size] read taken after *)
   let entries = List.rev (Svc_cache.fold_lru cache (fun k v acc -> (k, v) :: acc) []) in
@@ -42,7 +45,7 @@ let save path svc =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc
-        (version_line mode ~syms ~entries:(List.length entries));
+        (version_line ~syms ~entries:(List.length entries));
       output_char oc '\n';
       for id = 0 to syms - 1 do
         Printf.fprintf oc "%S\n" (Symtab.name id)
@@ -81,13 +84,12 @@ let load path svc =
           with
           | exception Scanf.Scan_failure m ->
               Error ("malformed snapshot header: " ^ m)
-          | 1, mode, syms, entries ->
-              if mode <> Svc_service.key_mode_name svc then
+          | 1, m, syms, entries ->
+              if m <> mode then
                 Error
                   (Printf.sprintf
                      "snapshot was written under key mode %s, server runs %s"
-                     mode
-                     (Svc_service.key_mode_name svc))
+                     m mode)
               else begin
                 let names = ref [] in
                 for _ = 1 to syms do

@@ -9,7 +9,7 @@
     process always succeeds.
 
     The snapshot is a line-oriented text file with a
-    [mondet-cache/1 mode=... syms=N entries=M] header; entries are
+    [mondet-cache/1 mode=fingerprint syms=N entries=M] header; entries are
     stored least-recently-used first so replaying them through
     {!Svc_cache.add} reproduces recency order exactly.  See DESIGN.md
     for the full format.
@@ -34,5 +34,5 @@ val load : string -> Svc_service.t -> (int, string) result
     and returns the number of entries loaded; [Ok 0] if [path] does not
     exist.  [Error reason] — with the cache left as it was, possibly
     partially warmed — if the snapshot is malformed, was written under a
-    different key mode, or its symbol ids no longer line up.  May raise
-    [Sys_error] on I/O failure. *)
+    key mode other than [fingerprint], or its symbol ids no longer line
+    up.  May raise [Sys_error] on I/O failure. *)

@@ -1,9 +1,6 @@
-(* Server front-ends: a stdio loop and a Unix-domain-socket select
-   loop, plus the lockstep client used by the CLI and the CI smoke
-   test.  Both loops are single-threaded coordinators — concurrency
-   comes from Svc_service.handle_batch dispatching onto the domain
-   pool, not from threads per connection.  (The concurrent TCP
-   front-end lives in Svc_tcp.) *)
+(* Server front-ends: the stdio loop and the lockstep client used by
+   the CLI and the CI smoke tests.  Socket serving, Unix-domain and TCP
+   alike, lives in Svc_tcp. *)
 
 (* A peer that disconnects mid-write must surface as EPIPE on the write
    call — where the per-client drop logic handles it — not as a fatal
@@ -14,137 +11,18 @@ let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ -> ()
 
-let serve_channels service ic oc =
+let serve_stdio service =
   ignore_sigpipe ();
   try
     while true do
-      let line = input_line ic in
+      let line = input_line stdin in
       if String.trim line <> "" then (
         let resp = Svc_service.handle_line service line in
-        output_string oc (Svc_proto.print_response resp);
-        output_char oc '\n';
-        flush oc)
+        output_string stdout (Svc_proto.print_response resp);
+        output_char stdout '\n';
+        flush stdout)
     done
   with End_of_file -> ()
-
-let serve_stdio service = serve_channels service stdin stdout
-
-(* ------------------------------------------------------------------ *)
-
-type client = { fd : Unix.file_descr; buf : Buffer.t }
-
-let rec write_all fd s off len =
-  if len > 0 then
-    let n = Unix.write_substring fd s off len in
-    write_all fd s (off + n) (len - n)
-
-let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-(* complete lines (sans terminator) and the unterminated remainder *)
-let take_lines buf =
-  let data = Buffer.contents buf in
-  match String.rindex_opt data '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear buf;
-      Buffer.add_string buf
-        (String.sub data (last + 1) (String.length data - last - 1));
-      String.split_on_char '\n' (String.sub data 0 last)
-      |> List.map String.trim
-      |> List.filter (fun l -> l <> "")
-
-(* Bind a Unix-domain listener at [path].  A leftover socket file from a
-   crashed server makes bind fail with EADDRINUSE even though nobody is
-   listening; blindly unlinking would instead steal the address out from
-   under a *live* server (its clients would silently land on us).  So on
-   EADDRINUSE, probe with a connect: refused (or otherwise dead) means
-   stale — remove and rebind; accepted means a live server — fail. *)
-let bind_unix ~path =
-  let addr = Unix.ADDR_UNIX path in
-  let listener () =
-    let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    try
-      Unix.bind sock addr;
-      sock
-    with e ->
-      close_quietly sock;
-      raise e
-  in
-  try listener ()
-  with Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
-    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    let live =
-      try
-        Unix.connect probe addr;
-        true
-      with Unix.Unix_error _ -> false
-    in
-    close_quietly probe;
-    if live then
-      failwith (Printf.sprintf "%s: a server is already listening" path)
-    else begin
-      (try Sys.remove path with Sys_error _ -> ());
-      listener ()
-    end
-
-let serve_socket ?(max_clients = 64) ?stop ~path service =
-  ignore_sigpipe ();
-  let sock = bind_unix ~path in
-  Unix.listen sock max_clients;
-  let clients = ref [] in
-  let scratch = Bytes.create 65536 in
-  let drop fd =
-    close_quietly fd;
-    clients := List.filter (fun c -> c.fd != fd) !clients
-  in
-  (* with a stop predicate the select must wake periodically to poll it;
-     without one it parks indefinitely, as before *)
-  let tick = match stop with None -> -1.0 | Some _ -> 0.25 in
-  let stopped () = match stop with None -> false | Some f -> f () in
-  while not (stopped ()) do
-    let fds = sock :: List.map (fun c -> c.fd) !clients in
-    let ready, _, _ =
-      try Unix.select fds [] [] tick
-      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-    in
-    List.iter
-      (fun fd ->
-        if fd == sock then (
-          match Unix.accept sock with
-          | cfd, _ ->
-              clients := { fd = cfd; buf = Buffer.create 256 } :: !clients
-          | exception Unix.Unix_error _ -> ())
-        else
-          match List.find_opt (fun c -> c.fd == fd) !clients with
-          | None -> ()
-          | Some c -> (
-              let n =
-                try Unix.read fd scratch 0 (Bytes.length scratch)
-                with Unix.Unix_error _ -> 0
-              in
-              if n = 0 then drop fd
-              else (
-                Buffer.add_subbytes c.buf scratch 0 n;
-                (* all lines a client delivered in one wakeup form one
-                   batch: responses come back in order, misses overlap
-                   on the pool *)
-                match take_lines c.buf with
-                | [] -> ()
-                | lines -> (
-                    let resps = Svc_service.handle_lines service lines in
-                    let out =
-                      String.concat ""
-                        (List.map
-                           (fun r -> Svc_proto.print_response r ^ "\n")
-                           resps)
-                    in
-                    try write_all fd out 0 (String.length out)
-                    with Unix.Unix_error _ -> drop fd))))
-      ready
-  done;
-  List.iter (fun c -> close_quietly c.fd) !clients;
-  close_quietly sock;
-  try Sys.remove path with Sys_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -182,7 +60,5 @@ let client ~addr lines oc =
   | Sys_error m ->
       prerr_endline ("client: " ^ m);
       incr bad);
-  close_quietly sock;
+  (try Unix.close sock with Unix.Unix_error _ -> ());
   !bad
-
-let client_socket ~path lines oc = client ~addr:(Unix.ADDR_UNIX path) lines oc

@@ -1,9 +1,9 @@
-(** Server front-ends over {!Svc_service}.
+(** Server front-ends over {!Svc_service}: the stdio loop and the
+    lockstep client.
 
-    Both loops here are single-threaded coordinators; concurrency comes
-    from {!Svc_service.handle_batch} dispatching cache-missed
-    [eval]/[holds] work onto the {!Dl_parallel} domain pool.  The
-    concurrent TCP front-end — worker domains multiplexing many
+    The stdio loop is a single coordinator answering one request line
+    at a time through {!Svc_service.handle_line}.  Socket serving —
+    Unix-domain and TCP alike, worker domains multiplexing many
     connections — lives in {!Svc_tcp}. *)
 
 val ignore_sigpipe : unit -> unit
@@ -16,37 +16,8 @@ val serve_stdio : Svc_service.t -> unit
 (** Read request lines from stdin, write one response line per request
     to stdout (flushed per line), until EOF. *)
 
-val serve_channels : Svc_service.t -> in_channel -> out_channel -> unit
-(** {!serve_stdio} over explicit channels (for tests). *)
-
-val bind_unix : path:string -> Unix.file_descr
-(** Create and bind a Unix-domain stream listener at [path].  If the
-    address is taken, probe it with a connect: a stale socket file left
-    by a crashed server (nobody accepts the connect) is removed and the
-    bind retried; a live listener makes this raise [Failure] rather
-    than steal the address.
-    @raise Failure if another server is listening at [path].
-    @raise Unix.Unix_error on other bind failures. *)
-
-val serve_socket :
-  ?max_clients:int ->
-  ?stop:(unit -> bool) ->
-  path:string ->
-  Svc_service.t ->
-  unit
-(** Listen on a Unix-domain socket at [path] (stale socket files are
-    reclaimed, live servers are not — see {!bind_unix}) and serve
-    clients with a select loop.  All complete lines a client delivers
-    in one wakeup are handled as one batch.  Without [stop], never
-    returns; with it, the predicate is polled a few times a second and
-    a [true] closes every client, the listener and the socket file
-    before returning. *)
-
 val client : addr:Unix.sockaddr -> string list -> out_channel -> int
 (** Lockstep client: connect to [addr] (Unix-domain or TCP), send each
     nonempty line and await its response, echoing responses to the
     channel.  Returns the number of non-[ok] responses (so scripted
     callers can exit nonzero). *)
-
-val client_socket : path:string -> string list -> out_channel -> int
-(** {!client} over [Unix.ADDR_UNIX path]. *)

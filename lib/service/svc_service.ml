@@ -1,49 +1,41 @@
 (* Request dispatch: sessions + cache + deadlines + the domain pool.
 
-   Every request is handled in three steps: plan (resolve the session
-   objects and build a cache key and a compute thunk), look up the
-   cache, compute on a miss.  Only successful bodies are cached, so a
-   timeout or error never poisons the cache.
+   Every request runs the same steps: check the deadline, resolve the
+   session, run the verb.  Stats and the state-changing verbs (load,
+   rpq-load, assert, retract) run in place; a query verb is planned
+   (resolve the session objects into a cache key and a compute thunk),
+   looked up in the cache, computed on a miss and stored.  Only
+   successful bodies are cached, so a timeout or error never poisons
+   the cache.
 
-   [handle_batch] preserves per-line order semantics while extracting
-   parallelism: a sequential planning pass executes loads and stats and
-   resolves every query verb against the session state *at its position
-   in the batch* (so a load followed by an eval of the loaded name works
-   within one batch); cache-missed [eval]/[holds] requests — the only
-   verbs whose evaluation allocates no fresh constants and is therefore
-   safe off the coordinating thread — are deduplicated by cache key,
-   grouped by instance (so no two domains race to build one instance's
-   lazy indexes), and run on the {!Dl_parallel} pool under the [Indexed]
-   strategy (workers must not re-enter the pool).  The remaining misses
-   run sequentially after the barrier, and all cache stores and counter
-   updates happen on the coordinating thread. *)
+   [dispatch] serves one request under a regime that decides locking
+   and engine; [handle] and [handle_concurrent] are its two regimes.
+   [handle_batch] shares the steps up to the cache probe and keeps its
+   own tail: it runs them for every request in order (so a load
+   followed by an eval of the loaded name works within one batch),
+   deduplicates the cache misses by key, runs the [eval]/[holds]/[rpq-*]
+   misses — the verbs whose evaluation allocates no fresh constants and
+   is therefore safe off the coordinating thread — on the {!Dl_parallel}
+   pool grouped by instance (so no two domains race to build one
+   instance's lazy indexes), runs the remaining misses on the
+   coordinator after the barrier, and stores every success there. *)
 
 open Svc_proto
-
-type key_mode = Fingerprint | Printed
 
 type t = {
   sessions : (string, Svc_session.t) Hashtbl.t;
   mu : Mutex.t; (* guards [sessions]; held for table ops only *)
   heavy : Mutex.t;
-      (* serializes non-worker-safe verbs across TCP workers: their
+      (* serializes non-worker-safe verbs across socket workers: their
          decision procedures share coordinator-only memo caches *)
   cache : Svc_cache.t;
   parallel : bool; (* batch misses may use the domain pool *)
-  key_mode : key_mode;
   quota : (int * float) option; (* per-session (limit, window seconds) *)
   requests : int Atomic.t;
   timeouts : int Atomic.t;
 }
 
-(* [MONDET_CACHE_KEY=printed] forces the legacy print-then-digest keys —
-   the differential oracle for the fingerprint keys. *)
-let default_key_mode () =
-  match Sys.getenv_opt "MONDET_CACHE_KEY" with
-  | Some s when String.lowercase_ascii (String.trim s) = "printed" -> Printed
-  | _ -> Fingerprint
-
-let create ?(cache_capacity = 512) ?(parallel = true) ?key_mode ?quota
+let create ?(cache_capacity = 512) ?(parallel = true) ?quota
     ?(quota_window = 1.0) () =
   {
     sessions = Hashtbl.create 8;
@@ -51,8 +43,6 @@ let create ?(cache_capacity = 512) ?(parallel = true) ?key_mode ?quota
     heavy = Mutex.create ();
     cache = Svc_cache.create cache_capacity;
     parallel;
-    key_mode =
-      (match key_mode with Some m -> m | None -> default_key_mode ());
     quota = Option.map (fun limit -> (limit, quota_window)) quota;
     requests = Atomic.make 0;
     timeouts = Atomic.make 0;
@@ -60,11 +50,11 @@ let create ?(cache_capacity = 512) ?(parallel = true) ?key_mode ?quota
 
 exception Reject of string
 
-let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
+(* the session is over its quota: answered [busy], nothing evaluated *)
+exception Shed
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let reject fmt = Printf.ksprintf (fun s -> raise (Reject s)) fmt
+let locked t f = Mutex.protect t.mu f
 
 let session t n =
   match locked t (fun () -> Hashtbl.find_opt t.sessions n) with
@@ -80,67 +70,38 @@ let session_or_create t n =
           Hashtbl.add t.sessions n s;
           s)
 
-(* session of a request; the protocol parser guarantees [Some] except
-   for [Stats] *)
-let req_session req =
-  match req.session with Some s -> s | None -> reject "missing session"
+(* The request's session: the loads create it, every other verb requires
+   it.  [None] for [stats], the one verb without a session. *)
+let resolve t req =
+  Option.map
+    (fun n ->
+      match req.verb with
+      | Load _ | Rpq_load _ -> session_or_create t n
+      | _ -> session t n)
+    req.session
 
 (* ------------------------------------------------------------------ *)
-(* Canonical forms for cache keys.
+(* Cache keys: the verb joined with the resolved objects' structural
+   fingerprints.  That is O(1) per request on the warm path (instances
+   carry theirs incrementally, programs and views memoize theirs),
+   independent of instance size, and structurally equal objects key
+   equally across names and sessions.  Fingerprint parts are fixed-width
+   hex (only trailing parts vary in length), so plain concatenation is
+   injective.  The test suite checks these keys against digests of the
+   objects' canonical printed forms (test/key_oracle.ml). *)
 
-   In the default [Fingerprint] mode a key is the verb joined with the
-   resolved objects' structural fingerprints — O(1) per request on the
-   warm path (instances carry theirs incrementally, programs and views
-   memoize theirs), independent of instance size, and structurally equal
-   objects still key equally across names and sessions.
+let cache_key parts = String.concat ":" parts
+let opt_part = function None -> "-" | Some n -> string_of_int n
 
-   [Printed] mode keeps the legacy scheme — digest the canonical
-   pretty-printed forms ([Datalog.pp_query] and [Instance.pp] are
-   deterministic: rules in order, fact sets sorted) — as a differential
-   oracle: both modes must produce the same hit/miss trace on any
-   workload, which the test suite checks. *)
-
-let query_repr q = Fmt.str "%a" Datalog.pp_query q
-let instance_repr i = Fmt.str "%a" Instance.pp i
-let views_repr vs = Fmt.str "%a" View.pp_collection vs
-let opt_repr = function None -> "-" | Some n -> string_of_int n
-
-let query_key t q =
-  match t.key_mode with
-  | Fingerprint -> Datalog.fingerprint_hex q
-  | Printed -> query_repr q
-
-let instance_key t i =
-  match t.key_mode with
-  | Fingerprint -> Instance.fingerprint_hex i
-  | Printed -> instance_repr i
-
-let views_key t vs =
-  match t.key_mode with
-  | Fingerprint -> View.fingerprint_hex vs
-  | Printed -> views_repr vs
-
-let rpq_key t e =
-  match t.key_mode with
-  | Fingerprint -> Rpq.fingerprint_hex e
-  | Printed -> Rpq.to_string e
-
-(* a view set keys as its named members in order: the name matters (it
-   becomes the view relation) as much as the expression *)
-let rpq_set_key t defs =
-  String.concat ";" (List.map (fun (n, e) -> n ^ "=" ^ rpq_key t e) defs)
-
-let tuple_repr = function
+let tuple_part = function
   | None -> "-"
   | Some l -> "(" ^ String.concat "," l ^ ")"
 
-(* Fingerprint parts are fixed-width hex (only trailing parts vary in
-   length), so plain concatenation is already injective and the digest
-   step of the legacy scheme is dropped entirely. *)
-let cache_key t parts =
-  match t.key_mode with
-  | Fingerprint -> String.concat ":" parts
-  | Printed -> Svc_cache.key parts
+(* a view set keys as its named members in order: the name matters (it
+   becomes the view relation) as much as the expression *)
+let rpq_set_part defs =
+  String.concat ";"
+    (List.map (fun (n, e) -> n ^ "=" ^ Rpq.fingerprint_hex e) defs)
 
 (* ------------------------------------------------------------------ *)
 (* Verb bodies.  Each takes the cancellation token and (where evaluation
@@ -279,9 +240,9 @@ let valid_mat s inst_name (q : Datalog.query) i =
       Some m
   | _ -> None
 
-(* The mutation body shared by all three entry points.  Callers must
-   hold the session regime of their path (the concurrent path's session
-   lock; the coordinator paths need nothing).  Semantics are atomic per
+(* The mutation body every path runs.  Callers must hold the session
+   regime of their path (the concurrent path's session lock; the
+   coordinator paths need nothing).  Semantics are atomic per
    request: either the instance and every live materialization reflect
    all the facts, or — on cancellation mid-repair — the instance is
    untouched and the materializations are dropped wholesale (the next
@@ -322,29 +283,40 @@ let do_mutate s ~cancel ~asserted inst_name text =
     (Instance.size i') (List.length live)
 
 (* ------------------------------------------------------------------ *)
-(* Exception-to-result mapping.  Pure: no service state is touched, so
-   it is safe to run on a pool worker; counters are updated by the
-   coordinator from the returned result. *)
+(* Exception-to-result mapping.  The deadline is probed before [f] runs,
+   so [deadline=0] answers [timeout] before a session is resolved or
+   created.  [exec] itself touches no service state, so it is safe on a
+   pool worker; counters are updated from the returned result. *)
 
 let exec ~cancel f =
   try
     Dl_cancel.check cancel;
-    Ok_ (f ())
+    Ok (f ())
   with
-  | Dl_cancel.Cancelled -> Timeout
-  | Reject m -> Error_ m
-  | Svc_session.Missing m -> Error_ m
-  | Parse.Error m -> Error_ ("parse error: " ^ m)
-  | Rpq.Error m -> Error_ ("rpq parse error: " ^ m)
-  | Md_rewrite.Unsupported m | Md_decide.Unsupported m ->
-      Error_ ("unsupported: " ^ m)
-  | Invalid_argument m -> Error_ m
-  | Failure m -> Error_ m
+  | Dl_cancel.Cancelled -> Error Timeout
+  | Shed -> Error Busy
+  | Reject m -> Error (Error_ m)
+  | Svc_session.Missing m -> Error (Error_ m)
+  | Parse.Error m -> Error (Error_ ("parse error: " ^ m))
+  | Rpq.Error m -> Error (Error_ ("rpq parse error: " ^ m))
+  | Md_rewrite.Unsupported m | Md_decide.Unsupported m
+  | Inverse_rules.Unsupported m ->
+      Error (Error_ ("unsupported: " ^ m))
+  | Invalid_argument m -> Error (Error_ m)
+  | Failure m -> Error (Error_ m)
+
+let result_of = function Ok v -> Ok_ v | Error r -> r
 
 let cancel_of req =
   match req.deadline_ms with
   | None -> Dl_cancel.none
   | Some ms -> Dl_cancel.with_deadline_ms ms
+
+(* bookkeeping for one finished request; counters are atomic so both the
+   coordinator and the TCP workers may call this *)
+let record t result =
+  (match result with Timeout -> Atomic.incr t.timeouts | _ -> ());
+  result
 
 (* ------------------------------------------------------------------ *)
 (* Planning: resolve a query verb against the current session state and
@@ -359,14 +331,14 @@ type plan = {
   pcompute : Dl_engine.strategy option -> string;
 }
 
-let plan_in ?(use_mats = false) t s ~cancel req : plan =
+let plan ~use_mats s ~cancel req : plan =
   match req.verb with
   | Eval { program; instance } ->
       let q = Svc_session.program s program in
       let i = Svc_session.instance s instance in
-      (* Mat-aware evaluation, on the entry points whose thunks run under
-         the session regime ([use_mats]; the batch pool's workers must
-         not touch session state, so batch evals stay mat-blind).  A
+      (* Mat-aware evaluation, on the paths whose thunks run under the
+         session regime ([use_mats]; the batch pool's workers must not
+         touch session state, so batch evals stay mat-blind).  A
          cache-missed tuple-returning eval answers from a matching live
          materialization — O(goal) after a mutation instead of a cold
          fixpoint — and otherwise *creates* one, so the fixpoint it had
@@ -396,7 +368,9 @@ let plan_in ?(use_mats = false) t s ~cancel req : plan =
           format_tuples (Instance.tuples (Dl_incr.full m) q.Datalog.goal)
       in
       {
-        pkey = cache_key t [ "eval"; query_key t q; instance_key t i ];
+        pkey =
+          cache_key
+            [ "eval"; Datalog.fingerprint_hex q; Instance.fingerprint_hex i ];
         pgroup = Instance.fingerprint_hex i;
         pworker_safe = true;
         pcompute;
@@ -420,8 +394,8 @@ let plan_in ?(use_mats = false) t s ~cancel req : plan =
       in
       {
         pkey =
-          cache_key t
-            [ "holds"; query_key t q; instance_key t i;
+          cache_key
+            [ "holds"; Datalog.fingerprint_hex q; Instance.fingerprint_hex i;
               String.concat "," tuple ];
         pgroup = Instance.fingerprint_hex i;
         pworker_safe = true;
@@ -432,8 +406,9 @@ let plan_in ?(use_mats = false) t s ~cancel req : plan =
       let vs = Svc_session.views s views in
       {
         pkey =
-          cache_key t
-            [ "mondet-test"; query_key t q; views_key t vs; opt_repr depth ];
+          cache_key
+            [ "mondet-test"; Datalog.fingerprint_hex q; View.fingerprint_hex vs;
+              opt_part depth ];
         pgroup = "";
         pworker_safe = false;
         pcompute = (fun strategy -> mondet_body ?strategy ~cancel q vs depth);
@@ -444,9 +419,9 @@ let plan_in ?(use_mats = false) t s ~cancel req : plan =
       let i = Svc_session.instance s instance in
       {
         pkey =
-          cache_key t
-            [ "certain-answers"; query_key t q; views_key t vs;
-              instance_key t i ];
+          cache_key
+            [ "certain-answers"; Datalog.fingerprint_hex q;
+              View.fingerprint_hex vs; Instance.fingerprint_hex i ];
         pgroup = "";
         pworker_safe = false;
         pcompute = (fun strategy -> certain_body ?strategy ~cancel q vs i);
@@ -456,20 +431,22 @@ let plan_in ?(use_mats = false) t s ~cancel req : plan =
       let vs = Svc_session.views s views in
       {
         pkey =
-          cache_key t
-            [ "rewrite-check"; query_key t q; views_key t vs;
-              opt_repr samples ];
+          cache_key
+            [ "rewrite-check"; Datalog.fingerprint_hex q;
+              View.fingerprint_hex vs; opt_part samples ];
         pgroup = "";
         pworker_safe = false;
-        pcompute = (fun strategy -> rewrite_body ?strategy ~cancel q vs samples);
+        pcompute =
+          (fun strategy -> rewrite_body ?strategy ~cancel q vs samples);
       }
   | Rpq_eval { rpq; instance; tuple } ->
       let e = Svc_session.rpq s rpq in
       let i = Svc_session.instance s instance in
       {
         pkey =
-          cache_key t
-            [ "rpq-eval"; rpq_key t e; instance_key t i; tuple_repr tuple ];
+          cache_key
+            [ "rpq-eval"; Rpq.fingerprint_hex e; Instance.fingerprint_hex i;
+              tuple_part tuple ];
         pgroup = Instance.fingerprint_hex i;
         pworker_safe = true;
         pcompute = (fun strategy -> rpq_eval_body ?strategy ~cancel e i tuple);
@@ -480,9 +457,9 @@ let plan_in ?(use_mats = false) t s ~cancel req : plan =
       let i = Svc_session.instance s instance in
       {
         pkey =
-          cache_key t
-            [ "rpq-rewrite"; rpq_key t e; rpq_set_key t vs; instance_key t i;
-              tuple_repr tuple ];
+          cache_key
+            [ "rpq-rewrite"; Rpq.fingerprint_hex e; rpq_set_part vs;
+              Instance.fingerprint_hex i; tuple_part tuple ];
         pgroup = Instance.fingerprint_hex i;
         pworker_safe = true;
         (* the rewrite construction is pure automata work (Symtab is the
@@ -494,12 +471,9 @@ let plan_in ?(use_mats = false) t s ~cancel req : plan =
               i tuple);
       }
   | Load _ | Rpq_load _ | Assert _ | Retract _ | Stats ->
-      assert false (* handled before planning *)
+      assert false (* run in place by [step] *)
 
-let plan ?use_mats t ~cancel req : plan =
-  plan_in ?use_mats t (session t (req_session req)) ~cancel req
-
-let do_load_in s kind name text =
+let do_load s kind name text =
   match kind with
   | Kprogram goal ->
       Svc_session.set_program s name (Parse.query ~goal text);
@@ -511,208 +485,45 @@ let do_load_in s kind name text =
       Svc_session.set_instance s name (Parse.instance text);
       "loaded instance " ^ name
 
-let do_load t sess kind name text =
-  do_load_in (session_or_create t sess) kind name text
-
-let do_rpq_load_in s name text =
+let do_rpq_load s name text =
   let defs = Rpq.parse_defs text in
   Svc_session.set_rpqs s name defs;
   Printf.sprintf "loaded rpq %s defs=%d" name (List.length defs)
 
-let do_rpq_load t sess name text =
-  do_rpq_load_in (session_or_create t sess) name text
+(* ------------------------------------------------------------------ *)
+(* The steps every path shares, up to the cache probe. *)
 
-(* bookkeeping for one finished request; counters are atomic so both the
-   coordinator and the TCP workers may call this *)
-let record t result =
-  (match result with Timeout -> Atomic.incr t.timeouts | _ -> ());
-  result
+type step = Answer of string | Miss of plan
+
+(* Stats and the state-changing verbs run in place, at the request's
+   position; a query verb is planned and looked up.  Mutations are never
+   cached (every execution changes state) and require an existing
+   session.  [use_mats] is off on the batch path, whose pool workers
+   must not touch session state. *)
+let step ~use_mats t ~cancel s req =
+  match (req.verb, s) with
+  | Stats, _ -> Answer (stats_body t)
+  | _, None -> reject "missing session"
+  | Load { kind; name; text }, Some s -> Answer (do_load s kind name text)
+  | Rpq_load { name; text }, Some s -> Answer (do_rpq_load s name text)
+  | Assert { instance; text }, Some s ->
+      Answer (do_mutate s ~cancel ~asserted:true instance text)
+  | Retract { instance; text }, Some s ->
+      Answer (do_mutate s ~cancel ~asserted:false instance text)
+  | _, Some s -> (
+      let p = plan ~use_mats s ~cancel req in
+      match Svc_cache.find t.cache p.pkey with
+      | Some v -> Answer v
+      | None -> Miss p)
 
 (* ------------------------------------------------------------------ *)
-(* Single-request entry point (used by the stdio loop and the CLI's
-   one-shot [batch] fallback path). *)
+(* The two regimes of [dispatch].
 
-let handle t req : response =
-  Atomic.incr t.requests;
-  let cancel = cancel_of req in
-  let result =
-    match req.verb with
-    | Load { kind; name; text } ->
-        exec ~cancel (fun () -> do_load t (req_session req) kind name text)
-    | Rpq_load { name; text } ->
-        exec ~cancel (fun () -> do_rpq_load t (req_session req) name text)
-    | Assert { instance; text } ->
-        (* mutations are never cached (they change state, every execution
-           matters) and require an existing session *)
-        exec ~cancel (fun () ->
-            do_mutate (session t (req_session req)) ~cancel ~asserted:true
-              instance text)
-    | Retract { instance; text } ->
-        exec ~cancel (fun () ->
-            do_mutate (session t (req_session req)) ~cancel ~asserted:false
-              instance text)
-    | Stats -> exec ~cancel (fun () -> stats_body t)
-    | _ -> (
-        (* plan under [exec] too: a missing object or an instantly
-           expired deadline is decided before any evaluation *)
-        let planned = ref None in
-        match
-          exec ~cancel (fun () ->
-              planned := Some (plan ~use_mats:true t ~cancel req);
-              "")
-        with
-        | (Error_ _ | Timeout | Busy) as r -> r
-        | Ok_ _ -> (
-            let p = Option.get !planned in
-            match Svc_cache.find t.cache p.pkey with
-            | Some v -> Ok_ v
-            | None -> (
-                match exec ~cancel (fun () -> p.pcompute None) with
-                | Ok_ v ->
-                    Svc_cache.add t.cache p.pkey v;
-                    Ok_ v
-                | r -> r)))
-  in
-  { rid = req.id; result = record t result }
+   [Coordinator] is the stdio loop's and the one-shot CLI's: one
+   thread, no locks, no quota, the process default engine.
 
-(* ------------------------------------------------------------------ *)
-(* Batched entry point. *)
-
-type cell = {
-  cplan : plan;
-  ccancel : Dl_cancel.t;
-  mutable cout : Svc_proto.result option;
-}
-
-type slot =
-  | Done of Svc_proto.result
-  | Wait of cell (* shared by every request in the batch with this key *)
-
-let handle_batch t reqs : response list =
-  let reqs = Array.of_list reqs in
-  let n = Array.length reqs in
-  let slots = Array.make n (Done (Error_ "unhandled")) in
-  let cells : (string, cell) Hashtbl.t = Hashtbl.create 16 in
-  (* sequential planning pass, in request order *)
-  for idx = 0 to n - 1 do
-    let req = reqs.(idx) in
-    Atomic.incr t.requests;
-    let cancel = cancel_of req in
-    match req.verb with
-    | Load { kind; name; text } ->
-        slots.(idx) <-
-          Done
-            (exec ~cancel (fun () -> do_load t (req_session req) kind name text))
-    | Rpq_load { name; text } ->
-        slots.(idx) <-
-          Done
-            (exec ~cancel (fun () -> do_rpq_load t (req_session req) name text))
-    | Assert { instance; text } ->
-        (* executed at its batch position like a load, so later verbs in
-           the batch plan against the mutated instance *)
-        slots.(idx) <-
-          Done
-            (exec ~cancel (fun () ->
-                 do_mutate (session t (req_session req)) ~cancel
-                   ~asserted:true instance text))
-    | Retract { instance; text } ->
-        slots.(idx) <-
-          Done
-            (exec ~cancel (fun () ->
-                 do_mutate (session t (req_session req)) ~cancel
-                   ~asserted:false instance text))
-    | Stats -> slots.(idx) <- Done (exec ~cancel (fun () -> stats_body t))
-    | _ -> (
-        let planned = ref None in
-        match
-          exec ~cancel (fun () ->
-              planned := Some (plan t ~cancel req);
-              "")
-        with
-        | (Error_ _ | Timeout | Busy) as r -> slots.(idx) <- Done r
-        | Ok_ _ -> (
-            let p = Option.get !planned in
-            match Svc_cache.find t.cache p.pkey with
-            | Some v -> slots.(idx) <- Done (Ok_ v)
-            | None -> (
-                match Hashtbl.find_opt cells p.pkey with
-                | Some c -> slots.(idx) <- Wait c
-                | None ->
-                    let c = { cplan = p; ccancel = cancel; cout = None } in
-                    Hashtbl.add cells p.pkey c;
-                    slots.(idx) <- Wait c)))
-  done;
-  (* split the deduplicated misses into pool-safe and sequential work *)
-  let pooled, sequential =
-    Hashtbl.fold
-      (fun _ c (p, s) ->
-        if t.parallel && c.cplan.pworker_safe then (c :: p, s) else (p, c :: s))
-      cells ([], [])
-  in
-  (* group pool work by instance so one instance's lazy index caches are
-     only ever touched from one domain at a time *)
-  let groups : (string, cell list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      match Hashtbl.find_opt groups c.cplan.pgroup with
-      | Some l -> l := c :: !l
-      | None -> Hashtbl.add groups c.cplan.pgroup (ref [ c ]))
-    pooled;
-  let tasks =
-    Hashtbl.fold
-      (fun _ l acc ->
-        let cs = !l in
-        (fun () ->
-          List.iter
-            (fun c ->
-              (* workers run the pool preference: vm for the indexed
-                 default and for the pool-unsafe strategies (Parallel
-                 would re-enter the pool they themselves run on, Magic's
-                 transform cache is unguarded); an explicit naive/vm
-                 default passes through *)
-              c.cout <-
-                Some
-                  (exec ~cancel:c.ccancel (fun () ->
-                       c.cplan.pcompute (Some (Dl_engine.pool_strategy ())))))
-            cs)
-        :: acc)
-      groups []
-  in
-  Dl_parallel.run_tasks tasks;
-  (* remaining misses run on the coordinator with the default strategy *)
-  List.iter
-    (fun c ->
-      c.cout <-
-        Some (exec ~cancel:c.ccancel (fun () -> c.cplan.pcompute None)))
-    sequential;
-  (* store successes, count timeouts, emit responses in request order *)
-  Hashtbl.iter
-    (fun key c ->
-      match c.cout with
-      | Some (Ok_ v) -> Svc_cache.add t.cache key v
-      | _ -> ())
-    cells;
-  Array.to_list
-    (Array.mapi
-       (fun idx req ->
-         let result =
-           match slots.(idx) with
-           | Done r -> r
-           | Wait c -> (
-               match c.cout with
-               | Some r -> r
-               | None -> Error_ "internal: batch cell not computed")
-         in
-         { rid = req.id; result = record t result })
-       reqs)
-
-(* ------------------------------------------------------------------ *)
-(* Line-level entry points. *)
-
-(* ------------------------------------------------------------------ *)
-(* Concurrent entry point: the TCP connection workers' request path.
-
-   Safety discipline, in lock order:
+   [Concurrent] is the TCP and Unix-socket workers' path, safe from
+   many domains at once.  Its discipline, in lock order:
 
    - [t.mu] guards the session table, held for table lookups only;
    - the session mutex is held for the whole of planning and evaluation,
@@ -730,128 +541,179 @@ let handle_batch t reqs : response list =
      single-coordinator domain pool, and [Magic] caches its demand
      transformations in a global table.
 
-   Per-session quotas shed with [busy] before any planning work. *)
+   Per-session quotas shed with [busy] under the session lock, after the
+   deadline and before any planning work. *)
 
-let handle_concurrent t req : response =
+type regime = Coordinator | Concurrent
+
+(* the engine a regime evaluates with; the batch pool's workers use the
+   concurrent one *)
+let strategy = function
+  | Coordinator -> None
+  | Concurrent -> Some (Dl_engine.pool_strategy ())
+
+let compute regime t p =
+  let run () = p.pcompute (strategy regime) in
+  match regime with
+  | Concurrent when not p.pworker_safe -> Mutex.protect t.heavy run
+  | _ -> run ()
+
+let admit t s =
+  match t.quota with
+  | Some (limit, window)
+    when Svc_session.over_quota s ~limit ~window ~now:(Unix.gettimeofday ()) ->
+      raise Shed
+  | _ -> ()
+
+let dispatch regime t req : response =
   Atomic.incr t.requests;
   let cancel = cancel_of req in
-  let finish result = { rid = req.id; result = record t result } in
-  match req.verb with
-  | Stats -> finish (exec ~cancel (fun () -> stats_body t))
-  | _ -> (
-      let resolved =
-        try
-          Ok
-            (match req.verb with
-            | Load _ | Rpq_load _ -> session_or_create t (req_session req)
-            | _ -> session t (req_session req))
-        with Reject m -> Error m
-      in
-      match resolved with
-      | Error m -> finish (Error_ m)
-      | Ok s ->
-          finish
-          @@ Svc_session.with_lock s (fun () ->
-                 let shed =
-                   match t.quota with
-                   | None -> false
-                   | Some (limit, window) ->
-                       Svc_session.over_quota s ~limit ~window
-                         ~now:(Unix.gettimeofday ())
-                 in
-                 if shed then Busy
-                 else
-                   match req.verb with
-                   | Load { kind; name; text } ->
-                       exec ~cancel (fun () -> do_load_in s kind name text)
-                   | Rpq_load { name; text } ->
-                       exec ~cancel (fun () -> do_rpq_load_in s name text)
-                   | Assert { instance; text } ->
-                       (* under the session lock: serialized against every
-                          other request touching this session *)
-                       exec ~cancel (fun () ->
-                           do_mutate s ~cancel ~asserted:true instance text)
-                   | Retract { instance; text } ->
-                       exec ~cancel (fun () ->
-                           do_mutate s ~cancel ~asserted:false instance text)
-                   | Stats -> assert false
-                   | _ -> (
-                       let planned = ref None in
-                       match
-                         exec ~cancel (fun () ->
-                             planned := Some (plan_in ~use_mats:true t s ~cancel req);
-                             "")
-                       with
-                       | (Error_ _ | Timeout | Busy) as r -> r
-                       | Ok_ _ -> (
-                           let p = Option.get !planned in
-                           match Svc_cache.find t.cache p.pkey with
-                           | Some v -> Ok_ v
-                           | None ->
-                               let compute () =
-                                 (* concurrent connection workers: same
-                                    pool preference as the batch path *)
-                                 exec ~cancel (fun () ->
-                                     p.pcompute
-                                       (Some (Dl_engine.pool_strategy ())))
-                               in
-                               let r =
-                                 if p.pworker_safe then compute ()
-                                 else begin
-                                   Mutex.lock t.heavy;
-                                   Fun.protect
-                                     ~finally:(fun () ->
-                                       Mutex.unlock t.heavy)
-                                     compute
-                                 end
-                               in
-                               (match r with
-                               | Ok_ v -> Svc_cache.add t.cache p.pkey v
-                               | _ -> ());
-                               r))))
+  let result =
+    exec ~cancel (fun () ->
+        let s = resolve t req in
+        let run () =
+          match step ~use_mats:true t ~cancel s req with
+          | Answer v -> v
+          | Miss p ->
+              let v = compute regime t p in
+              Svc_cache.add t.cache p.pkey v;
+              v
+        in
+        match (regime, s) with
+        | Concurrent, Some s ->
+            Svc_session.with_lock s (fun () ->
+                (* probe again once the lock is won: waiting for it may
+                   have used the budget up *)
+                Dl_cancel.check cancel;
+                admit t s;
+                run ())
+        | _ -> run ())
+  in
+  { rid = req.id; result = record t (result_of result) }
 
-let handle_line_concurrent t line : response =
-  match parse_request line with
-  | Error (id, msg) ->
-      Atomic.incr t.requests;
-      { rid = id; result = Error_ msg }
-  | Ok req -> handle_concurrent t req
+let handle t req = dispatch Coordinator t req
+let handle_concurrent t req = dispatch Concurrent t req
 
 (* ------------------------------------------------------------------ *)
+(* Batched entry point. *)
 
-let handle_line t line : response =
+type cell = {
+  cplan : plan;
+  ccancel : Dl_cancel.t;
+  mutable cout : Svc_proto.result option;
+}
+
+type slot =
+  | Done of Svc_proto.result
+  | Wait of cell (* shared by every request in the batch with this key *)
+
+let run_cell regime c =
+  let compute () = c.cplan.pcompute (strategy regime) in
+  c.cout <- Some (result_of (exec ~cancel:c.ccancel compute))
+
+let handle_batch t reqs : response list =
+  let cells : (string, cell) Hashtbl.t = Hashtbl.create 16 in
+  (* every request's steps, in request order *)
+  let slots =
+    List.map
+      (fun req ->
+        Atomic.incr t.requests;
+        let cancel = cancel_of req in
+        match
+          exec ~cancel (fun () ->
+              step ~use_mats:false t ~cancel (resolve t req) req)
+        with
+        | Error r -> Done r
+        | Ok (Answer v) -> Done (Ok_ v)
+        | Ok (Miss p) -> (
+            match Hashtbl.find_opt cells p.pkey with
+            | Some c -> Wait c
+            | None ->
+                let c = { cplan = p; ccancel = cancel; cout = None } in
+                Hashtbl.add cells p.pkey c;
+                Wait c))
+      reqs
+  in
+  (* split the deduplicated misses into pool-safe and sequential work *)
+  let pooled, sequential =
+    Hashtbl.fold
+      (fun _ c (p, s) ->
+        if t.parallel && c.cplan.pworker_safe then (c :: p, s) else (p, c :: s))
+      cells ([], [])
+  in
+  (* group pool work by instance so one instance's lazy index caches are
+     only ever touched from one domain at a time *)
+  let groups : (string, cell list ref) Hashtbl.t = Hashtbl.create 8 in
+  List.iter
+    (fun c ->
+      match Hashtbl.find_opt groups c.cplan.pgroup with
+      | Some l -> l := c :: !l
+      | None -> Hashtbl.add groups c.cplan.pgroup (ref [ c ]))
+    pooled;
+  (* workers run the pool preference, as concurrent requests do: vm for
+     the indexed default and for the pool-unsafe strategies (Parallel
+     would re-enter the pool they themselves run on, Magic's transform
+     cache is unguarded); an explicit naive/vm default passes through *)
+  Dl_parallel.run_tasks
+    (Hashtbl.fold
+       (fun _ l acc -> (fun () -> List.iter (run_cell Concurrent) !l) :: acc)
+       groups []);
+  (* remaining misses run on the coordinator with the default strategy *)
+  List.iter (run_cell Coordinator) sequential;
+  (* store successes, count timeouts, emit responses in request order *)
+  Hashtbl.iter
+    (fun key c ->
+      match c.cout with
+      | Some (Ok_ v) -> Svc_cache.add t.cache key v
+      | _ -> ())
+    cells;
+  List.map2
+    (fun req slot ->
+      let result =
+        match slot with
+        | Done r -> r
+        | Wait { cout = Some r; _ } -> r
+        | Wait { cout = None; _ } -> Error_ "internal: batch cell not computed"
+      in
+      { rid = req.id; result = record t result })
+    reqs slots
+
+(* ------------------------------------------------------------------ *)
+(* Line-level entry points.  A line that does not parse answers [error],
+   addressed to its first token. *)
+
+let parse_error t (id, msg) =
+  Atomic.incr t.requests;
+  { rid = id; result = Error_ msg }
+
+let on_line handle t line =
   match parse_request line with
-  | Error (id, msg) ->
-      Atomic.incr t.requests;
-      { rid = id; result = Error_ msg }
+  | Error e -> parse_error t e
   | Ok req -> handle t req
+
+let handle_line t line = on_line handle t line
+let handle_line_concurrent t line = on_line handle_concurrent t line
 
 (* Parse errors keep their position in the output; parsed requests go
    through [handle_batch] together. *)
 let handle_lines t lines : response list =
-  let parsed = List.map (fun l -> (l, parse_request l)) lines in
-  let reqs =
-    List.filter_map (function _, Ok r -> Some r | _ -> None) parsed
+  let parsed = List.map parse_request lines in
+  let handled =
+    ref (handle_batch t (List.filter_map Result.to_option parsed))
   in
-  let handled = ref (handle_batch t reqs) in
   List.map
-    (fun (_, p) ->
-      match p with
-      | Error (id, msg) ->
-          Atomic.incr t.requests;
-          { rid = id; result = Error_ msg }
+    (function
+      | Error e -> parse_error t e
       | Ok _ -> (
           match !handled with
           | r :: rest ->
               handled := rest;
               r
-          | [] -> { rid = "-"; result = Error_ "internal: response underflow" }))
+          | [] -> { rid = "-"; result = Error_ "internal: response underflow" }
+          ))
     parsed
 
 let requests t = Atomic.get t.requests
 let timeouts t = Atomic.get t.timeouts
 let cache t = t.cache
 let sessions t = locked t (fun () -> Hashtbl.length t.sessions)
-
-let key_mode_name t =
-  match t.key_mode with Fingerprint -> "fingerprint" | Printed -> "printed"

@@ -4,13 +4,14 @@
     were [load]ed into it; query verbs refer to them by name.  Loads
     replace silently (reload-to-update is the intended workflow).
 
-    Each session owns a mutex.  The concurrent TCP path wraps the whole
-    handling of a request in {!with_lock}, serializing requests per
-    session: that is the synchronization that makes the session-owned
-    mutable structures — above all the instances' lazily built index
-    caches — safe to touch from many domains.  The single-coordinator
-    entry points ({!Svc_service.handle}, [handle_batch]) skip the lock;
-    one process never mixes both modes on one service. *)
+    Each session owns a mutex.  The concurrent regime of
+    {!Svc_service} — the path the TCP and Unix-socket workers take —
+    wraps the whole handling of a request in {!with_lock}, serializing
+    requests per session: that is the synchronization that makes the
+    session-owned mutable structures — above all the instances' lazily
+    built index caches — safe to touch from many domains.  The
+    coordinator regime ({!Svc_service.handle}, [handle_batch]) skips
+    the lock; one process never mixes both regimes on one service. *)
 
 type t
 

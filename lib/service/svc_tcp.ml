@@ -1,6 +1,6 @@
-(* Concurrent TCP front-end: an accept loop handing connections to a
-   fixed pool of worker domains, each multiplexing its share of the
-   connections with its own select loop.
+(* Concurrent socket front-end, TCP and Unix-domain alike: an accept
+   loop handing connections to a fixed pool of worker domains, each
+   multiplexing its share of the connections with its own select loop.
 
    Shape and why:
 
@@ -151,7 +151,8 @@ let worker_loop ~closing ~active ~max_line service slot =
 
 (* ------------------------------------------------------------------ *)
 
-let bind_listener addr =
+(* a stream socket bound to [addr], closed again if binding fails *)
+let bound_socket addr =
   let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   try
     Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -160,6 +161,35 @@ let bind_listener addr =
   with e ->
     close_quietly sock;
     raise e
+
+(* Bind a Unix-domain listener at [path].  A leftover socket file from a
+   crashed server makes bind fail with EADDRINUSE even though nobody is
+   listening; blindly unlinking would instead steal the address out from
+   under a *live* server (its clients would silently land on us).  So on
+   EADDRINUSE, probe with a connect: refused (or otherwise dead) means
+   stale — remove and rebind; accepted means a live server — fail. *)
+let bind_unix ~path =
+  let addr = Unix.ADDR_UNIX path in
+  try bound_socket addr
+  with Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
+    let probe = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    let live =
+      try
+        Unix.connect probe addr;
+        true
+      with Unix.Unix_error _ -> false
+    in
+    close_quietly probe;
+    if live then
+      failwith (Printf.sprintf "%s: a server is already listening" path)
+    else begin
+      (try Sys.remove path with Sys_error _ -> ());
+      bound_socket addr
+    end
+
+let bind_listener = function
+  | Unix.ADDR_UNIX path -> bind_unix ~path
+  | addr -> bound_socket addr
 
 let serve ?(stop = fun () -> false) ?on_listen config service addr =
   Svc_server.ignore_sigpipe ();
@@ -219,4 +249,7 @@ let serve ?(stop = fun () -> false) ?on_listen config service addr =
       close_quietly s.wake_r;
       close_quietly s.wake_w)
     slots;
-  close_quietly sock
+  close_quietly sock;
+  match addr with
+  | Unix.ADDR_UNIX path -> ( try Sys.remove path with Sys_error _ -> ())
+  | Unix.ADDR_INET _ -> ()

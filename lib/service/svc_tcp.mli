@@ -1,4 +1,5 @@
-(** Concurrent TCP front-end over {!Svc_service}.
+(** Concurrent socket front-end over {!Svc_service}, for TCP and
+    Unix-domain listeners alike.
 
     An accept loop on the calling thread hands connections round-robin
     to a fixed pool of worker domains; each worker multiplexes its
@@ -6,7 +7,7 @@
     through the length-capped {!Svc_reader} and answering them with
     {!Svc_service.handle_concurrent} (which enforces the cross-domain
     safety discipline: per-session serialization, the heavy-verb mutex,
-    the locked cache, the [Indexed] evaluation strategy).
+    the locked cache, the {!Dl_engine.pool_strategy} engine).
 
     {2 Admission contract}
 
@@ -21,6 +22,15 @@
 
     [busy] is retryable by contract: nothing was evaluated, nothing was
     cached. *)
+
+val bind_unix : path:string -> Unix.file_descr
+(** Create and bind a Unix-domain stream listener at [path].  If the
+    address is taken, probe it with a connect: a stale socket file left
+    by a crashed server (nobody accepts the connect) is removed and the
+    bind retried; a live listener makes this raise [Failure] rather
+    than steal the address.
+    @raise Failure if another server is listening at [path].
+    @raise Unix.Unix_error on other bind failures. *)
 
 type config = {
   workers : int;  (** connection worker domains, clamped to [1, 64] *)
@@ -38,12 +48,14 @@ val serve :
   Svc_service.t ->
   Unix.sockaddr ->
   unit
-(** [serve config service addr] binds [addr] (with [SO_REUSEADDR]),
-    spawns the workers, and runs the accept loop on the calling thread.
+(** [serve config service addr] binds [addr] — a TCP address with
+    [SO_REUSEADDR], a Unix-domain path through {!bind_unix} — spawns
+    the workers, and runs the accept loop on the calling thread.
     [on_listen] fires once with the actual bound address — how callers
     binding port [0] learn the ephemeral port.  [stop] is polled a few
     times a second; a [true] stops accepting, closes every connection,
-    joins the workers and returns.  Without [stop], never returns.
+    joins the workers, removes a Unix-domain socket file and returns.
+    Without [stop], never returns.
 
     The [service] must be dedicated to this server and not driven
     through the single-coordinator entry points concurrently (see

@@ -16,7 +16,12 @@
 #      service/TCP sources may claim that path forces the Indexed engine;
 #   7. recursive strata are maintained by Backward/Forward deletion:
 #      lib/datalog/dl_incr.ml must still name it, and no maintenance doc
-#      may claim recursive strata run DRed / delete-and-rederive again.
+#      may claim recursive strata run DRed / delete-and-rederive again;
+#   8. the concurrent regime locks: the service must still take the
+#      session lock and the heavy-verb mutex, and the Unix-socket server
+#      runs on the concurrent worker loop — neither ARCHITECTURE.md nor
+#      svc_server.mli may call it a single-threaded or batch loop, and
+#      Svc_server must not grow a socket server of its own again.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -83,8 +88,8 @@ done
 service_ml=lib/service/svc_service.ml
 grep -q '(Dl_engine\.pool_strategy ()' "$service_ml" ||
   err "$service_ml no longer calls Dl_engine.pool_strategy (update rule 6 and the docs)"
-for f in ARCHITECTURE.md lib/service/svc_service.mli "$service_ml" \
-  lib/service/svc_tcp.ml; do
+for f in ARCHITECTURE.md DESIGN.md README.md docs/GUIDE.md \
+  lib/service/svc_service.mli "$service_ml" lib/service/svc_tcp.ml; do
   if tr -s ' \n' '  ' <"$f" | grep -Eqi 'forc(e|es|ed|ing)( to)?( the)? [`[]?Indexed'; then
     err "$f claims the concurrent path forces Indexed; it runs Dl_engine.pool_strategy"
   fi
@@ -106,6 +111,28 @@ for f in lib/datalog/dl_incr.mli "$incr_ml" DESIGN.md README.md docs/GUIDE.md \
     err "$f claims recursive strata run DRed; they run Backward/Forward deletion"
   fi
 done
+
+# 8. the concurrent regime's locks, matched in their call shapes as in
+#    rule 6 (the comments naming them bracket the names instead); and
+#    the Unix-socket server's shape.  A claim pairs a Unix-socket term
+#    with "single-threaded" or "batch" within one clause-sized window
+#    (no period or table bar in between), flattened as in rule 6.
+grep -q 'Svc_session\.with_lock s (' "$service_ml" ||
+  err "$service_ml no longer takes the session lock (update rule 8 and the docs)"
+grep -Eq 'Mutex\.(protect|lock) t\.heavy' "$service_ml" ||
+  err "$service_ml no longer locks the heavy-verb mutex (update rule 8 and the docs)"
+server_mli=lib/service/svc_server.mli
+unix_sock='unix[- ](socket|domain)'
+loop_claim='(single-threaded|batch)'
+for f in ARCHITECTURE.md "$server_mli"; do
+  if tr -s ' \n' '  ' <"$f" |
+    grep -Eqi "$unix_sock[^.|]{0,80}$loop_claim|$loop_claim[^.|]{0,80}$unix_sock"; then
+    err "$f calls the Unix-socket server single-threaded or batched; it runs the Svc_tcp worker loop"
+  fi
+done
+if grep -q '^val serve_socket' "$server_mli"; then
+  err "$server_mli declares a second socket loop; Unix sockets are served by Svc_tcp.serve"
+fi
 
 if [ "$fail" -eq 0 ]; then
   echo "check_docs: ok ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$flags" | wc -w | tr -d ' ') flags, $(echo "$subs" | wc -w | tr -d ' ') subcommands)"

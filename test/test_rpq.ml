@@ -28,6 +28,14 @@ let test_parse_print () =
   (* print → parse is the identity on structure *)
   let e = Rpq.parse "((a|b^)*.c)+.eps?" in
   check_bool "round trip" true (Rpq.equal e (Rpq.parse (Rpq.to_string e)));
+  (* [.] and [|] nest to the right; a left-nested operand keeps its
+     parentheses, so distinct trees never print alike *)
+  check_string "right-nested concat" "a.b.c" (rt "a.(b.c)");
+  check_string "left-nested concat" "(a.b).c" (rt "(a.b).c");
+  check_string "left-nested alt" "(a|b)|c" (rt "(a|b)|c");
+  let e = Rpq.parse "(a.b).(c|d)|e" in
+  check_bool "left-nested round trip" true
+    (Rpq.equal e (Rpq.parse (Rpq.to_string e)));
   (* reversal is normalized away and involutive *)
   check_string "composite inverse" "b^.a^" (rt "(a.b)^");
   check_string "inverse of inverse" "a.b" (rt "(a.b)^^");

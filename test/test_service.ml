@@ -486,16 +486,17 @@ let test_mixed_workload () =
     (Svc_cache.hits cache > Svc_cache.misses cache)
 
 (* ------------------------------------------------------------------ *)
-(* Differential keying: a fingerprint-keyed service must behave
-   byte-for-byte like the legacy printed-key service — identical
-   responses and an identical hit/miss/entry/eviction trace — over the
-   same 1200-request mixed workload the pool test drives. *)
+(* Differential keying: the fingerprint-keyed service must keep the
+   cache trace of the printed-key scheme it replaced (Key_oracle).  The
+   same 1200-request mixed workload the pool test drives goes through
+   the service; a test-side cache fed the printed keys in the batch
+   path's order — find every request, then store each distinct miss —
+   must show the same hits, misses, entries and evictions after every
+   round, and a printed-key hit must carry the service's answer. *)
 
 let test_key_mode_differential () =
-  let mk key_mode =
-    Svc_service.create ~cache_capacity:256 ~parallel:true ~key_mode ()
-  in
-  let fp = mk Svc_service.Fingerprint and pr = mk Svc_service.Printed in
+  let svc = Svc_service.create ~cache_capacity:256 ~parallel:true () in
+  let oracle = Svc_cache.create 256 in
   let sessions = [ "s1"; "s2" ] in
   let progs = [ ("tc", "T", tc_text); ("hop", "H", hop_text) ] in
   let insts =
@@ -520,10 +521,17 @@ let test_key_mode_differential () =
   in
   List.iter
     (fun line ->
-      let a = Svc_proto.print_response (Svc_service.handle_line fp line)
-      and b = Svc_proto.print_response (Svc_service.handle_line pr line) in
-      check_string ("load " ^ line) b a)
+      match (Svc_service.handle_line svc line).Svc_proto.result with
+      | Svc_proto.Ok_ _ -> ()
+      | _ -> Alcotest.fail ("load failed: " ^ line))
     loads;
+  (* the objects the loads created, as the oracle resolves them *)
+  let prog =
+    List.map (fun (pn, goal, text) -> (pn, Parse.query ~goal text)) progs
+  in
+  let inst =
+    List.map (fun (iname, text) -> (iname, Parse.instance text)) insts
+  in
   let tuples_for iname =
     if String.length iname >= 2 && iname.[0] = 'c' && iname.[1] = 'h' then
       [ [ "m0"; "m1" ]; [ "m1"; "m0" ] ]
@@ -534,48 +542,396 @@ let test_key_mode_differential () =
     incr counter;
     Printf.sprintf "q%d" !counter
   in
+  (* (request line, printed key) *)
   let round_lines () =
     List.concat_map
       (fun (pn, _, _) ->
+        let q = List.assoc pn prog in
         List.concat_map
           (fun (iname, _) ->
+            let i = List.assoc iname inst in
             List.concat_map
               (fun s ->
-                Printf.sprintf "%s eval %s %s %s" (fresh ()) s pn iname
+                (Printf.sprintf "%s eval %s %s %s" (fresh ()) s pn iname,
+                 Key_oracle.eval q i)
                 :: List.map
                      (fun tuple ->
-                       Printf.sprintf "%s holds %s %s %s (%s)" (fresh ()) s pn
-                         iname
-                         (String.concat "," tuple))
+                       ( Printf.sprintf "%s holds %s %s %s (%s)" (fresh ()) s
+                           pn iname
+                           (String.concat "," tuple),
+                         Key_oracle.holds q i tuple ))
                      (tuples_for iname))
               sessions)
           insts)
       progs
   in
-  let trace svc =
-    let c = Svc_service.cache svc in
+  let trace c =
     Printf.sprintf "hits=%d misses=%d entries=%d evictions=%d"
       (Svc_cache.hits c) (Svc_cache.misses c) (Svc_cache.entries c)
       (Svc_cache.evictions c)
   in
   let total = ref (List.length loads) in
   for round = 1 to 25 do
-    let lines = round_lines () in
-    total := !total + List.length lines;
-    let ra =
-      List.map Svc_proto.print_response (Svc_service.handle_lines fp lines)
-    and rb =
-      List.map Svc_proto.print_response (Svc_service.handle_lines pr lines)
+    let reqs = round_lines () in
+    total := !total + List.length reqs;
+    let resps = Svc_service.handle_lines svc (List.map fst reqs) in
+    let misses =
+      List.fold_left2
+        (fun misses (line, key) resp ->
+          let body =
+            match resp.Svc_proto.result with
+            | Svc_proto.Ok_ b -> b
+            | _ -> Alcotest.fail ("request failed: " ^ line)
+          in
+          match Svc_cache.find oracle key with
+          | Some b ->
+              check_string ("printed-key hit answers alike: " ^ line) b body;
+              misses
+          | None ->
+              if List.mem_assoc key misses then misses
+              else (key, body) :: misses)
+        [] reqs resps
     in
-    List.iter2 (check_string "same response") rb ra;
+    List.iter (fun (key, body) -> Svc_cache.add oracle key body)
+      (List.rev misses);
     check_string
       (Printf.sprintf "same cache trace after round %d" round)
-      (trace pr) (trace fp)
+      (trace oracle)
+      (trace (Svc_service.cache svc))
   done;
   check_bool "1200-request workload" true (!total >= 1200);
-  check_bool "hits dominate in both" true
-    (Svc_cache.hits (Svc_service.cache fp)
-     > Svc_cache.misses (Svc_service.cache fp))
+  check_bool "hits dominate" true
+    (Svc_cache.hits (Svc_service.cache svc)
+     > Svc_cache.misses (Svc_service.cache svc))
+
+(* ------------------------------------------------------------------ *)
+(* Fingerprints against printed forms, one property per object kind:
+   two objects fingerprint equal exactly when they print equal.  Each
+   case pairs an object with a variant — the same text parsed again, a
+   variable renaming, reordered rules or facts, a regrouped or swapped
+   expression, or an unrelated object — and also loads both into one
+   service under different names, in the same or another session: the
+   request over the second is a cache hit exactly when the printed forms
+   agree and the first succeeded. *)
+
+let shuffle_gen l =
+  QCheck.Gen.(
+    list_repeat (List.length l) (int_bound 1000) >|= fun keys ->
+    List.combine keys l
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd)
+
+(* The second request, [run_b], after loading [load_a]/[load_b] and
+   running [run_a]; true when it hit the cache.  [None] when [run_a]
+   did not succeed. *)
+let second_hits ~setup ~load_a ~load_b ~run_a ~run_b =
+  let svc = Svc_service.create ~parallel:false () in
+  let ok line =
+    match (Svc_service.handle_line svc line).Svc_proto.result with
+    | Svc_proto.Ok_ _ -> true
+    | _ -> false
+  in
+  List.iter
+    (fun l -> if not (ok l) then failwith ("setup failed: " ^ l))
+    (setup @ [ load_a; load_b ]);
+  if not (ok run_a) then None
+  else
+    let hits = Svc_cache.hits (Svc_service.cache svc) in
+    ignore (ok run_b);
+    Some (Svc_cache.hits (Svc_service.cache svc) > hits)
+
+(* [fp]/[printed] agree on the pair, and the service hit follows the
+   printed forms *)
+let keys_agree ~fp ~printed a b hit =
+  let same = printed a = printed b in
+  (fp a = fp b) = same
+  && match hit with None -> true | Some h -> h = same
+
+let session_gen = QCheck.Gen.(map (fun b -> if b then "s1" else "s2") bool)
+
+(* rules over E/2 and the goal T/2; a term is a variable or a quoted
+   constant, head variables come from the body *)
+let vars = [ "x"; "y"; "z"; "w" ]
+
+let rule_gen =
+  QCheck.Gen.(
+    let term =
+      frequency
+        [ (5, map (fun v -> `V v) (oneofl vars));
+          (1, map (fun c -> `C c) (oneofl [ "c0"; "c1" ])) ]
+    in
+    let atom = triple (oneofl [ "E"; "E"; "T" ]) term term in
+    let body_vars =
+      List.concat_map (fun (_, a, b) ->
+          List.filter_map (function `V v -> Some v | `C _ -> None) [ a; b ])
+    in
+    list_size (int_range 1 3) atom >>= fun body ->
+    let body =
+      if body_vars body = [] then ("E", `V "x", `V "y") :: body else body
+    in
+    let bvars = body_vars body in
+    pair (oneofl bvars) (oneofl bvars) >|= fun head -> (head, body))
+
+let body_text body =
+  let term = function `V v -> v | `C c -> "'" ^ c ^ "'" in
+  String.concat ", "
+    (List.map
+       (fun (r, a, b) -> Printf.sprintf "%s(%s,%s)" r (term a) (term b))
+       body)
+
+let rename_body v =
+  let term = function `V x -> `V (v x) | c -> c in
+  List.map (fun (r, a, b) -> (r, term a, term b))
+
+let rules_text rules =
+  String.concat " "
+    (List.map
+       (fun ((h1, h2), body) ->
+         Printf.sprintf "T(%s,%s) <- %s." h1 h2 (body_text body))
+       rules)
+
+let rename_rules perm rules =
+  let v x = List.assoc x perm in
+  List.map (fun ((h1, h2), body) -> ((v h1, v h2), rename_body v body)) rules
+
+let program_case_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 3) rule_gen >>= fun rules ->
+    oneof
+      [
+        return rules;
+        map
+          (fun p -> rename_rules (List.combine vars p) rules)
+          (shuffle_gen vars);
+        shuffle_gen rules;
+        list_size (int_range 1 3) rule_gen;
+      ]
+    >>= fun variant ->
+    session_gen >|= fun sess -> (rules_text rules, rules_text variant, sess))
+
+let qcheck_program_keys =
+  QCheck.Test.make ~name:"program fingerprints agree with printed forms"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (a, b, s) -> Printf.sprintf "%s | %s | %s" a b s)
+       program_case_gen)
+    (fun (a, b, sess) ->
+      let hit =
+        second_hits
+          ~setup:[ "i1 load s1 instance i : E(c0,c1). E(c1,c0). E(c1,c2).";
+                   "i2 load s2 instance i : E(c0,c1). E(c1,c0). E(c1,c2)." ]
+          ~load_a:("la load s1 program pa goal T : " ^ a)
+          ~load_b:(Printf.sprintf "lb load %s program pb goal T : %s" sess b)
+          ~run_a:"qa eval s1 pa i"
+          ~run_b:(Printf.sprintf "qb eval %s pb i" sess)
+      in
+      keys_agree ~fp:Datalog.fingerprint ~printed:Key_oracle.query
+        (Parse.query ~goal:"T" a) (Parse.query ~goal:"T" b) hit)
+
+let fact_gen =
+  QCheck.Gen.(
+    let c = oneofl [ "c0"; "c1"; "c2"; "c3" ] in
+    oneof
+      [
+        map2 (fun a b -> Printf.sprintf "E(%s,%s)." a b) c c;
+        map (fun a -> Printf.sprintf "F(%s)." a) c;
+      ])
+
+let instance_case_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 6) fact_gen >>= fun facts ->
+    oneof
+      [
+        return facts;
+        shuffle_gen facts;
+        (* a repeated fact changes the text, not the set *)
+        map (fun l -> List.hd facts :: l) (shuffle_gen facts);
+        return (match facts with _ :: (_ :: _ as rest) -> rest | l -> l);
+        list_size (int_range 1 6) fact_gen;
+      ]
+    >>= fun variant ->
+    session_gen >|= fun sess ->
+    (String.concat " " facts, String.concat " " variant, sess))
+
+let qcheck_instance_keys =
+  QCheck.Test.make ~name:"instance fingerprints agree with printed forms"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (a, b, s) -> Printf.sprintf "%s | %s | %s" a b s)
+       instance_case_gen)
+    (fun (a, b, sess) ->
+      let hit =
+        second_hits
+          ~setup:
+            [ "p1 load s1 program tc goal T : " ^ tc_text;
+              "p2 load s2 program tc goal T : " ^ tc_text ]
+          ~load_a:("la load s1 instance ia : " ^ a)
+          ~load_b:(Printf.sprintf "lb load %s instance ib : %s" sess b)
+          ~run_a:"qa eval s1 tc ia"
+          ~run_b:(Printf.sprintf "qb eval %s tc ib" sess)
+      in
+      keys_agree ~fp:Instance.fingerprint ~printed:Key_oracle.instance
+        (Parse.instance a) (Parse.instance b) hit)
+
+(* view sets: CQ views V0, V1, ... over E, one rule each *)
+let view_gen =
+  QCheck.Gen.(
+    rule_gen >|= fun ((h1, h2), body) ->
+    let body = List.map (fun (_, a, b) -> ("E", a, b)) body in
+    ((h1, if h1 = h2 then None else Some h2), body))
+
+let views_text views =
+  String.concat " "
+    (List.mapi
+       (fun k ((h1, h2), body) ->
+         Printf.sprintf "V%d(%s) <- %s." k
+           (match h2 with None -> h1 | Some h2 -> h1 ^ "," ^ h2)
+           (body_text body))
+       views)
+
+let rename_views perm views =
+  let v x = List.assoc x perm in
+  List.map
+    (fun ((h1, h2), body) -> ((v h1, Option.map v h2), rename_body v body))
+    views
+
+let views_case_gen =
+  QCheck.Gen.(
+    list_size (int_range 1 3) view_gen >>= fun views ->
+    oneof
+      [
+        return views;
+        map
+          (fun p -> rename_views (List.combine vars p) views)
+          (shuffle_gen vars);
+        shuffle_gen views;
+        list_size (int_range 1 3) view_gen;
+      ]
+    >>= fun variant ->
+    session_gen >|= fun sess -> (views_text views, views_text variant, sess))
+
+let qcheck_views_keys =
+  QCheck.Test.make ~name:"view-set fingerprints agree with printed forms"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (a, b, s) -> Printf.sprintf "%s | %s | %s" a b s)
+       views_case_gen)
+    (fun (a, b, sess) ->
+      let goal = "G() <- E(x,y), E(y,z)." in
+      let hit =
+        second_hits
+          ~setup:
+            [ "p1 load s1 program g goal G : " ^ goal;
+              "p2 load s2 program g goal G : " ^ goal ]
+          ~load_a:("la load s1 views va : " ^ a)
+          ~load_b:(Printf.sprintf "lb load %s views vb : %s" sess b)
+          ~run_a:"qa rewrite-check s1 g va samples=1"
+          ~run_b:(Printf.sprintf "qb rewrite-check %s g vb samples=1" sess)
+      in
+      keys_agree
+        ~fp:(fun vs -> View.fingerprint_hex vs)
+        ~printed:Key_oracle.views (Parse.views a) (Parse.views b) hit)
+
+(* RPQs as trees, printed fully parenthesized so each parses to exactly
+   its tree *)
+type rx = Sym of string | Seq of rx * rx | Alt of rx * rx | Star of rx
+
+let rec rx_text = function
+  | Sym s -> s
+  | Seq (x, y) -> "(" ^ rx_text x ^ "." ^ rx_text y ^ ")"
+  | Alt (x, y) -> "(" ^ rx_text x ^ "|" ^ rx_text y ^ ")"
+  | Star x -> "(" ^ rx_text x ^ ")*"
+
+let rx_gen =
+  QCheck.Gen.(
+    sized_size (int_range 1 4)
+    @@ fix (fun self n ->
+           if n = 0 then map (fun s -> Sym s) (oneofl [ "a"; "b"; "a^"; "b^" ])
+           else
+             let half = self (n / 2) in
+             frequency
+               [
+                 (1, map (fun s -> Sym s) (oneofl [ "a"; "b" ]));
+                 (2, map2 (fun x y -> Seq (x, y)) half half);
+                 (2, map2 (fun x y -> Alt (x, y)) half half);
+                 (1, map (fun x -> Star x) (self (n - 1)));
+               ]))
+
+(* the same language, another tree: re-associate the topmost
+   [.]/[|] chain, or swap an alternation *)
+let rec regroup = function
+  | Seq (Seq (x, y), z) -> Seq (x, Seq (y, z))
+  | Seq (x, Seq (y, z)) -> Seq (Seq (x, y), z)
+  | Alt (Alt (x, y), z) -> Alt (x, Alt (y, z))
+  | Alt (x, Alt (y, z)) -> Alt (Alt (x, y), z)
+  | Alt (x, y) -> Alt (y, x)
+  | Seq (x, y) -> Seq (regroup x, y)
+  | Star x -> Star (regroup x)
+  | Sym _ as s -> s
+
+let rpq_case_gen =
+  QCheck.Gen.(
+    rx_gen >>= fun e ->
+    oneof [ return e; return (regroup e); rx_gen ] >>= fun variant ->
+    session_gen >|= fun sess -> (rx_text e, rx_text variant, sess))
+
+let qcheck_rpq_keys =
+  QCheck.Test.make ~name:"rpq fingerprints agree with printed forms"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (a, b, s) -> Printf.sprintf "%s | %s | %s" a b s)
+       rpq_case_gen)
+    (fun (a, b, sess) ->
+      let graph = "a(n0,n1). b(n1,n2). a(n2,n0). b(n2,n2)." in
+      let hit =
+        second_hits
+          ~setup:
+            [ "g1 load s1 instance g : " ^ graph;
+              "g2 load s2 instance g : " ^ graph ]
+          ~load_a:(Printf.sprintf "la rpq-load s1 ra : qa = %s ;" a)
+          ~load_b:(Printf.sprintf "lb rpq-load %s rb : qb = %s ;" sess b)
+          ~run_a:"xa rpq-eval s1 qa g"
+          ~run_b:(Printf.sprintf "xb rpq-eval %s qb g" sess)
+      in
+      keys_agree ~fp:Rpq.fingerprint ~printed:Key_oracle.rpq (Rpq.parse a)
+        (Rpq.parse b) hit)
+
+(* ------------------------------------------------------------------ *)
+(* Deadline first, on every entry point: [deadline=0] answers [timeout]
+   before the session is resolved (so an unknown session is not an
+   error) or created (so a timed-out load leaves none behind). *)
+
+let test_deadline_first () =
+  let entries =
+    [
+      ("handle_line", Svc_service.handle_line);
+      ("handle_line_concurrent", Svc_service.handle_line_concurrent);
+      ( "handle_lines",
+        fun svc line -> List.hd (Svc_service.handle_lines svc [ line ]) );
+    ]
+  in
+  List.iter
+    (fun (entry, handle) ->
+      let svc = Svc_service.create ~parallel:false () in
+      List.iter
+        (fun line ->
+          check_string
+            (Printf.sprintf "%s: %s" entry line)
+            "q timeout"
+            (Svc_proto.print_response (handle svc line)))
+        [
+          "q eval nosuch tc i deadline=0";
+          "q assert nosuch i deadline=0 : E(a,b).";
+          "q load s1 program tc goal T deadline=0 : " ^ tc_text;
+          "q rpq-load s2 r deadline=0 : r = a* ;";
+        ];
+      check_int (entry ^ ": no session created") 0 (Svc_service.sessions svc);
+      match (handle svc "st stats").Svc_proto.result with
+      | Svc_proto.Ok_ b ->
+          check_bool (entry ^ ": stats shows sessions=0") true
+            (List.mem "sessions=0" (String.split_on_char ' ' b))
+      | _ -> Alcotest.fail "stats failed")
+    entries
 
 (* malformed lines keep their position in handle_lines output *)
 let test_handle_lines_order () =
@@ -598,7 +954,14 @@ let test_handle_lines_order () =
 
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
-    [ qcheck_request_roundtrip; qcheck_response_roundtrip ]
+    [
+      qcheck_request_roundtrip;
+      qcheck_response_roundtrip;
+      qcheck_program_keys;
+      qcheck_instance_keys;
+      qcheck_views_keys;
+      qcheck_rpq_keys;
+    ]
 
 let suite =
   [
@@ -611,6 +974,8 @@ let suite =
     Alcotest.test_case "mutation verbs" `Quick test_mutations;
     Alcotest.test_case "mutation deadline race" `Quick
       test_mutation_deadline_race;
+    Alcotest.test_case "deadline first on every entry point" `Quick
+      test_deadline_first;
     Alcotest.test_case "mixed workload (2 sessions, pool)" `Slow
       test_mixed_workload;
     Alcotest.test_case "key modes agree (fingerprint vs printed)" `Slow

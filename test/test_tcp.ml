@@ -1,7 +1,8 @@
-(* TCP front-end tests: length-capped framing under arbitrary write
-   splits, stale-socket reclaim, admission control and per-session
-   quotas shedding with [busy], the concurrent server cross-checked
-   against the sequential oracle, and cache snapshot round-trips. *)
+(* Socket front-end tests: length-capped framing under arbitrary write
+   splits, stale-socket reclaim, the line cap on TCP and Unix-domain
+   listeners, admission control and per-session quotas shedding with
+   [busy], the concurrent server cross-checked against the sequential
+   oracle, and cache snapshot round-trips. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -88,15 +89,15 @@ let test_stale_socket_reclaim () =
   let path = Filename.temp_file "mondet-stale" ".sock" in
   Sys.remove path;
   (* a listener that dies without unlinking leaves a stale file *)
-  let dead = Svc_server.bind_unix ~path in
+  let dead = Svc_tcp.bind_unix ~path in
   Unix.listen dead 1;
   Unix.close dead;
   check_bool "stale socket file left behind" true (Sys.file_exists path);
   (* rebinding must reclaim it *)
-  let fresh = Svc_server.bind_unix ~path in
+  let fresh = Svc_tcp.bind_unix ~path in
   Unix.listen fresh 1;
   (* ... but a *live* listener must not be stolen *)
-  (match Svc_server.bind_unix ~path with
+  (match Svc_tcp.bind_unix ~path with
   | exception Failure _ -> ()
   | fd ->
       Unix.close fd;
@@ -107,7 +108,8 @@ let test_stale_socket_reclaim () =
 (* ------------------------------------------------------------------ *)
 (* In-process TCP server scaffolding. *)
 
-let with_server ?(config = Svc_tcp.default_config) service f =
+let with_server ?(config = Svc_tcp.default_config)
+    ?(addr = Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) service f =
   let stop = Atomic.make false in
   let bound = ref None in
   let mu = Mutex.create () in
@@ -121,8 +123,7 @@ let with_server ?(config = Svc_tcp.default_config) service f =
             bound := Some a;
             Condition.signal cv;
             Mutex.unlock mu)
-          config service
-          (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
+          config service addr)
   in
   Mutex.lock mu;
   while !bound = None do
@@ -183,6 +184,28 @@ let test_tcp_oversized_line () =
       check_string "next request clean" "q2 ok a,b;a,c;b,c"
         (roundtrip ic oc "q2 eval s tc i");
       Unix.close fd)
+
+(* Unix-domain sockets run on the same worker loop: the line cap holds
+   and the connection keeps its framing, and stopping the server
+   removes the socket file. *)
+let test_unix_socket () =
+  let path = Filename.temp_file "mondet-unix" ".sock" in
+  Sys.remove path;
+  let service = Svc_service.create ~parallel:false () in
+  let config = { Svc_tcp.default_config with Svc_tcp.max_line = 64 } in
+  with_server ~config ~addr:(Unix.ADDR_UNIX path) service (fun addr ->
+      check_bool "listening on the path" true (addr = Unix.ADDR_UNIX path);
+      let fd, ic, oc = connect addr in
+      List.iter
+        (fun l -> ignore (roundtrip ic oc l))
+        [ "l1 load s program tc goal T : T(x,y) <- E(x,y).";
+          "l2 load s instance i : E(a,b). E(b,c)." ];
+      check_string "200-byte line rejected" "- error line exceeds 64 bytes"
+        (roundtrip ic oc ("qq eval s tc " ^ String.make 187 'x'));
+      check_string "next request on the connection" "q2 ok a,b;b,c"
+        (roundtrip ic oc "q2 eval s tc i");
+      Unix.close fd);
+  check_bool "socket file removed on stop" false (Sys.file_exists path)
 
 let test_tcp_admission_shed () =
   let service = Svc_service.create ~parallel:false () in
@@ -349,18 +372,25 @@ let test_snapshot_lru_order () =
     (Svc_cache.mem c2 "a" && Svc_cache.mem c2 "c" && Svc_cache.mem c2 "d"
     && not (Svc_cache.mem c2 "b"))
 
+(* Snapshots carry the key scheme in their header.  The service writes
+   [mode=fingerprint] — the header earlier releases wrote, so their
+   snapshots still reload — and refuses any other mode, such as the
+   printed-key scheme's, without touching the cache. *)
 let test_snapshot_mode_mismatch () =
   let path = Filename.temp_file "mondet-cache" ".snap" in
-  let svc1 =
-    Svc_service.create ~parallel:false ~key_mode:Svc_service.Printed ()
-  in
+  let svc1 = Svc_service.create ~parallel:false () in
   List.iter
     (fun l -> ignore (Svc_service.handle_line svc1 l))
     (load_lines @ [ "q1 eval s tc i" ]);
   Svc_persist.save path svc1;
-  let svc2 =
-    Svc_service.create ~parallel:false ~key_mode:Svc_service.Fingerprint ()
-  in
+  let header = In_channel.with_open_text path input_line in
+  check_bool "snapshots are written under mode=fingerprint" true
+    (String.starts_with ~prefix:"mondet-cache/1 mode=fingerprint " header);
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "mondet-cache/1 mode=printed syms=0 entries=1\n\
+         \"0123456789abcdef0123456789abcdef\" \"a,b;a,c;b,c\"\n");
+  let svc2 = Svc_service.create ~parallel:false () in
   (match Svc_persist.load path svc2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "snapshot accepted under the wrong key mode");
@@ -377,6 +407,8 @@ let suite =
       test_stale_socket_reclaim;
     Alcotest.test_case "tcp basic verbs" `Quick test_tcp_basic;
     Alcotest.test_case "tcp oversized line" `Quick test_tcp_oversized_line;
+    Alcotest.test_case "unix socket line cap and cleanup" `Quick
+      test_unix_socket;
     Alcotest.test_case "tcp admission shed" `Quick test_tcp_admission_shed;
     Alcotest.test_case "tcp per-session quota" `Quick test_tcp_quota_busy;
     Alcotest.test_case "tcp stress vs oracle" `Slow test_tcp_stress_oracle;
