@@ -13,11 +13,11 @@
      with the indexed engine, so bottom-up rounds derive only facts the
      goal demands.  Queries whose goal is extensional (no rules) fall back
      to [Indexed] — there is nothing to specialize.
-   - [Parallel]: the indexed engine's rounds sharded across a pool of
-     OCaml 5 domains ({!Dl_parallel}).
+   - [Parallel]: the [Vm] engine's rounds sharded across a pool of
+     OCaml 5 domains ({!Dl_parallel}); at one domain it is [Vm].
    - [Vm]: static join plans lowered to flat register bytecode
-     ({!Dl_vm}), same semi-naive rounds as [Indexed] with a compiled
-     per-rule matcher and mid-round cancellation probes.
+     ({!Dl_vm}), same semi-naive rounds ({!Dl_semi}) as [Indexed] with a
+     compiled per-rule matcher and mid-round cancellation probes.
 
    The default strategy is a process-wide setting (the CLI's [--engine]
    flag and the MONDET_ENGINE environment variable set it; the bench
@@ -96,22 +96,16 @@ let pool_strategy () =
   | Indexed | Parallel | Magic -> Vm
   | (Naive | Vm) as s -> s
 
-let goal_tuples_naive ?cancel (q : Datalog.query) inst =
-  Instance.tuples
-    (Dl_eval.fixpoint_naive ?cancel q.Datalog.program inst)
-    q.Datalog.goal
-
 let eval ?strategy ?cancel (q : Datalog.query) inst =
   match resolve strategy with
-  | Naive -> goal_tuples_naive ?cancel q inst
-  | Indexed -> Dl_eval.eval ?cancel q inst
+  | Naive -> Dl_eval.eval_naive ?cancel q inst
   | Vm -> Dl_vm.eval ?cancel q inst
   | Parallel -> Dl_parallel.eval ?cancel q inst
-  | Magic when not (Dl_magic.applicable q) -> Dl_eval.eval ?cancel q inst
-  | Magic ->
+  | Magic when Dl_magic.applicable q ->
       let m = Dl_magic.transform q (Dl_magic.all_free (Datalog.goal_arity q)) in
       Dl_eval.eval ?cancel m.Dl_magic.query
         (Instance.add (Dl_magic.seed_free m) inst)
+  | Indexed | Magic -> Dl_eval.eval ?cancel q inst
 
 (* Whole-program fixpoints, for the maintenance layer ({!Dl_incr}) and
    anyone else who needs the materialized instance rather than goal
@@ -139,33 +133,30 @@ let fixpoint_delta ?strategy ?cancel p ~old ~delta =
   | Vm -> Dl_vm.fixpoint_delta ?cancel p ~old ~delta
   | Parallel -> Dl_parallel.fixpoint_delta ?cancel p ~old ~delta
 
-let tuple_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Const.equal a b
-
 let holds ?strategy ?cancel (q : Datalog.query) inst tup =
   match resolve strategy with
-  | Naive -> List.exists (tuple_equal tup) (goal_tuples_naive ?cancel q inst)
-  | Indexed -> Dl_eval.holds ?cancel q inst tup
+  | Naive ->
+      Instance.mem (Fact.of_array q.goal tup)
+        (Dl_eval.fixpoint_naive ?cancel q.program inst)
   | Vm -> Dl_vm.holds ?cancel q inst tup
   | Parallel -> Dl_parallel.holds ?cancel q inst tup
-  | Magic when not (Dl_magic.applicable q) -> Dl_eval.holds ?cancel q inst tup
-  | Magic ->
+  | Magic when Dl_magic.applicable q ->
       let m = Dl_magic.transform q (Dl_magic.all_bound (Array.length tup)) in
       Dl_eval.holds ?cancel m.Dl_magic.query
         (Instance.add (Dl_magic.seed m tup) inst)
         tup
+  | Indexed | Magic -> Dl_eval.holds ?cancel q inst tup
 
 let holds_boolean ?strategy ?cancel (q : Datalog.query) inst =
   match resolve strategy with
-  | Naive -> goal_tuples_naive ?cancel q inst <> []
-  | Indexed -> Dl_eval.holds_boolean ?cancel q inst
+  | Naive -> Dl_eval.eval_naive ?cancel q inst <> []
   | Vm -> Dl_vm.holds_boolean ?cancel q inst
   | Parallel -> Dl_parallel.holds_boolean ?cancel q inst
-  | Magic when not (Dl_magic.applicable q) -> Dl_eval.holds_boolean ?cancel q inst
-  | Magic ->
+  | Magic when Dl_magic.applicable q ->
       let m = Dl_magic.transform q (Dl_magic.all_free (Datalog.goal_arity q)) in
       Dl_eval.holds_boolean ?cancel m.Dl_magic.query
         (Instance.add (Dl_magic.seed_free m) inst)
+  | Indexed | Magic -> Dl_eval.holds_boolean ?cancel q inst
 
 let contained_cq_in ?strategy ?cancel (cq : Cq.t) q =
   let db = Cq.canonical_db cq in

@@ -32,18 +32,18 @@
       demanded facts; loses ~2× on all-free Boolean goals, where the
       extra magic rules prune nothing.  Falls back to [Indexed] when the
       goal is extensional ({!Dl_magic.applicable} is false).
-    - {!Parallel} — the indexed engine's semi-naive rounds with the
-      (rule × delta-position × delta-chunk) firing set sharded across a
+    - {!Parallel} — the [Vm] engine's semi-naive rounds with the
+      (rule × delta-position × delta-chunk) units sharded across a
       persistent pool of OCaml 5 domains ({!Dl_parallel}; pool size from
       [--domains] / [MONDET_DOMAINS] / [Domain.recommended_domain_count]).
       Wins on wide rounds — many rules and/or large deltas, e.g. the
       Theorem 6 grid programs with hundreds of incompatibility rules —
       once per-round work dwarfs the barrier cost (~10 µs); loses on
-      narrow rounds.  With one effective domain it delegates to
-      [Indexed] outright.
+      narrow rounds.  With one effective domain it is [Vm]: the pool
+      scheduler falls back to the sequential one.
     - {!Vm} — static join plans ({!Dl_plan.plan}) lowered to flat
       register bytecode executed by a tight dispatch loop ({!Dl_vm}).
-      Same semi-naive rounds and early stop as [Indexed], but the atom
+      The same {!Dl_semi} round loop and early stop as [Indexed], but the atom
       order is fixed at compile time (only the index-probe position is
       chosen per execution), so the per-depth selectivity rescans of the
       interpreted matcher disappear — it wins on recursive workloads

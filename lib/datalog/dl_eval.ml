@@ -43,11 +43,6 @@ let head_fact (r : Datalog.rule) env =
   in
   Fact.make r.head.Cq.rel args
 
-exception Stopped of Instance.t
-
-(* Semi-naive fixpoint.  [stop] is probed on every newly derived fact:
-   returning [true] aborts the iteration with the facts derived so far —
-   this is what makes Boolean goal checks sublinear in the fixpoint. *)
 (* ------------------------------------------------------------------ *)
 (* Slot-compiled rules: the fixpoint's inner loop.  Variables are numbered
    into slots of a mutable binding array, so matching a tuple is array
@@ -57,24 +52,9 @@ exception Stopped of Instance.t
    bytecode backend); this matcher keeps the {e dynamic} discipline: atom
    order is re-chosen per firing from live index statistics. *)
 
-type cterm = Dl_plan.cterm = Cslot of int | Cconst of Const.t
-
-type catom = Dl_plan.catom = {
-  crel : string;
-  crid : Symtab.sym;
-  cterms : cterm array;
-}
-
-type crule = Dl_plan.crule = {
-  nvars : int;
-  cbody : catom array;
-  chead : catom;
-  crels : Symtab.sym list;
-}
+open Dl_plan
 
 let compile = Dl_plan.compile
-let select_candidates = Dl_plan.select_candidates
-let estimate_atom = Dl_plan.estimate_atom
 
 (* Match [tup] against [a], binding fresh slots; returns the number of
    slots pushed on [trail] (to undo), or [-1] on mismatch (already
@@ -180,115 +160,29 @@ let catom_fact (a : catom) env =
 
 let chead_fact (cr : crule) env = catom_fact cr.chead env
 
-(* One semi-naive round over [rules]: for each rule and each body position
-   whose relation has delta facts, match that occurrence against the delta,
-   earlier atoms against the old facts [old = full \ delta] and later ones
-   against the full instance — each new derivation is found exactly once.
-   [derive] is the per-match continuation (it dedups against [full] and
-   accumulates into the [fresh] ref it is given). *)
-let fire_semi_round rules derive ~old ~delta full =
-  let fresh = ref Instance.empty in
-  List.iter
-    (fun cr ->
-      if List.exists (fun r -> Instance.cardinal_id delta r > 0) cr.crels
-      then begin
-        let nb = Array.length cr.cbody in
-        let sources = Array.make nb full in
-        for j = 0 to nb - 1 do
-          if Instance.cardinal_id delta cr.cbody.(j).crid > 0 then begin
-            sources.(j) <- delta;
-            run_compiled cr sources (derive cr full fresh);
-            sources.(j) <- old
-          end
-          else sources.(j) <- old
-        done
-      end)
-    rules;
-  !fresh
+(* The slots matcher: one unit of the semi-naive round loop, the unit's
+   delta atom reading [delta], atoms left of it [old], the rest [full]. *)
+let slots (cr : crule) pos ~old ~delta ~full emit =
+  let sources = Array.make (Array.length cr.cbody) full in
+  Array.fill sources 0 pos old;
+  sources.(pos) <- delta;
+  run_compiled cr sources (fun env -> emit (chead_fact cr env))
 
-let fixpoint_gen ?(stop = fun _ -> false) ?(cancel = Dl_cancel.none) p inst =
-  Dl_cancel.check cancel;
-  let rules = compile p in
-  let derive cr full fresh env =
-    let f = chead_fact cr env in
-    if not (Instance.mem f full) then begin
-      fresh := Instance.add f !fresh;
-      if stop f then raise_notrace (Stopped (Instance.union full !fresh))
-    end;
-    true
-  in
-  (* initial round: naive evaluation of every rule *)
-  let fire_naive full =
-    let fresh = ref Instance.empty in
-    List.iter
-      (fun cr ->
-        let sources = Array.make (Array.length cr.cbody) full in
-        run_compiled cr sources (derive cr full fresh))
-      rules;
-    !fresh
-  in
-  let fire_semi ~old ~delta full = fire_semi_round rules derive ~old ~delta full in
-  (* [old] is the previous round's [full], so [full = old ∪ delta] and the
-     semi-naive split needs no set difference; [derive] only ever puts facts
-     absent from [full] into the delta, so no deduplication is needed
-     either. *)
-  (* the cancellation probe sits at the round boundary: aborting there
-     leaves no shared state half-written (the compiled-rule cache and the
-     instances' index caches only ever hold completed entries) *)
-  let rec loop old delta =
-    Dl_cancel.check cancel;
-    let full = Instance.union old delta in
-    if Instance.is_empty delta then full
-    else loop full (fire_semi ~old ~delta full)
-  in
-  try loop inst (fire_naive inst) with Stopped i -> i
+let engine =
+  {
+    Dl_semi.prepare = (fun _ p -> (compile p, slots));
+    shape = Fun.id;
+    schedule = Dl_semi.sequential;
+  }
 
-let fixpoint ?cancel p inst = fixpoint_gen ?cancel p inst
+let fixpoint ?cancel p inst = Dl_semi.fixpoint engine ?cancel p inst
 
-(* Delta-start entry: resume the semi-naive iteration mid-run, for the
-   incremental-maintenance layer ({!Dl_incr}).  [old] is assumed closed
-   under [p] (no rule firing entirely inside [old] derives a missing
-   fact); the rounds therefore only chase derivations touching [delta].
-   Also accumulates every fact derived beyond [old ∪ delta], so callers
-   get delta-sized bookkeeping for free. *)
-let fixpoint_delta ?(cancel = Dl_cancel.none) p ~old ~delta =
-  Dl_cancel.check cancel;
-  let rules = compile p in
-  let derive cr full fresh env =
-    let f = chead_fact cr env in
-    if not (Instance.mem f full) then fresh := Instance.add f !fresh;
-    true
-  in
-  let rec loop old delta acc =
-    Dl_cancel.check cancel;
-    let full = Instance.union old delta in
-    if Instance.is_empty delta then (full, acc)
-    else
-      let fresh = fire_semi_round rules derive ~old ~delta full in
-      loop full fresh (Instance.union acc fresh)
-  in
-  loop (Instance.diff old delta) delta Instance.empty
+let fixpoint_delta ?cancel p ~old ~delta =
+  Dl_semi.fixpoint_delta engine ?cancel p ~old ~delta
 
-let eval ?cancel (q : Datalog.query) inst =
-  let fp = fixpoint ?cancel q.program inst in
-  Instance.tuples fp q.goal
-
-(* goal checks stop the fixpoint as soon as the wanted fact is derived *)
-let holds ?cancel (q : Datalog.query) inst tup =
-  let want (f : Fact.t) =
-    String.equal f.rel q.goal
-    && Array.length f.args = Array.length tup
-    && Array.for_all2 Const.equal f.args tup
-  in
-  let fp = fixpoint_gen ~stop:want ?cancel q.program inst in
-  List.exists
-    (fun t -> Array.length t = Array.length tup
-              && Array.for_all2 Const.equal t tup)
-    (Instance.tuples fp q.goal)
-
-let holds_boolean ?cancel (q : Datalog.query) inst =
-  let stop (f : Fact.t) = String.equal f.rel q.goal in
-  Instance.cardinal (fixpoint_gen ~stop ?cancel q.program inst) q.goal > 0
+let eval ?cancel q inst = Dl_semi.eval engine ?cancel q inst
+let holds ?cancel q inst tup = Dl_semi.holds engine ?cancel q inst tup
+let holds_boolean ?cancel q inst = Dl_semi.holds_boolean engine ?cancel q inst
 
 let contained_cq_in ?cancel (cq : Cq.t) q =
   let db = Cq.canonical_db cq in

@@ -1,7 +1,9 @@
 (** Bottom-up (semi-naive) evaluation of Datalog programs.
 
     [fixpoint p i] is the paper's [FPEval(Π, I)]: the minimal IDB-extension
-    of [I] satisfying all rules of [Π]. *)
+    of [I] satisfying all rules of [Π].  This is the [Indexed] engine:
+    the {!Dl_semi} round loop with the interpreted {!slots} matcher and
+    the sequential scheduler. *)
 
 val fixpoint : ?cancel:Dl_cancel.t -> Datalog.program -> Instance.t -> Instance.t
 (** Least fixpoint; returns the input instance extended with IDB facts.
@@ -47,46 +49,30 @@ val eval_naive : ?cancel:Dl_cancel.t -> Datalog.query -> Instance.t -> Const.t a
 
 (** {2 Compiled-rule internals}
 
-    The slot-compiled representation behind {!fixpoint} — defined in
-    {!Dl_plan} (layer 1 of the compile pipeline) and re-exported here for
-    {!Dl_parallel}, which drives the same per-rule matcher from several
-    domains.  Everything here is reentrant: {!run_compiled} allocates its
-    binding array and trail per call and only {e reads} the instances it
-    is given (provided their relation indexes are already built — see
-    {!Instance.index}; building one is a benign cache fill but makes the
-    call a writer). *)
+    The interpreted matcher over {!Dl_plan}'s slot-compiled rules (layer 1
+    of the compile pipeline), exported for {!Dl_incr}, which runs it over
+    its own unit walks and seeded searches.  Everything here is
+    reentrant: {!run_compiled} allocates its binding array and trail per
+    call and only {e reads} the instances it is given (provided their
+    relation indexes are already built — see {!Instance.index}; building
+    one is a benign cache fill but makes the call a writer). *)
 
-type cterm = Dl_plan.cterm = Cslot of int | Cconst of Const.t
-
-type catom = Dl_plan.catom = {
-  crel : string;
-  crid : Symtab.sym;  (** interned [crel], cached at compile time *)
-  cterms : cterm array;
-}
-
-type crule = Dl_plan.crule = {
-  nvars : int;
-  cbody : catom array;
-  chead : catom;
-  crels : Symtab.sym list;  (** distinct body relation ids, sorted *)
-}
-
-val compile : Datalog.program -> crule list
+val compile : Datalog.program -> Dl_plan.crule list
 (** Slot-compile a program (alias of {!Dl_plan.compile}).  Results are
     cached under physical equality of the program; the cache is
     mutex-guarded, so a worker domain re-entering [compile] is safe —
     compiling on the coordinating thread first merely warms the cache. *)
 
 val run_compiled :
-  crule -> Instance.t array -> (Const.t option array -> bool) -> unit
+  Dl_plan.crule -> Instance.t array -> (Const.t option array -> bool) -> unit
 (** [run_compiled cr sources on_match] enumerates all matches of
     [cr.cbody] where body atom [i] draws its candidate tuples from
     [sources.(i)], most-constrained-first.  [on_match] receives the slot
     bindings and returns [false] to stop the enumeration. *)
 
 val run_seeded :
-  crule ->
-  catom ->
+  Dl_plan.crule ->
+  Dl_plan.catom ->
   Const.t array ->
   Instance.t array ->
   (Const.t option array -> bool) ->
@@ -100,8 +86,13 @@ val run_seeded :
     seeding enumerates the derivations of one fact, body seeding the
     derivations one fact takes part in. *)
 
-val chead_fact : crule -> Const.t option array -> Fact.t
+val slots : Dl_plan.crule Dl_semi.matcher
+(** The interpreted matcher as a {!Dl_semi} unit runner: {!run_compiled}
+    with the unit's delta atom reading [delta], atoms left of it [old],
+    the rest [full]. *)
+
+val chead_fact : Dl_plan.crule -> Const.t option array -> Fact.t
 (** The head fact under a complete binding of the rule's slots. *)
 
-val catom_fact : catom -> Const.t option array -> Fact.t
+val catom_fact : Dl_plan.catom -> Const.t option array -> Fact.t
 (** Any atom's fact under a binding of all its slots. *)

@@ -16,7 +16,7 @@ type stratum = {
   spreds : string list;  (* IDB predicates of this SCC, sorted *)
   srecursive : bool;
   srules : Datalog.program;  (* rules whose head is in [spreds] *)
-  scrules : (Dl_eval.crule * bool array) list;
+  scrules : (Dl_plan.crule * bool array) list;
       (* the same, slot-compiled once, each with its body positions
          drawing from this stratum marked *)
   scounts : (Fact.t, int) Hashtbl.t;
@@ -98,8 +98,8 @@ let make_stratum p comp =
         (fun cr ->
           ( cr,
             Array.map
-              (fun a -> List.mem a.Dl_eval.crel comp)
-              cr.Dl_eval.cbody ))
+              (fun a -> List.mem a.Dl_plan.crel comp)
+              cr.Dl_plan.cbody ))
         (Dl_eval.compile srules);
     scounts = Hashtbl.create 64;
   }
@@ -110,27 +110,16 @@ let make_stratum p comp =
    drawing from [delta] sits at position j: positions left of j draw from
    [lo], j from [delta], positions right of j from [hi].  With
    [lo = hi ∖ delta] this produces each match using at least one [delta]
-   fact exactly once — the invariant the counting passes rely on. *)
+   fact exactly once — the invariant the counting passes rely on.  These
+   are the units of one semi-naive round with [lo]/[hi] as its
+   [old]/[full], run by the slots matcher. *)
 let fire_split crules ~delta ~lo ~hi k =
-  List.iter
-    (fun (cr, _) ->
-      if List.exists (fun r -> Instance.cardinal_id delta r > 0) cr.Dl_eval.crels
-      then begin
-        let nb = Array.length cr.Dl_eval.cbody in
-        let sources = Array.make nb hi in
-        for j = 0 to nb - 1 do
-          if Instance.cardinal_id delta cr.Dl_eval.cbody.(j).Dl_eval.crid > 0
-          then begin
-            sources.(j) <- delta;
-            Dl_eval.run_compiled cr sources (fun env ->
-                k (Dl_eval.chead_fact cr env);
-                true);
-            sources.(j) <- lo
-          end
-          else sources.(j) <- lo
-        done
-      end)
-    crules
+  Dl_semi.iter_units fst crules ~old:lo ~delta [| delta |]
+    (fun (cr, _) pos chunk ->
+      Dl_eval.slots cr pos ~old:lo ~delta:chunk ~full:hi (fun f ->
+          k f;
+          true);
+      true)
 
 let count counts f =
   match Hashtbl.find_opt counts f with Some c -> c | None -> 0
@@ -156,7 +145,7 @@ let create ?strategy ?(cancel = Dl_cancel.none) p inst =
            derivation of the stratum exactly once. *)
         List.iter
           (fun (cr, _) ->
-            let sources = Array.make (Array.length cr.Dl_eval.cbody) !state in
+            let sources = Array.make (Array.length cr.Dl_plan.cbody) !state in
             Dl_eval.run_compiled cr sources (fun env ->
                 bump s.scounts (Dl_eval.chead_fact cr env) 1;
                 true))
@@ -213,7 +202,7 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
   let rules =
     List.map
       (fun (cr, local) ->
-        (cr, local, Array.make (Array.length cr.Dl_eval.cbody) state))
+        (cr, local, Array.make (Array.length cr.Dl_plan.cbody) state))
       s.scrules
   in
   let has st f =
@@ -226,7 +215,7 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
       if i < 0 then Some acc
       else if not local.(i) then go (i - 1) acc
       else
-        let f = Dl_eval.catom_fact cr.Dl_eval.cbody.(i) env in
+        let f = Dl_eval.catom_fact cr.Dl_plan.cbody.(i) env in
         if has Deleted f then None else go (i - 1) (f :: acc)
     in
     go (Array.length local - 1) []
@@ -246,7 +235,7 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
       List.iter
         (fun (cr, local, sources) ->
           Array.iter
-            (fun (a : Dl_eval.catom) ->
+            (fun (a : Dl_plan.catom) ->
               if a.crid = p.Fact.rid then
                 Dl_eval.run_seeded cr a p.Fact.args sources (fun env ->
                     let h = Dl_eval.chead_fact cr env in
@@ -257,7 +246,7 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
                         | _ -> ())
                     | _ -> ());
                     true))
-            cr.Dl_eval.cbody)
+            cr.Dl_plan.cbody)
         rules
     done
   in
@@ -275,8 +264,8 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
       let pending = ref [] and found = ref false in
       List.iter
         (fun (cr, local, sources) ->
-          if (not !found) && cr.Dl_eval.chead.crid = f.Fact.rid then
-            Dl_eval.run_seeded cr cr.Dl_eval.chead f.Fact.args sources
+          if (not !found) && cr.Dl_plan.chead.crid = f.Fact.rid then
+            Dl_eval.run_seeded cr cr.Dl_plan.chead f.Fact.args sources
               (fun env ->
                 match body cr local env with
                 | None -> true

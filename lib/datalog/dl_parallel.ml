@@ -5,7 +5,7 @@
 
    - the shared round instances ([old], [full], the delta chunks) are
      persistent maps; the only mutable field reachable from them is the
-     per-relation index cache, which [prewarm] fills on the coordinating
+     per-relation index cache, which [pooled] fills on the coordinating
      thread before dispatch, so workers are pure readers;
    - each worker derives into a private accumulator instance;
    - the pool's mutex hand-off publishes everything the coordinator wrote
@@ -14,10 +14,11 @@
    - the early-stop flag is an [Atomic.t].
 
    Determinism argument: the chunks partition the delta, so the units of a
-   round cover exactly the matches the sequential [Dl_eval.fixpoint_gen]
-   round enumerates, each exactly once across units; the barrier merge is
-   a set union; hence every round's delta — and therefore the fixpoint —
-   is identical for every domain count and schedule. *)
+   round cover exactly the matches the sequential scheduler's round
+   ([Dl_semi.sequential]) enumerates, each exactly once across units; the
+   barrier merge is a set union; hence every round's delta — and
+   therefore the fixpoint — is identical for every domain count and
+   schedule. *)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-count configuration: --domains > MONDET_DOMAINS > recommended. *)
@@ -47,41 +48,6 @@ let domains () =
       match Lazy.force env_domains with
       | Some n -> n
       | None -> clamp (Domain.recommended_domain_count ()))
-
-(* ------------------------------------------------------------------ *)
-(* Matcher configuration: which per-rule matcher the workers run.  Both
-   enumerate exactly the same matches per unit, so the fixpoint is
-   identical; [Bytecode] trades the interpreted matcher's per-depth
-   selectivity rescans for a fixed plan (see {!Dl_vm}). *)
-
-type matcher = Slots | Bytecode
-
-let matcher_of_string = function
-  | "slots" -> Some Slots
-  | "bytecode" -> Some Bytecode
-  | _ -> None
-
-let env_matcher =
-  lazy
-    (match Sys.getenv_opt "MONDET_PAR_MATCHER" with
-    | None -> None
-    | Some s -> (
-        match matcher_of_string (String.trim s) with
-        | Some m -> Some m
-        | None ->
-            Printf.eprintf
-              "mondet: ignoring MONDET_PAR_MATCHER=%S (expected \
-               slots|bytecode)\n%!" s;
-            None))
-
-let requested_matcher : matcher option ref = ref None
-let set_matcher m = requested_matcher := Some m
-
-let matcher () =
-  match !requested_matcher with
-  | Some m -> m
-  | None -> (
-      match Lazy.force env_matcher with Some m -> m | None -> Bytecode)
 
 (* ------------------------------------------------------------------ *)
 (* A persistent pool of [size - 1] spawned domains plus the caller.  One
@@ -231,10 +197,10 @@ let join_workers w =
   match !err with Some e -> raise e | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Round machinery. *)
+(* The pool scheduler. *)
 
-(* Split [delta] round-robin into at most [k] non-empty chunks.  Tiny
-   deltas are not worth the per-chunk planner overhead. *)
+(* Split [delta] round-robin into [k] chunks of at least two facts each.
+   Tiny deltas are not worth the per-chunk planner overhead. *)
 let split_delta k delta =
   if k <= 1 || Instance.size delta < 2 * k then [| delta |]
   else begin
@@ -246,191 +212,65 @@ let split_delta k delta =
         parts.(j) <- Instance.add f parts.(j);
         incr i)
       delta;
-    Array.of_list
-      (List.filter (fun p -> not (Instance.is_empty p)) (Array.to_list parts))
+    parts
   end
 
-(* Build every relation index a worker could touch, on the coordinating
-   thread, so the parallel phase never writes a shared cache. *)
-let prewarm body_rels insts =
-  List.iter
-    (fun inst ->
-      List.iter (fun r -> ignore (Instance.index_id inst r)) body_rels)
-    insts
+(* The pool scheduler of the {!Dl_semi} round loop.  Per fixpoint: the
+   pool and the body relations to prewarm.  Per round: the delta split
+   into chunks, the units collected into an array and drained off an
+   atomic counter by every worker into a private accumulator, and the
+   accumulators merged at the barrier.  A one-worker pool is the
+   sequential scheduler.  A [Cancelled] raised by a unit's cancel probe
+   goes through the pool's error list and re-raises at the barrier. *)
+let pooled shape rules (m : _ Dl_semi.matcher) =
+  let n = domains () in
+  if n = 1 then Dl_semi.sequential shape rules m
+  else begin
+    let pool = get_pool n in
+    let body_rels =
+      List.sort_uniq Int.compare
+        (List.concat_map (fun r -> (shape r : Dl_plan.crule).crels) rules)
+    in
+    fun (r : Dl_semi.round) ->
+      let chunks = split_delta (2 * n) r.delta in
+      (* build every index a worker could touch here, on the coordinating
+         thread, so the parallel phase never writes a shared cache *)
+      List.iter
+        (fun inst ->
+          List.iter (fun rid -> ignore (Instance.index_id inst rid)) body_rels)
+        (r.full :: r.old :: Array.to_list chunks);
+      let units = ref [] in
+      Dl_semi.iter_units shape rules ~old:r.old ~delta:r.delta chunks
+        (fun rule pos chunk ->
+          units := (rule, pos, chunk) :: !units;
+          true);
+      let units = Array.of_list !units in
+      let next = Atomic.make 0 and accs = Array.make n Instance.empty in
+      run pool (fun w ->
+          let acc = ref Instance.empty in
+          let emit = r.emit_into acc in
+          let rec grab () =
+            let u = Atomic.fetch_and_add next 1 in
+            if u < Array.length units && not (Atomic.get r.stopped) then begin
+              let rule, pos, chunk = units.(u) in
+              m rule pos ~old:r.old ~delta:chunk ~full:r.full emit;
+              grab ()
+            end
+          in
+          grab ();
+          accs.(w) <- !acc);
+      Array.fold_left Instance.union Instance.empty accs
+  end
 
-(* One firing unit: body position [pos] of rule [ri] ([rule] in compiled
-   form) draws candidates from delta chunk [chunk], positions before it
-   from [old], after it from [full].  [pos = -1] fires an empty-body rule
-   (first round only — later rounds cannot re-derive its head).  [ri]
-   indexes the program's rule list, so a bytecode worker can look up the
-   rule's {!Dl_vm.rule_prog} without re-deriving it. *)
-type unit_ = { rule : Dl_eval.crule; ri : int; pos : int; chunk : Instance.t }
+let engine = { Dl_vm.engine with Dl_semi.schedule = pooled }
+let fixpoint ?stop ?cancel p inst = Dl_semi.fixpoint engine ?stop ?cancel p inst
 
-let round_units ~first ~delta chunks rules =
-  let units = ref [] in
-  List.iteri
-    (fun ri (cr : Dl_eval.crule) ->
-      let nb = Array.length cr.cbody in
-      if nb = 0 then begin
-        if first then
-          units := { rule = cr; ri; pos = -1; chunk = Instance.empty } :: !units
-      end
-      else if
-        List.exists (fun r -> Instance.cardinal_id delta r > 0) cr.crels
-      then
-        for j = 0 to nb - 1 do
-          (* positions left of [j] match [old]; in the first round [old]
-             is empty, so only [j = 0] can fire *)
-          if (not (first && j > 0))
-             && Instance.cardinal_id delta cr.cbody.(j).crid > 0
-          then
-            Array.iter
-              (fun chunk ->
-                if Instance.cardinal_id chunk cr.cbody.(j).crid > 0 then
-                  units := { rule = cr; ri; pos = j; chunk } :: !units)
-              chunks
-        done)
-    rules;
-  Array.of_list !units
-
-(* The shared sharded-round core.  [start] selects the entry point:
-   [`Cold inst] runs the classic first-round-naive iteration from
-   scratch; [`Delta (old, delta)] resumes mid-iteration for incremental
-   maintenance ([old] closed under [p]).  Returns the fixpoint and the
-   facts derived beyond the starting state. *)
-let fixpoint_core ?(stop = fun _ -> false) ?(cancel = Dl_cancel.none) p start =
-  Dl_cancel.check cancel;
-  let rules = Dl_eval.compile p in
-  (* bytecode compiled up front on the coordinating thread (warming the
-     mutex-guarded cache, keyed by program fingerprint); [Dl_vm.compile]
-     preserves rule order, so [vms.(u.ri)] is [u.rule]'s program *)
-  let mode = matcher () in
-  let vms =
-    match mode with
-    | Slots -> [||]
-    | Bytecode -> Array.of_list (Dl_vm.compile p)
-  in
-  let body_rels =
-    List.sort_uniq Int.compare
-      (List.concat_map (fun (cr : Dl_eval.crule) -> cr.crels) rules)
-  in
-  let pool = get_pool (domains ()) in
-  let nworkers = pool.size in
-  let accs = Array.make nworkers Instance.empty in
-  let found = Atomic.make false in
-  (* one sharded semi-naive round: fire all units, merge the private
-     accumulators at the barrier into this round's fresh facts *)
-  let fire_round ~old ~full units =
-    Array.fill accs 0 nworkers Instance.empty;
-    let next = Atomic.make 0 in
-    let nunits = Array.length units in
-    run pool (fun w ->
-        let acc = ref Instance.empty in
-        let derive_fact f =
-          if Atomic.get found then false
-          else begin
-            if not (Instance.mem f full) && not (Instance.mem f !acc) then begin
-              acc := Instance.add f !acc;
-              if stop f then Atomic.set found true
-            end;
-            not (Atomic.get found)
-          end
-        in
-        let derive cr env = derive_fact (Dl_eval.chead_fact cr env) in
-        let rec grab () =
-          let u = Atomic.fetch_and_add next 1 in
-          if u < nunits && not (Atomic.get found) then begin
-            let { rule = cr; ri; pos; chunk } = units.(u) in
-            (match mode with
-            | Bytecode ->
-                (* a raised Cancelled propagates through the pool's error
-                   list and re-raises at the barrier *)
-                let rp = vms.(ri) in
-                if pos = -1 then
-                  Dl_vm.exec rp.Dl_vm.naive ~full ~cancel derive_fact
-                else
-                  Dl_vm.exec rp.Dl_vm.semi.(pos) ~full ~old ~delta:chunk
-                    ~cancel derive_fact
-            | Slots ->
-                let nb = Array.length cr.cbody in
-                if nb = 0 then ignore (derive cr [||])
-                else begin
-                  let sources = Array.make nb full in
-                  for i = 0 to pos - 1 do
-                    sources.(i) <- old
-                  done;
-                  sources.(pos) <- chunk;
-                  Dl_eval.run_compiled cr sources (derive cr)
-                end);
-            grab ()
-          end
-        in
-        grab ();
-        accs.(w) <- !acc);
-    let fresh = ref Instance.empty in
-    Array.iter (fun a -> fresh := Instance.union !fresh a) accs;
-    !fresh
-  in
-  (* [full = old ∪ delta]; the first round treats the whole input as the
-     delta over an empty [old], which fires every rule naively (only
-     position 0 can match) — each derivation exactly once. *)
-  (* the cancellation probe sits at the round boundary, where the pool is
-     parked: an abort raises on the coordinating thread only and leaves
-     every worker idle and every shared cache complete *)
-  let rec loop ~first old delta acc =
-    Dl_cancel.check cancel;
-    let full = Instance.union old delta in
-    if Instance.is_empty delta || Atomic.get found then (full, acc)
-    else begin
-      let chunks = split_delta (2 * nworkers) delta in
-      prewarm body_rels (full :: old :: Array.to_list chunks);
-      let units = round_units ~first ~delta chunks rules in
-      let fresh = fire_round ~old ~full units in
-      loop ~first:false full fresh (Instance.union acc fresh)
-    end
-  in
-  match start with
-  | `Cold inst -> loop ~first:true Instance.empty inst Instance.empty
-  | `Delta (old, delta) ->
-      loop ~first:false (Instance.diff old delta) delta Instance.empty
-
-let fixpoint_gen ?stop ?cancel p inst =
-  fst (fixpoint_core ?stop ?cancel p (`Cold inst))
-
-let fixpoint ?stop ?cancel p inst =
-  if domains () = 1 then
-    match stop with
-    | None -> Dl_eval.fixpoint ?cancel p inst
-    | Some _ ->
-        (* Dl_eval does not export its ?stop; the sharded path with a
-           1-sized pool degenerates to sequential evaluation anyway *)
-        fixpoint_gen ?stop ?cancel p inst
-  else fixpoint_gen ?stop ?cancel p inst
-
-(* Delta-start entry, same contract as {!Dl_eval.fixpoint_delta}; the
-   delta rounds shard exactly like the cold iteration's.  With one
-   effective domain the sequential engine is strictly better (no
-   chunking, no barrier), so delegate outright. *)
 let fixpoint_delta ?cancel p ~old ~delta =
-  if domains () = 1 then Dl_eval.fixpoint_delta ?cancel p ~old ~delta
-  else fixpoint_core ?cancel p (`Delta (old, delta))
+  Dl_semi.fixpoint_delta engine ?cancel p ~old ~delta
 
-let eval ?cancel (q : Datalog.query) inst =
-  Instance.tuples (fixpoint ?cancel q.program inst) q.goal
-
-let tuple_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Const.equal a b
-
-let holds ?cancel (q : Datalog.query) inst tup =
-  let want (f : Fact.t) =
-    String.equal f.rel q.goal && tuple_equal f.args tup
-  in
-  let fp = fixpoint ~stop:want ?cancel q.program inst in
-  List.exists (tuple_equal tup) (Instance.tuples fp q.goal)
-
-let holds_boolean ?cancel (q : Datalog.query) inst =
-  let stop (f : Fact.t) = String.equal f.rel q.goal in
-  Instance.cardinal (fixpoint ~stop ?cancel q.program inst) q.goal > 0
+let eval ?cancel q inst = Dl_semi.eval engine ?cancel q inst
+let holds ?cancel q inst tup = Dl_semi.holds engine ?cancel q inst tup
+let holds_boolean ?cancel q inst = Dl_semi.holds_boolean engine ?cancel q inst
 
 (* ------------------------------------------------------------------ *)
 (* Generic batch dispatch over the same pool, for callers with

@@ -1,29 +1,31 @@
 (** Work-sharded semi-naive evaluation over OCaml 5 domains.
 
     Same semantics as {!Dl_eval} — least fixpoint, early-stopping goal
-    checks — but each semi-naive round's firing set is partitioned across
-    a persistent pool of [Domain.t] workers.  The unit of work is a
-    (rule × delta-position × delta-chunk) triple: the round's delta is
-    split round-robin into chunks, and each worker matches its units with
-    the slot-compiled matcher of {!Dl_eval} into a private accumulator
-    instance.  Workers only read the shared round instances (their
-    indexes are pre-built before dispatch), so matching is race-free; the
-    single synchronization point is the round barrier, where the private
-    accumulators are merged single-threaded with the warm
-    {!Instance.union} (which extends cached indexes instead of rebuilding
-    them).
+    checks — from the same {!Dl_semi} round loop and the bytecode
+    matcher of {!Dl_vm}, with each round's units shared across a
+    persistent pool of [Domain.t] workers.  A unit is a (rule ×
+    delta-position × delta-chunk) triple: the round's delta is split
+    round-robin into chunks, and each worker runs its units' bytecode
+    into a private accumulator instance.  Workers only read the shared
+    round instances (their indexes are pre-built before dispatch), so
+    matching is race-free; the single synchronization point is the
+    round barrier, where the private accumulators are merged
+    single-threaded with the warm {!Instance.union} (which extends
+    cached indexes instead of rebuilding them).  The VM's in-loop
+    cancellation probes are live inside workers: a deadline can
+    interrupt a unit mid-enumeration, raising at the barrier.
 
     The result is deterministic: every round derives exactly the facts
     the sequential engine would, whatever the domain count or schedule,
     because chunks partition the delta and the merged union is a set.
     Early-stopping checks ({!holds}, {!holds_boolean}) communicate
-    through an atomic flag — a worker that derives the goal sets it,
-    everyone drains at the next check, and the barrier returns what was
-    derived so far — so the Boolean verdict is deterministic even though
-    the stopped instance need not be.
+    through the round's atomic stop flag — a worker that derives the
+    goal sets it, everyone drains at the next emit, and the barrier
+    returns what was derived so far — so the Boolean verdict is
+    deterministic even though the stopped instance need not be.
 
-    With an effective domain count of 1 everything delegates straight to
-    {!Dl_eval}: no pool, no chunking, no overhead.
+    With an effective domain count of 1 the rounds run on the sequential
+    scheduler: no pool, no chunking — this is then exactly {!Dl_vm}.
 
     Thread-safety contract: call this module (and anything routed to it
     through {!Dl_engine}) from one coordinating thread only.  The worker
@@ -40,29 +42,6 @@ val set_domains : int -> unit
 
 val domains : unit -> int
 (** The effective worker count the next evaluation will use. *)
-
-type matcher = Slots | Bytecode
-(** Which per-rule matcher the workers run on their units: [Slots] is the
-    interpreted slot matcher ({!Dl_eval.run_compiled}, dynamic
-    most-constrained-first ordering per firing), [Bytecode] executes the
-    rule's static plan lowered to register bytecode ({!Dl_vm.exec}).
-    Both enumerate exactly the same matches per unit, so the fixpoint —
-    and the determinism argument — are unchanged; only per-unit matching
-    cost differs.  Under [Bytecode] the compilation happens once on the
-    coordinating thread (the cache is mutex-guarded either way), and the
-    VM's in-loop cancellation probes are live inside workers: a deadline
-    can interrupt a unit mid-enumeration, raising at the round barrier. *)
-
-val set_matcher : matcher -> unit
-(** Select the worker matcher.  Overrides the [MONDET_PAR_MATCHER]
-    environment variable ([slots] | [bytecode]); the default is
-    [Bytecode] — the VM wins on the wide rounds this engine exists for
-    (see the [engine/vm-*] and E19 rows), and its in-loop cancel probes
-    keep deadlines live inside workers.  [MONDET_PAR_MATCHER=slots]
-    restores the interpreted matcher. *)
-
-val matcher : unit -> matcher
-(** The matcher the next evaluation will use. *)
 
 val shutdown : unit -> unit
 (** Join the worker pool (a no-op if none is live).  Idle domains are
@@ -93,9 +72,7 @@ val fixpoint_delta :
   delta:Instance.t ->
   Instance.t * Instance.t
 (** Delta-start semi-naive rounds with the same sharding as {!fixpoint};
-    contract as {!Dl_eval.fixpoint_delta}.  With one effective domain it
-    delegates to the sequential engine outright (no chunking, no
-    barrier). *)
+    contract as {!Dl_eval.fixpoint_delta}. *)
 
 val eval : ?cancel:Dl_cancel.t -> Datalog.query -> Instance.t -> Const.t array list
 (** All goal tuples, via the full parallel fixpoint. *)

@@ -400,100 +400,28 @@ let exec (prog : program) ~full ?(old = Instance.empty)
   done
 
 (* ------------------------------------------------------------------ *)
-(* Semi-naive fixpoint over bytecode — the same round structure as
-   Dl_eval.fixpoint_gen, with every firing dispatched through exec. *)
+(* The bytecode matcher: a {!Dl_semi} unit runs its rule's delta-position
+   program, with the unit's chunk as the delta. *)
 
-exception Stopped of Instance.t
+let engine =
+  {
+    Dl_semi.prepare =
+      (fun cancel p ->
+        ( compile p,
+          fun rp pos ~old ~delta ~full emit ->
+            exec rp.semi.(pos) ~full ~old ~delta ~cancel emit ));
+    shape = (fun rp -> rp.source);
+    schedule = Dl_semi.sequential;
+  }
 
-(* One semi-naive round: dispatch every applicable delta variant through
-   [exec].  [derive] dedups against [full] and accumulates into the
-   [fresh] ref it is given. *)
-let fire_semi_round rules ~cancel derive ~old ~delta full =
-  let fresh = ref Instance.empty in
-  List.iter
-    (fun rp ->
-      if
-        List.exists
-          (fun r -> Instance.cardinal_id delta r > 0)
-          rp.source.Dl_plan.crels
-      then
-        Array.iteri
-          (fun j prog ->
-            if Instance.cardinal_id delta rp.source.Dl_plan.cbody.(j).crid > 0
-            then exec prog ~full ~old ~delta ~cancel (derive full fresh))
-          rp.semi)
-    rules;
-  !fresh
+let fixpoint ?cancel p inst = Dl_semi.fixpoint engine ?cancel p inst
 
-let fixpoint_gen ?(stop = fun _ -> false) ?(cancel = Dl_cancel.none) p inst =
-  Dl_cancel.check cancel;
-  let rules = compile p in
-  let derive full fresh f =
-    if not (Instance.mem f full) then begin
-      fresh := Instance.add f !fresh;
-      if stop f then raise_notrace (Stopped (Instance.union full !fresh))
-    end;
-    true
-  in
-  let fire_naive full =
-    let fresh = ref Instance.empty in
-    List.iter
-      (fun rp -> exec rp.naive ~full ~cancel (derive full fresh))
-      rules;
-    !fresh
-  in
-  let fire_semi ~old ~delta full =
-    fire_semi_round rules ~cancel derive ~old ~delta full
-  in
-  (* [old] is the previous round's [full], so [full = old ∪ delta]; the
-     round-boundary probe is kept in addition to the in-loop cancel-probe
-     opcode, so empty rounds still observe the token *)
-  let rec loop old delta =
-    Dl_cancel.check cancel;
-    let full = Instance.union old delta in
-    if Instance.is_empty delta then full
-    else loop full (fire_semi ~old ~delta full)
-  in
-  try loop inst (fire_naive inst) with Stopped i -> i
+let fixpoint_delta ?cancel p ~old ~delta =
+  Dl_semi.fixpoint_delta engine ?cancel p ~old ~delta
 
-let fixpoint ?cancel p inst = fixpoint_gen ?cancel p inst
-
-(* Delta-start entry, same contract as {!Dl_eval.fixpoint_delta} but with
-   every firing dispatched through the bytecode matcher (so deadline
-   probes also run mid-round, via the cancel-probe opcode). *)
-let fixpoint_delta ?(cancel = Dl_cancel.none) p ~old ~delta =
-  Dl_cancel.check cancel;
-  let rules = compile p in
-  let derive full fresh f =
-    if not (Instance.mem f full) then fresh := Instance.add f !fresh;
-    true
-  in
-  let rec loop old delta acc =
-    Dl_cancel.check cancel;
-    let full = Instance.union old delta in
-    if Instance.is_empty delta then (full, acc)
-    else
-      let fresh = fire_semi_round rules ~cancel derive ~old ~delta full in
-      loop full fresh (Instance.union acc fresh)
-  in
-  loop (Instance.diff old delta) delta Instance.empty
-
-let eval ?cancel (q : Datalog.query) inst =
-  Instance.tuples (fixpoint ?cancel q.program inst) q.goal
-
-let tuple_equal a b =
-  Array.length a = Array.length b && Array.for_all2 Const.equal a b
-
-let holds ?cancel (q : Datalog.query) inst tup =
-  let want (f : Fact.t) =
-    String.equal f.rel q.goal && tuple_equal f.args tup
-  in
-  let fp = fixpoint_gen ~stop:want ?cancel q.program inst in
-  List.exists (tuple_equal tup) (Instance.tuples fp q.goal)
-
-let holds_boolean ?cancel (q : Datalog.query) inst =
-  let stop (f : Fact.t) = String.equal f.rel q.goal in
-  Instance.cardinal (fixpoint_gen ~stop ?cancel q.program inst) q.goal > 0
+let eval ?cancel q inst = Dl_semi.eval engine ?cancel q inst
+let holds ?cancel q inst tup = Dl_semi.holds engine ?cancel q inst tup
+let holds_boolean ?cancel q inst = Dl_semi.holds_boolean engine ?cancel q inst
 
 (* ------------------------------------------------------------------ *)
 (* Disassembly.  Prints relation and constant *names* (never raw intern

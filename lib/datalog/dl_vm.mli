@@ -13,8 +13,10 @@
     Each rule is compiled once into a naive variant (all atoms read the
     full instance) and one semi-naive variant per body position (that
     atom reads the delta, atoms left of it the old facts, the rest the
-    full instance), so {!fixpoint}'s round structure is identical to
-    {!Dl_eval.fixpoint}'s — only the per-rule matcher differs.
+    full instance).  The variants are the units of the {!Dl_semi} round
+    loop, which {!fixpoint} shares with {!Dl_eval.fixpoint} — only the
+    per-rule matcher differs.  The first round runs too on the
+    delta-position variants, with the whole input as the delta.
 
     {2 Thread safety}
 
@@ -71,6 +73,10 @@ val exec :
     semi-naive variants (default empty).  Raises {!Dl_cancel.Cancelled}
     if [cancel] fires, and [Invalid_argument] on an arity mismatch
     between a stored fact and its atom. *)
+
+val engine : rule_prog Dl_semi.engine
+(** The bytecode matcher, which runs a unit as its rule's [semi.(pos)],
+    under the sequential scheduler ({!Dl_parallel} swaps in the pool). *)
 
 val fixpoint :
   ?cancel:Dl_cancel.t -> Datalog.program -> Instance.t -> Instance.t

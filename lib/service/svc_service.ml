@@ -70,15 +70,46 @@ let session_or_create t n =
           Hashtbl.add t.sessions n s;
           s)
 
-(* The request's session: the loads create it, every other verb requires
-   it.  [None] for [stats], the one verb without a session. *)
+(* A load's payload, parsed into the write it makes to its session; [None]
+   for the other verbs. *)
+let parse_load = function
+  | Load { kind = Kprogram goal; name; text } ->
+      let q = Parse.query ~goal text in
+      Some
+        (fun s ->
+          Svc_session.set_program s name q;
+          "loaded program " ^ name)
+  | Load { kind = Kviews; name; text } ->
+      let vs = Parse.views text in
+      Some
+        (fun s ->
+          Svc_session.set_views s name vs;
+          "loaded views " ^ name)
+  | Load { kind = Kinstance; name; text } ->
+      let i = Parse.instance text in
+      Some
+        (fun s ->
+          Svc_session.set_instance s name i;
+          "loaded instance " ^ name)
+  | Rpq_load { name; text } ->
+      let defs = Rpq.parse_defs text in
+      Some
+        (fun s ->
+          Svc_session.set_rpqs s name defs;
+          Printf.sprintf "loaded rpq %s defs=%d" name (List.length defs))
+  | _ -> None
+
+(* The request's session and, for a load, its parsed write.  The loads
+   create their session, only once the payload has parsed, so a failed
+   load leaves none behind; every other verb requires it.  No session for
+   [stats], the one verb without one. *)
 let resolve t req =
-  Option.map
-    (fun n ->
-      match req.verb with
-      | Load _ | Rpq_load _ -> session_or_create t n
-      | _ -> session t n)
-    req.session
+  match req.session with
+  | None -> (None, None)
+  | Some n -> (
+      match parse_load req.verb with
+      | Some load -> (Some (session_or_create t n), Some load)
+      | None -> (Some (session t n), None))
 
 (* ------------------------------------------------------------------ *)
 (* Cache keys: the verb joined with the resolved objects' structural
@@ -473,23 +504,6 @@ let plan ~use_mats s ~cancel req : plan =
   | Load _ | Rpq_load _ | Assert _ | Retract _ | Stats ->
       assert false (* run in place by [step] *)
 
-let do_load s kind name text =
-  match kind with
-  | Kprogram goal ->
-      Svc_session.set_program s name (Parse.query ~goal text);
-      "loaded program " ^ name
-  | Kviews ->
-      Svc_session.set_views s name (Parse.views text);
-      "loaded views " ^ name
-  | Kinstance ->
-      Svc_session.set_instance s name (Parse.instance text);
-      "loaded instance " ^ name
-
-let do_rpq_load s name text =
-  let defs = Rpq.parse_defs text in
-  Svc_session.set_rpqs s name defs;
-  Printf.sprintf "loaded rpq %s defs=%d" name (List.length defs)
-
 (* ------------------------------------------------------------------ *)
 (* The steps every path shares, up to the cache probe. *)
 
@@ -500,12 +514,11 @@ type step = Answer of string | Miss of plan
    cached (every execution changes state) and require an existing
    session.  [use_mats] is off on the batch path, whose pool workers
    must not touch session state. *)
-let step ~use_mats t ~cancel s req =
+let step ~use_mats t ~cancel (s, load) req =
   match (req.verb, s) with
   | Stats, _ -> Answer (stats_body t)
   | _, None -> reject "missing session"
-  | Load { kind; name; text }, Some s -> Answer (do_load s kind name text)
-  | Rpq_load { name; text }, Some s -> Answer (do_rpq_load s name text)
+  | (Load _ | Rpq_load _), Some s -> Answer ((Option.get load) s)
   | Assert { instance; text }, Some s ->
       Answer (do_mutate s ~cancel ~asserted:true instance text)
   | Retract { instance; text }, Some s ->
@@ -570,9 +583,9 @@ let dispatch regime t req : response =
   let cancel = cancel_of req in
   let result =
     exec ~cancel (fun () ->
-        let s = resolve t req in
+        let ((s, _) as resolved) = resolve t req in
         let run () =
-          match step ~use_mats:true t ~cancel s req with
+          match step ~use_mats:true t ~cancel resolved req with
           | Answer v -> v
           | Miss p ->
               let v = compute regime t p in

@@ -21,7 +21,12 @@
 #      session lock and the heavy-verb mutex, and the Unix-socket server
 #      runs on the concurrent worker loop — neither ARCHITECTURE.md nor
 #      svc_server.mli may call it a single-threaded or batch loop, and
-#      Svc_server must not grow a socket server of its own again.
+#      Svc_server must not grow a socket server of its own again;
+#   9. one semi-naive round loop: Dl_parallel has no worker-matcher option
+#      (MONDET_PAR_MATCHER / set_matcher appear in no source, test or
+#      doc), and the round step `Instance.union old delta` is written in
+#      exactly one lib/datalog file besides dl_engine.ml, whose Naive arm
+#      recomputes from that union.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -133,6 +138,16 @@ done
 if grep -q '^val serve_socket' "$server_mli"; then
   err "$server_mli declares a second socket loop; Unix sockets are served by Svc_tcp.serve"
 fi
+
+# 9. the semi-naive round loop.  CHANGES.md is history and keeps the names.
+if grep -rlE 'MONDET_PAR_MATCHER|set_matcher' lib bin test docs \
+  README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md ROADMAP.md; then
+  err "the files above name the removed Dl_parallel matcher option"
+fi
+loops=$(grep -l 'Instance\.union old delta' lib/datalog/*.ml |
+  grep -v '/dl_engine\.ml$' || true)
+[ "$(echo "$loops" | grep -c .)" -eq 1 ] ||
+  err "the semi-naive round loop must be written in exactly one lib/datalog file, found: $(echo $loops)"
 
 if [ "$fail" -eq 0 ]; then
   echo "check_docs: ok ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$flags" | wc -w | tr -d ' ') flags, $(echo "$subs" | wc -w | tr -d ' ') subcommands)"

@@ -143,6 +143,35 @@ let prop_parallel_deterministic =
       Dl_parallel.set_domains 1;
       Instance.equal f2 f4 && Instance.equal f2 (Dl_eval.fixpoint p i))
 
+(* The delta-start entry under every semi-naive engine: resume from the
+   naive fixpoint with a random delta (IDB facts included, as the
+   maintenance layer's seeds are); [(full, derived)] must equal Naive's,
+   which recomputes from the union. *)
+let prop_fixpoint_delta_differential =
+  let delta_arb =
+    QCheck.make ~print:(Fmt.str "%a" Instance.pp) Test_datalog.dg_instance
+  in
+  QCheck.Test.make ~name:"fixpoint_delta = naive under every engine"
+    ~count:120
+    (QCheck.pair Test_datalog.dg_pair_arb delta_arb)
+    (fun ((p, i), delta) ->
+      let old = Dl_eval.fixpoint_naive p i in
+      let run s = Dl_engine.fixpoint_delta ~strategy:s p ~old ~delta in
+      let want_full, want_derived = run Dl_engine.Naive in
+      let agree (full, derived) =
+        Instance.equal full want_full && Instance.equal derived want_derived
+      in
+      let parallel d =
+        Dl_parallel.set_domains d;
+        Fun.protect
+          ~finally:(fun () -> Dl_parallel.set_domains 1)
+          (fun () -> run Dl_engine.Parallel)
+      in
+      agree (run Dl_engine.Indexed)
+      && agree (run Dl_engine.Vm)
+      && agree (parallel 1)
+      && agree (parallel 3))
+
 let suite =
   [
     Alcotest.test_case "domain-count config" `Quick test_config;
@@ -158,6 +187,7 @@ let suite =
         prop_parallel_boolean_differential;
         prop_parallel_holds_differential;
         prop_parallel_deterministic;
+        prop_fixpoint_delta_differential;
       ]
   @ [
       (* runs last: join the pool so the remaining suites don't pay

@@ -897,19 +897,28 @@ let qcheck_rpq_keys =
         (Rpq.parse b) hit)
 
 (* ------------------------------------------------------------------ *)
+(* The line-level entry points, each answering one line. *)
+let line_entries =
+  [
+    ("handle_line", Svc_service.handle_line);
+    ("handle_line_concurrent", Svc_service.handle_line_concurrent);
+    ( "handle_lines",
+      fun svc line -> List.hd (Svc_service.handle_lines svc [ line ]) );
+  ]
+
+let check_no_session entry svc handle =
+  check_int (entry ^ ": no session created") 0 (Svc_service.sessions svc);
+  match (handle svc "st stats").Svc_proto.result with
+  | Svc_proto.Ok_ b ->
+      check_bool (entry ^ ": stats shows sessions=0") true
+        (List.mem "sessions=0" (String.split_on_char ' ' b))
+  | _ -> Alcotest.fail "stats failed"
+
 (* Deadline first, on every entry point: [deadline=0] answers [timeout]
    before the session is resolved (so an unknown session is not an
    error) or created (so a timed-out load leaves none behind). *)
 
 let test_deadline_first () =
-  let entries =
-    [
-      ("handle_line", Svc_service.handle_line);
-      ("handle_line_concurrent", Svc_service.handle_line_concurrent);
-      ( "handle_lines",
-        fun svc line -> List.hd (Svc_service.handle_lines svc [ line ]) );
-    ]
-  in
   List.iter
     (fun (entry, handle) ->
       let svc = Svc_service.create ~parallel:false () in
@@ -925,13 +934,31 @@ let test_deadline_first () =
           "q load s1 program tc goal T deadline=0 : " ^ tc_text;
           "q rpq-load s2 r deadline=0 : r = a* ;";
         ];
-      check_int (entry ^ ": no session created") 0 (Svc_service.sessions svc);
-      match (handle svc "st stats").Svc_proto.result with
-      | Svc_proto.Ok_ b ->
-          check_bool (entry ^ ": stats shows sessions=0") true
-            (List.mem "sessions=0" (String.split_on_char ' ' b))
-      | _ -> Alcotest.fail "stats failed")
-    entries
+      check_no_session entry svc handle)
+    line_entries
+
+(* A load whose payload does not parse answers [error] and, like a
+   timed-out one, leaves no session behind: the payload is parsed before
+   the session is created. *)
+let test_failed_load_no_session () =
+  List.iter
+    (fun (entry, handle) ->
+      let svc = Svc_service.create ~parallel:false () in
+      List.iter
+        (fun (line, prefix) ->
+          let out = Svc_proto.print_response (handle svc line) in
+          check_bool
+            (Printf.sprintf "%s: %s answers %S, got %S" entry line prefix out)
+            true
+            (String.starts_with ~prefix out))
+        [
+          ("1 load s9 instance i : E(a,", "1 error parse error");
+          ("2 load s9 program tc goal T : T(x,y) <- ", "2 error parse error");
+          ("3 load s9 views v : V(x) <- ", "3 error parse error");
+          ("4 rpq-load s9 r : r = (a", "4 error rpq parse error");
+        ];
+      check_no_session entry svc handle)
+    line_entries
 
 (* malformed lines keep their position in handle_lines output *)
 let test_handle_lines_order () =
@@ -976,6 +1003,8 @@ let suite =
       test_mutation_deadline_race;
     Alcotest.test_case "deadline first on every entry point" `Quick
       test_deadline_first;
+    Alcotest.test_case "failed load creates no session" `Quick
+      test_failed_load_no_session;
     Alcotest.test_case "mixed workload (2 sessions, pool)" `Slow
       test_mixed_workload;
     Alcotest.test_case "key modes agree (fingerprint vs printed)" `Slow

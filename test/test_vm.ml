@@ -43,6 +43,22 @@ let test_rule_shapes () =
   let p0 = [ Datalog.rule (Cq.atom "G" []) [] ] in
   check_bool "empty body derives" true
     (Dl_vm.holds_boolean (Datalog.make p0 "G") Instance.empty);
+  (* ... under every strategy, the sharded one included: its first round
+     is not skipped for an empty input *)
+  Dl_parallel.set_domains 3;
+  Fun.protect
+    ~finally:(fun () -> Dl_parallel.set_domains 1)
+    (fun () ->
+      List.iter
+        (fun s ->
+          check_bool
+            ("empty body derives under " ^ Dl_engine.to_string s)
+            true
+            (Instance.cardinal
+               (Dl_engine.fixpoint ~strategy:s p0 Instance.empty)
+               "G"
+            = 1))
+        Dl_engine.all);
   (* constants in the body: check-const and constant-keyed probes *)
   let qc = Parse.query ~goal:"P" "P(x) <- E(x,'a2')." in
   let i = chain 5 in
@@ -90,9 +106,7 @@ let test_engine_facade () =
           (Dl_engine.Magic, Dl_engine.Vm);
           (Dl_engine.Vm, Dl_engine.Vm);
           (Dl_engine.Naive, Dl_engine.Naive);
-        ]);
-  check_bool "bytecode is the pool matcher default" true
-    (Dl_parallel.matcher () = Dl_parallel.Bytecode)
+        ])
 
 (* --- golden disassemblies ------------------------------------------- *)
 (* One grid-shaped and one diamond-shaped rule, pinning the plan (atom
@@ -310,17 +324,14 @@ let prop_vm_holds_differential =
             tuples)
         Test_datalog.dg_idbs)
 
-(* both pool matchers against the naive oracle: bytecode is the default
-   (workers run Dl_vm programs over their units), slots is the
-   interpreted fallback kept selectable via MONDET_PAR_MATCHER *)
-let prop_parallel_matcher m name =
-  QCheck.Test.make ~name ~count:120 Test_datalog.dg_pair_arb (fun (p, i) ->
+(* the pool scheduler against the naive oracle: workers run the Dl_vm
+   delta-position programs of their units *)
+let prop_parallel_bytecode_differential =
+  QCheck.Test.make ~name:"parallel bytecode matcher = naive" ~count:120
+    Test_datalog.dg_pair_arb (fun (p, i) ->
       Dl_parallel.set_domains 3;
-      Dl_parallel.set_matcher m;
       Fun.protect
-        ~finally:(fun () ->
-          Dl_parallel.set_matcher Dl_parallel.Bytecode;
-          Dl_parallel.set_domains 1)
+        ~finally:(fun () -> Dl_parallel.set_domains 1)
         (fun () ->
           List.for_all
             (fun (goal, _) ->
@@ -328,12 +339,6 @@ let prop_parallel_matcher m name =
               norm (Dl_engine.eval ~strategy:Dl_engine.Parallel q i)
               = norm (Dl_engine.eval ~strategy:Dl_engine.Naive q i))
             Test_datalog.dg_idbs))
-
-let prop_parallel_bytecode_differential =
-  prop_parallel_matcher Dl_parallel.Bytecode "parallel bytecode matcher = naive"
-
-let prop_parallel_slots_differential =
-  prop_parallel_matcher Dl_parallel.Slots "parallel slots matcher = naive"
 
 let suite =
   [
@@ -353,7 +358,6 @@ let suite =
         prop_vm_boolean_differential;
         prop_vm_holds_differential;
         prop_parallel_bytecode_differential;
-        prop_parallel_slots_differential;
       ]
   @ [
       Alcotest.test_case "pool shutdown" `Quick (fun () ->
