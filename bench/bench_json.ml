@@ -447,11 +447,10 @@ let rpq_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bytecode-VM probes on the recursive workloads the parallel block
-   also times, paired with the indexed engine run in the same process:
-   the engine/vm-*-vm vs engine/vm-*-indexed deltas are the headline
-   numbers for the static-plan lowering (single-threaded, so they are
-   comparable across container shapes, unlike the par-* rows).         *)
+(* Bytecode-VM probes on recursive workloads, paired with the indexed
+   engine run in the same process: the engine/vm-*-vm vs
+   engine/vm-*-indexed deltas are the headline numbers for the
+   static-plan lowering.                                                *)
 
 let vm_tests =
   let strategies = [ ("indexed", Dl_engine.Indexed); ("vm", Dl_engine.Vm) ] in
@@ -486,62 +485,6 @@ let vm_tests =
         "S(x,y) <- E(p,x), E(p,y). S(x,y) <- E(p,x), S(p,q), E(q,y)."
     in
     per_strategy "sg-192" (fun s () -> ignore (Dl_engine.eval ~strategy:s q g))
-  in
-  Test.make_grouped ~name:"engine" (join @ tc @ sg)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-engine probes: wide workloads (one fat join round, a long
-   semi-naive run, a full grid-query fixpoint) under the indexed engine
-   and the domain-sharded engine at several pool sizes.  The sequential
-   vs parallel trajectory lives in the engine/par-* rows; note the
-   committed numbers come from a single-core container (see E15 in
-   EXPERIMENTS.md), where the d>1 rows measure sharding + barrier
-   overhead rather than speedup.                                       *)
-
-let par_tests =
-  let variants =
-    [
-      ("indexed", fun () -> Dl_engine.Indexed);
-      ("par-d1",
-       fun () -> Dl_parallel.set_domains 1; Dl_engine.Parallel);
-      ("par-d4",
-       fun () -> Dl_parallel.set_domains 4; Dl_engine.Parallel);
-    ]
-  in
-  let per_variant name mk =
-    List.map
-      (fun (vname, set) ->
-        Test.make
-          ~name:(Printf.sprintf "par-%s-%s" name vname)
-          (Staged.stage (fun () -> mk (set ()))))
-      variants
-  in
-  let join =
-    (* one wide round: a three-way join over 614 edges, no recursion —
-       the whole firing set is chunked and the barrier is paid once *)
-    let g = chain_graph 512 in
-    let q = Parse.query ~goal:"Q" "Q(x,w) <- E(x,y), E(y,z), E(z,w)." in
-    per_variant "join3-512" (fun s -> ignore (Dl_engine.eval ~strategy:s q g))
-  in
-  let tc =
-    (* many narrow-to-medium rounds: transitive closure of a 128-chain,
-       ~8k derived facts, the barrier is paid every round *)
-    let g = chain_graph 128 in
-    let q =
-      Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)."
-    in
-    per_variant "tc-128" (fun s -> ignore (Dl_engine.eval ~strategy:s q g))
-  in
-  let sg =
-    (* same-generation: wide rounds with a fat three-way join each — the
-       per-round work dwarfs the barrier, the parallel engine's best
-       recursive case *)
-    let g = chain_graph 192 in
-    let q =
-      Parse.query ~goal:"S"
-        "S(x,y) <- E(p,x), E(p,y). S(x,y) <- E(p,x), S(p,q), E(q,y)."
-    in
-    per_variant "sg-192" (fun s -> ignore (Dl_engine.eval ~strategy:s q g))
   in
   Test.make_grouped ~name:"engine" (join @ tc @ sg)
 
@@ -595,10 +538,8 @@ let json_escape s =
 
 let json ?(path = "BENCH_eval.json") () =
   Format.printf "@.### Bechamel benchmarks -> %s ###@." path;
-  (* explicit sequencing: the parallel block must run LAST — once its
-     pool has spawned, every remaining single-threaded benchmark would
-     pay multi-domain GC synchronization (OCaml evaluates [@] operands
-     right-to-left, so a bare [a @ run par_tests] runs the pool first) *)
+  (* explicit sequencing: OCaml evaluates [@] operands right-to-left, so
+     the blocks would otherwise run in reverse order *)
   let base_rows = run micro_tests in
   let scale_rows = run scale_tests in
   let engine_rows = run engine_tests in
@@ -606,12 +547,9 @@ let json ?(path = "BENCH_eval.json") () =
   let incr_rows = run incr_tests in
   let rpq_rows = run rpq_tests in
   let vm_rows = run vm_tests in
-  let par_rows = run par_tests in
-  Dl_parallel.set_domains 1;
-  Dl_parallel.shutdown ();
   let rows =
     base_rows @ scale_rows @ engine_rows @ service_rows @ incr_rows
-    @ rpq_rows @ vm_rows @ par_rows
+    @ rpq_rows @ vm_rows
   in
   print_rows rows;
   let oc = open_out path in

@@ -318,89 +318,6 @@ let e14 () =
   let agree l = List.for_all (fun x -> x = List.hd l) l in
   pf "  verdicts agree across engines: %b@." (agree verdicts6 && agree verdicts9)
 
-(* E15 — ablation: the domain-sharded parallel fixpoint.
-
-   Methodology: two full-fixpoint workloads whose rounds are wide enough
-   to shard — same-generation on a 256-node graph (each round a fat
-   three-way join) and a three-way join over a 614-edge graph (one fat
-   round, the barrier paid exactly once) — each evaluated under the
-   indexed engine and under the parallel engine across a sweep of domain
-   counts.  The barrier cost is measured separately by timing a
-   two-round fixpoint whose rounds derive almost nothing (a single-edge
-   transitive closure): the parallel-vs-indexed difference divided by the
-   round count is the per-round dispatch + merge overhead.  Answers are
-   asserted equal across all engines and domain counts. *)
-let e15 () =
-  pf "@.### E15 — ablation: parallel fixpoint across domain counts ###@.";
-  let node i = Const.named (Printf.sprintf "n%d" i) in
-  let graph n =
-    Instance.of_list
-      (List.init n (fun i -> Fact.make "E" [ node i; node (i + 1) ])
-      @ (List.init (max 0 (n - 5)) (fun i -> i)
-        |> List.filter (fun i -> i mod 5 = 0)
-        |> List.map (fun i -> Fact.make "E" [ node i; node (i + 5) ])))
-  in
-  let workloads =
-    [
-      ("same-gen on 256 nodes",
-       let q =
-         Parse.query ~goal:"S"
-           "S(x,y) <- E(p,x), E(p,y). S(x,y) <- E(p,x), S(p,q), E(q,y)."
-       in
-       let g = graph 256 in
-       fun s -> List.length (Dl_engine.eval ~strategy:s q g));
-      ("join3 over 614 edges",
-       let q = Parse.query ~goal:"Q" "Q(x,w) <- E(x,y), E(y,z), E(z,w)." in
-       let g = graph 512 in
-       fun s -> List.length (Dl_engine.eval ~strategy:s q g));
-    ]
-  in
-  let sweep = [ 1; 2; 4; 8 ] in
-  pf "  %-24s %-12s %-10s %s@." "workload" "engine" "answers" "time";
-  List.iter
-    (fun (name, evalw) ->
-      (* sequential baselines must run with no pool alive: idle domains
-         still join every minor-GC stop-the-world *)
-      Dl_parallel.shutdown ();
-      let expected, t0 = time (fun () -> evalw Dl_engine.Indexed) in
-      pf "  %-24s %-12s %-10d %.3fs@." name "indexed" expected t0;
-      List.iter
-        (fun d ->
-          Dl_parallel.set_domains d;
-          let got, t = time (fun () -> evalw Dl_engine.Parallel) in
-          assert (got = expected);
-          pf "  %-24s %-12s %-10d %.3fs@." name
-            (Printf.sprintf "par-d%d" d) got t)
-        sweep)
-    workloads;
-  (* barrier cost: a fixpoint with two near-empty rounds, repeated *)
-  let tiny_q =
-    Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)."
-  in
-  let tiny = Instance.of_list [ Fact.make "E" [ node 0; node 1 ] ] in
-  let reps = 2000 in
-  let time_reps s =
-    snd
-      (time (fun () ->
-           for _ = 1 to reps do
-             ignore (Dl_engine.eval ~strategy:s tiny_q tiny)
-           done))
-  in
-  Dl_parallel.shutdown ();
-  let seq_t = time_reps Dl_engine.Indexed in
-  Dl_parallel.set_domains 4;
-  let par_t = time_reps Dl_engine.Parallel in
-  Dl_parallel.set_domains 1;
-  Dl_parallel.shutdown ();
-  pf "  barrier overhead (d=4): %.1f µs/round (two-round tiny fixpoint:@."
-    ((par_t -. seq_t) /. float_of_int (2 * reps) *. 1e6);
-  pf "   indexed %.2f µs/eval, parallel %.2f µs/eval)@."
-    (seq_t /. float_of_int reps *. 1e6)
-    (par_t /. float_of_int reps *. 1e6);
-  pf "  (committed numbers are from a single-core container — the sweep@.";
-  pf "   there measures sharding overhead; on k cores the wide rounds@.";
-  pf "   scale with min(k, units per round), see EXPERIMENTS.md E15)@."
-
 (* E16 — the decision service's result cache on a repeated workload.
 
    Methodology: a service session loads one recursive program and a set
@@ -409,8 +326,8 @@ let e15 () =
    is all cache misses (every request pays a full evaluation); every
    later pass is all hits (a request pays parse + canonical-form digest
    + LRU lookup).  Reported: per-pass wall time, hit/miss counters from
-   the server's own stats verb, and the cold/warm speedup.  Caveats as
-   in E15: single-core container numbers; the warm path's cost is
+   the server's own stats verb, and the cold/warm speedup.  Caveats:
+   single-core container numbers; the warm path's cost is
    dominated by re-printing the canonical forms for the digest, so it
    grows with instance size even on hits. *)
 let e16 () =
@@ -470,7 +387,7 @@ let e16 () =
   pf "  %s@." (feed "q-stats stats");
   pf "  cold/warm speedup: %.1fx@." (cold /. warm);
   pf "  (warm requests pay parse + canonical-form digest + LRU lookup;@.";
-  pf "   single-core container numbers, caveats as in E15)@."
+  pf "   single-core container numbers)@."
 
 (* E17 and E18 are measured by dedicated harnesses (the cache-key
    differential suite and [mondet bench-serve] respectively); see
@@ -549,7 +466,7 @@ let e19 () =
     workloads;
   pf "  (vm and indexed share plan selection; the vm rows replace the@.";
   pf "   per-tuple environment interpretation with a register dispatch@.";
-  pf "   loop — single-core container numbers, caveats as in E15)@."
+  pf "   loop — single-core container numbers)@."
 
 (* E20 — incremental maintenance vs cold re-evaluation.
 
@@ -678,7 +595,7 @@ let e20 () =
   pf "   cold = Dl_incr.create, a full fixpoint + derivation counting —@.";
   pf "   what a cache-missed eval pays; checked/proved/deleted = the@.";
   pf "   Backward/Forward counters of the repair (Dl_incr.last_repair).@.";
-  pf "   Single-core container numbers, caveats as in E15)@."
+  pf "   Single-core container numbers)@."
 
 (* E21 — RPQs over views at graph scale (Francis–Segoufin–Sirangelo,
    arXiv:1511.00938): direct Datalog evaluation of an RPQ against

@@ -30,7 +30,6 @@ let report () =
   Experiments.e12 ();
   Experiments.e13 ();
   Experiments.e14 ();
-  Experiments.e15 ();
   Experiments.e16 ();
   Experiments.e19 ();
   Experiments.e20 ();

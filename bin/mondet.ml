@@ -41,10 +41,8 @@ let engine_arg =
           "Datalog evaluation strategy: $(b,naive) (scan-based naive \
            iteration), $(b,indexed) (slot-compiled semi-naive), \
            $(b,magic) (magic-sets demand transformation over the indexed \
-           engine), $(b,parallel) (semi-naive rounds sharded across \
-           OCaml 5 domains; see $(b,--domains)) or $(b,vm) (static join \
-           plans lowered to register bytecode, with mid-round \
-           cancellation).")
+           engine) or $(b,vm) (static join plans lowered to register \
+           bytecode, with mid-round cancellation).")
 
 let domains_arg =
   Arg.(
@@ -52,10 +50,10 @@ let domains_arg =
     & opt (some int) None
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Worker count for the $(b,parallel) engine (the coordinating \
-           thread included).  Defaults to $(b,MONDET_DOMAINS) if set, \
-           else the machine's recommended domain count; clamped to \
-           [1, 64].")
+          "Size of the domain pool that runs the batch's cache-missed \
+           requests side by side (the coordinating thread included).  \
+           Defaults to $(b,MONDET_DOMAINS) if set, else the machine's \
+           recommended domain count; clamped to [1, 64].")
 
 let verbose_arg =
   Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Report evaluation details.")
@@ -63,17 +61,14 @@ let verbose_arg =
 (* the engine choice is a process-wide setting so that it also reaches the
    call sites with no [?engine] parameter in scope (view evaluation inside
    images, rewriting verification, ...) *)
-let set_engine verbose e d =
-  (match d with Some n -> Dl_parallel.set_domains n | None -> ());
+let set_engine verbose e =
   Dl_engine.set_default e;
   if verbose then
-    Format.eprintf "engine: %s (domains=%d)@."
-      (Dl_engine.to_string (Dl_engine.default ()))
-      (Dl_parallel.domains ())
+    Format.eprintf "engine: %s@." (Dl_engine.to_string (Dl_engine.default ()))
 
 let eval_cmd =
-  let run qf goal df engine domains verbose =
-    set_engine verbose engine domains;
+  let run qf goal df engine verbose =
+    set_engine verbose engine;
     let q = query_of ~goal qf in
     let i = instance_of df in
     let out = Dl_engine.eval q i in
@@ -91,14 +86,14 @@ let eval_cmd =
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate a Datalog query on an instance.")
     Term.(
       ret (const run $ query_file $ goal_arg $ data_pos 1 $ engine_arg
-           $ domains_arg $ verbose_arg))
+           $ verbose_arg))
 
 let md_cmd =
   let depth =
     Arg.(value & opt int 4 & info [ "depth" ] ~doc:"Approximation depth bound.")
   in
-  let run qf goal vf depth engine domains verbose =
-    set_engine verbose engine domains;
+  let run qf goal vf depth engine verbose =
+    set_engine verbose engine;
     let q = query_of ~goal qf in
     let views = views_of_file vf in
     let verdict = Md_decide.decide ~max_depth:depth q views in
@@ -112,7 +107,7 @@ let md_cmd =
           for CQ/UCQ queries, bounded canonical-test search otherwise).")
     Term.(
       ret (const run $ query_file $ goal_arg $ views_pos 1 $ depth $ engine_arg
-           $ domains_arg $ verbose_arg))
+           $ verbose_arg))
 
 let rewrite_cmd =
   let meth =
@@ -249,8 +244,8 @@ let rpq_cmd =
           ~edges:(int_part e) ()
     | _ -> failwith (Printf.sprintf "bad graph spec %S" s)
   in
-  let run regex data graph from_ to_ views engine domains verbose =
-    set_engine verbose engine domains;
+  let run regex data graph from_ to_ views engine verbose =
+    set_engine verbose engine;
     try
       let e = Rpq.parse regex in
       let i =
@@ -305,7 +300,7 @@ let rpq_cmd =
     Term.(
       ret
         (const run $ rpq_pos $ data_opt $ graph_arg $ from_arg $ to_arg
-       $ views_arg $ engine_arg $ domains_arg $ verbose_arg))
+       $ views_arg $ engine_arg $ verbose_arg))
 
 (* ------------------------------------------------------------------ *)
 (* The decision service (lib/service): [serve] runs the long-lived
@@ -471,8 +466,8 @@ let script_arg =
 
 let serve_cmd =
   let run socket tcp cache workers max_conns max_line quota quota_window
-      cache_file engine domains verbose =
-    set_engine verbose engine domains;
+      cache_file engine verbose =
+    set_engine verbose engine;
     let service =
       Svc_service.create ~cache_capacity:cache ?quota ~quota_window ()
     in
@@ -520,11 +515,13 @@ let serve_cmd =
       ret
         (const run $ socket_arg $ tcp_arg $ cache_arg $ workers_arg
        $ max_conns_arg $ max_line_arg $ quota_arg $ quota_window_arg
-       $ cache_file_arg $ engine_arg $ domains_arg $ verbose_arg))
+       $ cache_file_arg $ engine_arg $ verbose_arg))
 
 let batch_cmd =
   let run script cache sequential cache_file engine domains verbose =
-    set_engine verbose engine domains;
+    Option.iter Dl_parallel.set_domains domains;
+    set_engine verbose engine;
+    if verbose then Format.eprintf "domains: %d@." (Dl_parallel.domains ());
     let service =
       Svc_service.create ~cache_capacity:cache ~parallel:(not sequential) ()
     in

@@ -1,5 +1,3 @@
-exception Unsupported of string
-
 (* a pair (S, f): S = sorted list of matched atom indices, f = sorted assoc
    var index -> bag position *)
 type pair = { s : int list; f : (int * int) list }
@@ -21,7 +19,7 @@ struct
              List.map
                (function
                  | Cq.Var v -> v
-                 | Cq.Cst _ -> raise (Unsupported "Cq_dta: constants in the CQ"))
+                 | Cq.Cst _ -> Unsupported.fail "Cq_dta: constants in the CQ")
                a.Cq.args ))
          Q.cq.Cq.body)
 

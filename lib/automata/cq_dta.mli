@@ -10,15 +10,13 @@
     MSO-ish properties over tree decompositions, and is the engine behind
     our Datalog ⊆ CQ containment test (Theorem 5). *)
 
-exception Unsupported of string
-(** The CQ must be constant-free. *)
-
 val make : ?negate:bool -> ?prune:bool -> Cq.t -> Dta.t
 (** Satisfaction of the CQ taken as a Boolean query (head ignored).
     [negate] complements acceptance (the set of codes whose decoding does
     {e not} satisfy the CQ — Proposition 6 for nonrecursive queries).
     [prune] (default true) drops state pairs dominated by a pair with more
-    atoms matched under fewer constraints; disable only for ablation. *)
+    atoms matched under fewer constraints; disable only for ablation.
+    @raise Unsupported.Error if the CQ has constants. *)
 
 val holds_on_code : ?prune:bool -> Cq.t -> Code.t -> bool
 (** Run the automaton on a concrete code (equivalent to decoding and

@@ -1,10 +1,6 @@
-exception Unsupported of string
-
-let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
-
 let var_only = function
   | Cq.Var v -> v
-  | Cq.Cst _ -> unsupported "Forward: constants in rules are not supported"
+  | Cq.Cst _ -> Unsupported.fail "Forward: constants in rules are not supported"
 
 let distinct l = List.length l = List.length (List.sort_uniq String.compare l)
 
@@ -12,7 +8,7 @@ let distinct l = List.length l = List.length (List.sort_uniq String.compare l)
    then the remaining body variables *)
 let layout (r : Datalog.rule) =
   let hv = List.map var_only r.Datalog.head.Cq.args in
-  if not (distinct hv) then unsupported "Forward: repeated head variables";
+  if not (distinct hv) then Unsupported.fail "Forward: repeated head variables";
   let bv =
     List.concat_map
       (fun (a : Cq.atom) -> List.map var_only a.Cq.args)
@@ -38,7 +34,7 @@ let approximations_nta ?(binarize = true) (q : Datalog.query) =
     try
       let q = Dl_specialize.transform q in
       if binarize then Dl_binarize.transform q else q
-    with Invalid_argument msg -> unsupported "Forward: %s" msg
+    with Invalid_argument msg -> Unsupported.fail "Forward: %s" msg
   in
   let p = q.Datalog.program in
   let preds = Datalog.idbs p in
@@ -71,7 +67,7 @@ let approximations_nta ?(binarize = true) (q : Datalog.query) =
                (fun (a : Cq.atom) ->
                  let args = List.map var_only a.Cq.args in
                  if not (distinct args) then
-                   unsupported
+                   Unsupported.fail
                      "Forward: repeated variables in an intensional body atom";
                  let child =
                    match state_of a.Cq.rel with
@@ -94,7 +90,7 @@ let approximations_nta ?(binarize = true) (q : Datalog.query) =
   let goal =
     match state_of q.Datalog.goal with
     | Some s -> s
-    | None -> unsupported "Forward: goal %s has no rules" q.Datalog.goal
+    | None -> Unsupported.fail "Forward: goal %s has no rules" q.Datalog.goal
   in
   (Nta.make ~n_states:(List.length preds) ~finals:[ goal ] transitions, !k)
 

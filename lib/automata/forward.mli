@@ -9,16 +9,14 @@
     decode precisely to the approximations (capture in the paper's
     sense). *)
 
-exception Unsupported of string
-(** Raised on constants in rules or repeated variables in rule heads.
-    Repeated variables in intensional body atoms are handled by the
-    {!Dl_specialize} preprocessing. *)
-
 val approximations_nta : ?binarize:bool -> Datalog.query -> Nta.t * int
 (** The capturing automaton and the code width [k] (the paper's
     [k = O(|Q|)], here the maximum number of body variables).  [binarize]
     (default true) chains wide rules through auxiliary predicates so that
-    transitions have ≤ 2 children; disable only for ablation. *)
+    transitions have ≤ 2 children; disable only for ablation.
+    @raise Unsupported.Error on constants in rules or repeated variables
+    in rule heads; repeated variables in intensional body atoms are
+    handled by the {!Dl_specialize} preprocessing. *)
 
 val state_of_pred : Datalog.query -> string -> Nta.state option
 (** The automaton state of an intensional predicate. *)

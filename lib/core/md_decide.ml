@@ -1,10 +1,8 @@
-exception Unsupported of string
-
 (* [Goal'' ← V(Q)] over the union of the view programs.  The query must be
    Boolean. *)
 let compose_with_views (q : Datalog.query) (views : View.collection) =
   if Datalog.goal_arity q <> 0 then
-    raise (Unsupported "compose_with_views: Boolean queries only");
+    Unsupported.fail "compose_with_views: Boolean queries only";
   let view_programs =
     List.concat_map (fun v -> (View.def_as_datalog v).Datalog.program) views
   in
@@ -13,7 +11,7 @@ let compose_with_views (q : Datalog.query) (views : View.collection) =
        complete unfolding is finite *)
     match Dl_approx.complete_unfolding q with
     | None ->
-        raise (Unsupported "compose_with_views: the query must be a CQ or UCQ")
+        Unsupported.fail "compose_with_views: the query must be a CQ or UCQ"
     | Some disjuncts ->
         List.map
           (fun (qi : Cq.t) ->
@@ -41,12 +39,12 @@ let datalog_contained_in_ucq (p : Datalog.query) (u : Ucq.t) =
   Run.check_empty nta all_fail
 
 let cq_query (q : Cq.t) views =
-  if Cq.arity q <> 0 then raise (Unsupported "cq_query: Boolean queries only");
+  if Cq.arity q <> 0 then Unsupported.fail "cq_query: Boolean queries only";
   let q'' = compose_with_views (Datalog.of_cq ~goal:"G0" q) views in
   datalog_contained_in_cq q'' q
 
 let ucq_query (u : Ucq.t) views =
-  if Ucq.arity u <> 0 then raise (Unsupported "ucq_query: Boolean queries only");
+  if Ucq.arity u <> 0 then Unsupported.fail "ucq_query: Boolean queries only";
   let q'' = compose_with_views (Datalog.of_ucq ~goal:"G0" u) views in
   datalog_contained_in_ucq q'' u
 
@@ -61,7 +59,7 @@ let decide ?max_depth ?view_depth ?engine ?cancel (q : Datalog.query) views =
       match Dl_fragment.to_ucq q with
       | Some u ->
           if ucq_query u views then Determined else Not_determined_cert None
-      | None -> raise (Unsupported "decide: could not unfold the query"))
+      | None -> Unsupported.fail "decide: could not unfold the query")
   | _ -> (
       match
         Md_tests.decide_bounded ?max_depth ?view_depth ?engine ?cancel q views

@@ -13,8 +13,6 @@
     back on the bounded canonical-test search of {!Md_tests} (sound for
     refutation; bounded-complete for confirmation). *)
 
-exception Unsupported of string
-
 val compose_with_views : Datalog.query -> View.collection -> Datalog.query
 (** [Q'' = (Π_V ∪ {Goal'' ← V(Q)}, Goal'')]; requires the query to be a
     single CQ or UCQ goal over the base schema (the paper's [V(Q)]

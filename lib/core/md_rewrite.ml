@@ -1,7 +1,5 @@
-exception Unsupported of string
-
 let prop8_cq (q : Cq.t) (views : View.collection) =
-  if Cq.arity q <> 0 then raise (Unsupported "prop8_cq: Boolean queries only");
+  if Cq.arity q <> 0 then Unsupported.fail "prop8_cq: Boolean queries only";
   let image = View.image views (Cq.canonical_db q) in
   Cq.of_instance ~head:[] image
 
@@ -26,17 +24,14 @@ let forward_backward_atomic (q : Datalog.query) (views : View.collection) =
   List.iter
     (fun (rel, _) ->
       if List.length (List.filter (fun (r, _) -> String.equal r rel) mapping) > 1
-      then raise (Unsupported "forward_backward_atomic: duplicated atomic view"))
+      then Unsupported.fail "forward_backward_atomic: duplicated atomic view")
     mapping;
   let rename rel =
     match List.assoc_opt rel mapping with
     | Some v -> v
     | None ->
-        raise
-          (Unsupported
-             (Printf.sprintf
-                "forward_backward_atomic: base relation %s has no atomic view"
-                rel))
+        Unsupported.fail
+          "forward_backward_atomic: base relation %s has no atomic view" rel
   in
   let nta, k = Forward.approximations_nta q in
   (* Proposition 5: project the codes onto the view signature *)

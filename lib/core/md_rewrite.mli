@@ -13,8 +13,6 @@
       faithful instance of Theorem 1's construction; the general FGDL-view
       automaton is discussed in DESIGN.md §5). *)
 
-exception Unsupported of string
-
 val prop8_cq : Cq.t -> View.collection -> Cq.t
 (** The rewriting [V(Q)] over the view schema, for a Boolean CQ. *)
 
@@ -27,7 +25,7 @@ val forward_backward_atomic :
   Datalog.query -> View.collection -> Datalog.query
 (** The forward–projection–backward pipeline for a collection of atomic
     views covering every base relation of the query.
-    @raise Unsupported otherwise. *)
+    @raise Unsupported.Error otherwise. *)
 
 val verify_boolean :
   Datalog.query -> Datalog.query -> View.collection -> Instance.t list -> bool

@@ -1,6 +1,6 @@
 (** Cooperative cancellation tokens for long-running decisions.
 
-    Every fixpoint entry point ({!Dl_eval}, {!Dl_parallel}, the
+    Every fixpoint entry point ({!Dl_eval}, {!Dl_vm}, the
     {!Dl_engine} facade) and the chase-based separator checks take an
     optional token and probe it at coarse boundaries: the start of each
     semi-naive round, and each chase step.  A probe on an expired or

@@ -1,7 +1,7 @@
 (* One front door for Datalog evaluation.
 
    Every decision procedure in the system bottoms out in [holds] /
-   [holds_boolean] / [eval]; this facade routes them through one of five
+   [holds_boolean] / [eval]; this facade routes them through one of four
    strategies:
 
    - [Naive]: the seed's scan-based, textual-order, naive-iteration
@@ -13,8 +13,6 @@
      with the indexed engine, so bottom-up rounds derive only facts the
      goal demands.  Queries whose goal is extensional (no rules) fall back
      to [Indexed] — there is nothing to specialize.
-   - [Parallel]: the [Vm] engine's rounds sharded across a pool of
-     OCaml 5 domains ({!Dl_parallel}); at one domain it is [Vm].
    - [Vm]: static join plans lowered to flat register bytecode
      ({!Dl_vm}), same semi-naive rounds ({!Dl_semi}) as [Indexed] with a
      compiled per-rule matcher and mid-round cancellation probes.
@@ -23,7 +21,7 @@
    flag and the MONDET_ENGINE environment variable set it; the bench
    ablations and the tests override it per call). *)
 
-type strategy = Naive | Indexed | Magic | Parallel | Vm
+type strategy = Naive | Indexed | Magic | Vm
 
 (* The single registry every name-facing derivation comes from: the
    strategy list, [to_string]/[of_string], and the "expected …" text of
@@ -33,7 +31,6 @@ let registry = [
   (Naive, "naive");
   (Indexed, "indexed");
   (Magic, "magic");
-  (Parallel, "parallel");
   (Vm, "vm");
 ]
 
@@ -44,8 +41,8 @@ let expected = String.concat "|" (List.map snd registry)
 
 (* Indexed by default: on the paper's workloads (small instances, Boolean
    all-free goals) the demand transformation prunes little and its extra
-   magic rules cost more than they save, and sharding has nothing to bite
-   on — see the engine/* rows of BENCH_eval.json.
+   magic rules cost more than they save — see the engine/* rows of
+   BENCH_eval.json.
 
    The default lives in an [Atomic.t]: now that domains exist, a plain
    [ref] would make concurrent [set_default]/[default] a data race.  The
@@ -73,34 +70,22 @@ let set_default s = Atomic.set default_strategy s
    per top-level call, never again mid-evaluation. *)
 let resolve = function Some s -> s | None -> Atomic.get default_strategy
 
-(* Strategies safe to run from a worker domain of a shared pool.
-   [Parallel] would re-enter the pool from inside a task (deadlock on the
-   round barrier); [Magic]'s transform cache is an unguarded global.
-   Everything else either has no shared mutable state ([Naive]) or
-   mutex-guarded caches ([Indexed]'s slot compile via {!Dl_plan},
-   [Vm]'s bytecode cache). *)
-let pool_safe = function
-  | Parallel | Magic -> Indexed
-  | (Naive | Indexed | Vm) as s -> s
-
-(* What a service worker domain should actually run, given the session
-   default.  Unlike [pool_safe] — the conservative "nearest legal
-   strategy" used when the caller's choice must be preserved — this is a
-   preference: the pool-unsafe strategies AND the indexed default all
-   map to [Vm], which matches [Indexed]'s answers round for round but
-   wins on the wide recursive workloads the pool serves, and probes
-   cancellation inside rounds.  An explicit [Naive] (differential
-   debugging) or [Vm] default passes through. *)
+(* What a service worker domain should run, given the session default.
+   [Magic]'s transform cache is an unguarded global, so it cannot run off
+   the coordinating thread; it and the indexed default map to [Vm], which
+   matches [Indexed]'s answers round for round but wins on the wide
+   recursive workloads the pool serves, and probes cancellation inside
+   rounds.  An explicit [Naive] (differential debugging) or [Vm] default
+   passes through. *)
 let pool_strategy () =
   match default () with
-  | Indexed | Parallel | Magic -> Vm
+  | Indexed | Magic -> Vm
   | (Naive | Vm) as s -> s
 
 let eval ?strategy ?cancel (q : Datalog.query) inst =
   match resolve strategy with
   | Naive -> Dl_eval.eval_naive ?cancel q inst
   | Vm -> Dl_vm.eval ?cancel q inst
-  | Parallel -> Dl_parallel.eval ?cancel q inst
   | Magic when Dl_magic.applicable q ->
       let m = Dl_magic.transform q (Dl_magic.all_free (Datalog.goal_arity q)) in
       Dl_eval.eval ?cancel m.Dl_magic.query
@@ -117,12 +102,11 @@ let fixpoint ?strategy ?cancel p inst =
   | Naive -> Dl_eval.fixpoint_naive ?cancel p inst
   | Indexed | Magic -> Dl_eval.fixpoint ?cancel p inst
   | Vm -> Dl_vm.fixpoint ?cancel p inst
-  | Parallel -> Dl_parallel.fixpoint ?cancel p inst
 
 (* Delta-start continuation of a closed [old]: the insertion path of
    incremental maintenance.  [Naive] has no delta machinery, so it
    recomputes from the union and diffs — the differential oracle for the
-   three real delta engines. *)
+   two real delta engines. *)
 let fixpoint_delta ?strategy ?cancel p ~old ~delta =
   match resolve strategy with
   | Naive ->
@@ -131,7 +115,6 @@ let fixpoint_delta ?strategy ?cancel p ~old ~delta =
       (full, Instance.diff full seed)
   | Indexed | Magic -> Dl_eval.fixpoint_delta ?cancel p ~old ~delta
   | Vm -> Dl_vm.fixpoint_delta ?cancel p ~old ~delta
-  | Parallel -> Dl_parallel.fixpoint_delta ?cancel p ~old ~delta
 
 let holds ?strategy ?cancel (q : Datalog.query) inst tup =
   match resolve strategy with
@@ -139,7 +122,6 @@ let holds ?strategy ?cancel (q : Datalog.query) inst tup =
       Instance.mem (Fact.of_array q.goal tup)
         (Dl_eval.fixpoint_naive ?cancel q.program inst)
   | Vm -> Dl_vm.holds ?cancel q inst tup
-  | Parallel -> Dl_parallel.holds ?cancel q inst tup
   | Magic when Dl_magic.applicable q ->
       let m = Dl_magic.transform q (Dl_magic.all_bound (Array.length tup)) in
       Dl_eval.holds ?cancel m.Dl_magic.query
@@ -151,7 +133,6 @@ let holds_boolean ?strategy ?cancel (q : Datalog.query) inst =
   match resolve strategy with
   | Naive -> Dl_eval.eval_naive ?cancel q inst <> []
   | Vm -> Dl_vm.holds_boolean ?cancel q inst
-  | Parallel -> Dl_parallel.holds_boolean ?cancel q inst
   | Magic when Dl_magic.applicable q ->
       let m = Dl_magic.transform q (Dl_magic.all_free (Datalog.goal_arity q)) in
       Dl_eval.holds_boolean ?cancel m.Dl_magic.query

@@ -7,11 +7,11 @@
 
     {2 The strategy contract}
 
-    All five strategies compute the same answers: for every query [q],
+    All four strategies compute the same answers: for every query [q],
     instance [i] and tuple [t], [eval], [holds] and [holds_boolean] agree
     across strategies (this is enforced by the qcheck differential suites
-    in [test/test_datalog.ml], [test/test_magic.ml],
-    [test/test_parallel.ml] and [test/test_vm.ml], 120 random
+    in [test/test_datalog.ml], [test/test_magic.ml] and
+    [test/test_vm.ml], 120 random
     program/instance pairs each per entry point).  They differ only in
     how the fixpoint is computed:
 
@@ -32,15 +32,6 @@
       demanded facts; loses ~2× on all-free Boolean goals, where the
       extra magic rules prune nothing.  Falls back to [Indexed] when the
       goal is extensional ({!Dl_magic.applicable} is false).
-    - {!Parallel} — the [Vm] engine's semi-naive rounds with the
-      (rule × delta-position × delta-chunk) units sharded across a
-      persistent pool of OCaml 5 domains ({!Dl_parallel}; pool size from
-      [--domains] / [MONDET_DOMAINS] / [Domain.recommended_domain_count]).
-      Wins on wide rounds — many rules and/or large deltas, e.g. the
-      Theorem 6 grid programs with hundreds of incompatibility rules —
-      once per-round work dwarfs the barrier cost (~10 µs); loses on
-      narrow rounds.  With one effective domain it is [Vm]: the pool
-      scheduler falls back to the sequential one.
     - {!Vm} — static join plans ({!Dl_plan.plan}) lowered to flat
       register bytecode executed by a tight dispatch loop ({!Dl_vm}).
       The same {!Dl_semi} round loop and early stop as [Indexed], but the atom
@@ -55,13 +46,10 @@
     {2 Determinism}
 
     [eval] returns the goal tuples of the {e least fixpoint}, which is
-    unique; all strategies (including [Parallel], at every domain count)
-    therefore return the same tuple set — [Parallel] additionally
-    guarantees the same fixpoint {e instance} per round, because delta
-    chunks partition each round's firings and the barrier merge is a set
-    union.  [holds]/[holds_boolean] may stop evaluation early; the facts
-    materialized at that point differ between strategies (and, under
-    [Parallel], between schedules), but the Boolean verdict never does.
+    unique; all strategies therefore return the same tuple set.
+    [holds]/[holds_boolean] may stop evaluation early; the facts
+    materialized at that point differ between strategies, but the
+    Boolean verdict never does.
 
     {2 Thread safety}
 
@@ -71,12 +59,10 @@
     answer, and each top-level call reads the default exactly once — not
     once per fixpoint round).  The compile caches behind [Indexed] and
     [Vm] are mutex-guarded ({!Dl_plan}, {!Dl_vm}), but [Magic]'s
-    transform cache and lazily built instance indexes are not; use
-    {!pool_safe} before evaluating on a worker domain.  [Parallel]'s
-    worker domains are internal to {!Dl_parallel} and never call back
-    into this module. *)
+    transform cache and lazily built instance indexes are not; worker
+    domains run {!pool_strategy}. *)
 
-type strategy = Naive | Indexed | Magic | Parallel | Vm
+type strategy = Naive | Indexed | Magic | Vm
 
 val to_string : strategy -> string
 val of_string : string -> strategy option
@@ -86,20 +72,13 @@ val all : strategy list
     [of_string], [all] and the MONDET_ENGINE warning text all derive
     from one internal registry, so they can never disagree. *)
 
-val pool_safe : strategy -> strategy
-(** The nearest strategy safe to run from a worker domain of a shared
-    pool: [Parallel] (would re-enter the pool) and [Magic] (unguarded
-    transform cache) map to [Indexed]; [Naive], [Indexed] and [Vm] pass
-    through. *)
-
 val pool_strategy : unit -> strategy
 (** The strategy service worker domains should run, derived from the
-    process default: [Indexed], [Parallel] and [Magic] all map to [Vm]
-    (same answers as [Indexed], faster on the pool's wide recursive
-    workloads, and the only engine probing cancellation inside a round);
-    an explicit [Naive] or [Vm] default passes through.  Use
-    {!pool_safe} instead when a caller-chosen strategy must be preserved
-    as closely as legality allows. *)
+    process default: [Indexed] and [Magic] (whose transform cache is
+    unguarded) map to [Vm] (same answers as [Indexed], faster on the
+    pool's wide recursive workloads, and the only engine probing
+    cancellation inside a round); an explicit [Naive] or [Vm] default
+    passes through. *)
 
 val default : unit -> strategy
 val set_default : strategy -> unit

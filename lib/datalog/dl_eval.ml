@@ -172,7 +172,6 @@ let engine =
   {
     Dl_semi.prepare = (fun _ p -> (compile p, slots));
     shape = Fun.id;
-    schedule = Dl_semi.sequential;
   }
 
 let fixpoint ?cancel p inst = Dl_semi.fixpoint engine ?cancel p inst

@@ -2,8 +2,7 @@
 
     [fixpoint p i] is the paper's [FPEval(Π, I)]: the minimal IDB-extension
     of [I] satisfying all rules of [Π].  This is the [Indexed] engine:
-    the {!Dl_semi} round loop with the interpreted {!slots} matcher and
-    the sequential scheduler. *)
+    the {!Dl_semi} round loop with the interpreted {!slots} matcher. *)
 
 val fixpoint : ?cancel:Dl_cancel.t -> Datalog.program -> Instance.t -> Instance.t
 (** Least fixpoint; returns the input instance extended with IDB facts.

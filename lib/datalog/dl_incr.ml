@@ -114,9 +114,8 @@ let make_stratum p comp =
    are the units of one semi-naive round with [lo]/[hi] as its
    [old]/[full], run by the slots matcher. *)
 let fire_split crules ~delta ~lo ~hi k =
-  Dl_semi.iter_units fst crules ~old:lo ~delta [| delta |]
-    (fun (cr, _) pos chunk ->
-      Dl_eval.slots cr pos ~old:lo ~delta:chunk ~full:hi (fun f ->
+  Dl_semi.iter_units fst crules ~old:lo ~delta (fun (cr, _) pos ->
+      Dl_eval.slots cr pos ~old:lo ~delta ~full:hi (fun f ->
           k f;
           true);
       true)

@@ -41,7 +41,7 @@
       again, and a fact whose only support is a cycle through itself is
       still deleted.  Insertions (lower-strata additions and asserted
       seeds) then run a delta fixpoint — {!Dl_engine.fixpoint_delta}, so
-      the indexed, bytecode-VM and parallel engines all serve
+      the indexed and bytecode-VM engines both serve
       maintenance fixpoints, reusing the warm {!Instance.union} and
       {!Instance.diff} paths and incremental fingerprints.
 

@@ -1,24 +1,12 @@
-(* Parallel semi-naive fixpoint: shard each round's (rule × delta-position
-   × delta-chunk) firing set across a persistent pool of domains.
+(* The process's domains, in one module: the epoch pool that drains a
+   batch of independent tasks (the service's [batch] misses) and the
+   long-lived workers of a server's socket loop.  Both share one
+   domain-count clamp; nothing here evaluates Datalog.
 
-   Safety argument, in one place:
-
-   - the shared round instances ([old], [full], the delta chunks) are
-     persistent maps; the only mutable field reachable from them is the
-     per-relation index cache, which [pooled] fills on the coordinating
-     thread before dispatch, so workers are pure readers;
-   - each worker derives into a private accumulator instance;
-   - the pool's mutex hand-off publishes everything the coordinator wrote
-     before the round to every worker, and everything the workers wrote
-     back to the coordinator at the barrier;
-   - the early-stop flag is an [Atomic.t].
-
-   Determinism argument: the chunks partition the delta, so the units of a
-   round cover exactly the matches the sequential scheduler's round
-   ([Dl_semi.sequential]) enumerates, each exactly once across units; the
-   barrier merge is a set union; hence every round's delta — and
-   therefore the fixpoint — is identical for every domain count and
-   schedule. *)
+   Safety rests on the callers: a pool task must confine its writes to
+   data it owns (see [run_tasks] in the mli), and the pool's mutex
+   hand-off publishes what the caller wrote before a batch to every
+   worker, and what the workers wrote back to the caller at the end. *)
 
 (* ------------------------------------------------------------------ *)
 (* Domain-count configuration: --domains > MONDET_DOMAINS > recommended. *)
@@ -51,10 +39,10 @@ let domains () =
 
 (* ------------------------------------------------------------------ *)
 (* A persistent pool of [size - 1] spawned domains plus the caller.  One
-   batch at a time: [run] publishes a task, bumps the epoch, works as
-   worker 0 itself, then blocks until every spawned worker has finished.
-   Workers park on [start] between batches, so an idle pool costs
-   nothing. *)
+   batch at a time: [run] publishes a task, bumps the epoch, works on it
+   itself, then blocks until every spawned worker has finished.  Workers
+   park on [start] between batches, so an idle pool costs nothing.  A
+   task must not raise: [run_tasks] catches for its tasks. *)
 
 type pool = {
   size : int;
@@ -62,14 +50,13 @@ type pool = {
   start : Condition.t;
   finished : Condition.t;
   mutable epoch : int;
-  mutable task : (int -> unit) option;
+  mutable task : (unit -> unit) option;
   mutable pending : int;
   mutable closing : bool;
-  mutable errors : exn list;
   mutable handles : unit Domain.t list;
 }
 
-let rec worker_loop pool i seen =
+let rec worker_loop pool seen =
   Mutex.lock pool.mutex;
   while pool.epoch = seen && not pool.closing do
     Condition.wait pool.start pool.mutex
@@ -79,13 +66,12 @@ let rec worker_loop pool i seen =
     let epoch = pool.epoch in
     let task = match pool.task with Some t -> t | None -> assert false in
     Mutex.unlock pool.mutex;
-    let err = try task i; None with exn -> Some exn in
+    task ();
     Mutex.lock pool.mutex;
-    (match err with Some e -> pool.errors <- e :: pool.errors | None -> ());
     pool.pending <- pool.pending - 1;
     if pool.pending = 0 then Condition.signal pool.finished;
     Mutex.unlock pool.mutex;
-    worker_loop pool i epoch
+    worker_loop pool epoch
   end
 
 let make_pool size =
@@ -99,13 +85,11 @@ let make_pool size =
       task = None;
       pending = 0;
       closing = false;
-      errors = [];
       handles = [];
     }
   in
   pool.handles <-
-    List.init (size - 1) (fun k ->
-        Domain.spawn (fun () -> worker_loop pool (k + 1) 0));
+    List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop pool 0));
   pool
 
 let shutdown_pool pool =
@@ -122,7 +106,7 @@ let at_exit_registered = ref false
 (* Even parked domains cost: every minor collection is a stop-the-world
    synchronization across all live domains, so a single-threaded phase
    that runs while the pool idles pays a per-GC tax.  [shutdown] joins
-   the pool so that tax disappears; the next parallel call respawns. *)
+   the pool so that tax disappears; the next batch respawns it. *)
 let shutdown () =
   match !the_pool with
   | Some p ->
@@ -145,30 +129,24 @@ let get_pool size =
       end;
       p
 
-(* Run one batch: every worker (the caller included) executes [task] with
-   its worker index; returns once all have finished, re-raising the first
-   exception any of them recorded. *)
+(* Run one batch: every worker, the caller included, runs [task] once;
+   returns once all have finished. *)
 let run pool task =
-  if pool.size = 1 then task 0
+  if pool.size = 1 then task ()
   else begin
     Mutex.lock pool.mutex;
     pool.task <- Some task;
     pool.pending <- pool.size - 1;
-    pool.errors <- [];
     pool.epoch <- pool.epoch + 1;
     Condition.broadcast pool.start;
     Mutex.unlock pool.mutex;
-    let main_err = try task 0; None with exn -> Some exn in
+    task ();
     Mutex.lock pool.mutex;
     while pool.pending > 0 do
       Condition.wait pool.finished pool.mutex
     done;
     pool.task <- None;
-    let errors = pool.errors in
-    Mutex.unlock pool.mutex;
-    match main_err with
-    | Some e -> raise e
-    | None -> ( match errors with e :: _ -> raise e | [] -> ())
+    Mutex.unlock pool.mutex
   end
 
 (* ------------------------------------------------------------------ *)
@@ -197,87 +175,12 @@ let join_workers w =
   match !err with Some e -> raise e | None -> ()
 
 (* ------------------------------------------------------------------ *)
-(* The pool scheduler. *)
-
-(* Split [delta] round-robin into [k] chunks of at least two facts each.
-   Tiny deltas are not worth the per-chunk planner overhead. *)
-let split_delta k delta =
-  if k <= 1 || Instance.size delta < 2 * k then [| delta |]
-  else begin
-    let parts = Array.make k Instance.empty in
-    let i = ref 0 in
-    Instance.iter
-      (fun f ->
-        let j = !i mod k in
-        parts.(j) <- Instance.add f parts.(j);
-        incr i)
-      delta;
-    parts
-  end
-
-(* The pool scheduler of the {!Dl_semi} round loop.  Per fixpoint: the
-   pool and the body relations to prewarm.  Per round: the delta split
-   into chunks, the units collected into an array and drained off an
-   atomic counter by every worker into a private accumulator, and the
-   accumulators merged at the barrier.  A one-worker pool is the
-   sequential scheduler.  A [Cancelled] raised by a unit's cancel probe
-   goes through the pool's error list and re-raises at the barrier. *)
-let pooled shape rules (m : _ Dl_semi.matcher) =
-  let n = domains () in
-  if n = 1 then Dl_semi.sequential shape rules m
-  else begin
-    let pool = get_pool n in
-    let body_rels =
-      List.sort_uniq Int.compare
-        (List.concat_map (fun r -> (shape r : Dl_plan.crule).crels) rules)
-    in
-    fun (r : Dl_semi.round) ->
-      let chunks = split_delta (2 * n) r.delta in
-      (* build every index a worker could touch here, on the coordinating
-         thread, so the parallel phase never writes a shared cache *)
-      List.iter
-        (fun inst ->
-          List.iter (fun rid -> ignore (Instance.index_id inst rid)) body_rels)
-        (r.full :: r.old :: Array.to_list chunks);
-      let units = ref [] in
-      Dl_semi.iter_units shape rules ~old:r.old ~delta:r.delta chunks
-        (fun rule pos chunk ->
-          units := (rule, pos, chunk) :: !units;
-          true);
-      let units = Array.of_list !units in
-      let next = Atomic.make 0 and accs = Array.make n Instance.empty in
-      run pool (fun w ->
-          let acc = ref Instance.empty in
-          let emit = r.emit_into acc in
-          let rec grab () =
-            let u = Atomic.fetch_and_add next 1 in
-            if u < Array.length units && not (Atomic.get r.stopped) then begin
-              let rule, pos, chunk = units.(u) in
-              m rule pos ~old:r.old ~delta:chunk ~full:r.full emit;
-              grab ()
-            end
-          in
-          grab ();
-          accs.(w) <- !acc);
-      Array.fold_left Instance.union Instance.empty accs
-  end
-
-let engine = { Dl_vm.engine with Dl_semi.schedule = pooled }
-let fixpoint ?stop ?cancel p inst = Dl_semi.fixpoint engine ?stop ?cancel p inst
-
-let fixpoint_delta ?cancel p ~old ~delta =
-  Dl_semi.fixpoint_delta engine ?cancel p ~old ~delta
-
-let eval ?cancel q inst = Dl_semi.eval engine ?cancel q inst
-let holds ?cancel q inst tup = Dl_semi.holds engine ?cancel q inst tup
-let holds_boolean ?cancel q inst = Dl_semi.holds_boolean engine ?cancel q inst
-
-(* ------------------------------------------------------------------ *)
-(* Generic batch dispatch over the same pool, for callers with
-   independent coarse-grained tasks (the request service's read-only
-   batches).  Tasks are drained off an atomic counter by every worker
-   (the caller included); each task must confine its effects to its own
-   data — see the safety contract in the mli. *)
+(* Batch dispatch, for callers with independent coarse-grained tasks (the
+   request service's read-only batches).  Tasks are drained off an atomic
+   counter by every worker, the caller included; each task must confine
+   its effects to its own data — see the safety contract in the mli.  A
+   raising task does not stop the batch: its exception is kept, and the
+   first one kept re-raises once every task has run. *)
 
 let run_tasks tasks =
   match tasks with
@@ -287,13 +190,15 @@ let run_tasks tasks =
       let pool = get_pool (domains ()) in
       let arr = Array.of_list tasks in
       let n = Array.length arr in
-      let next = Atomic.make 0 in
-      run pool (fun _ ->
+      let next = Atomic.make 0 and failed = Atomic.make None in
+      run pool (fun () ->
           let rec grab () =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
-              arr.(i) ();
+              (try arr.(i) ()
+               with e -> ignore (Atomic.compare_and_set failed None (Some e)));
               grab ()
             end
           in
-          grab ())
+          grab ());
+      Option.iter raise (Atomic.get failed)

@@ -1,91 +1,43 @@
-(** Work-sharded semi-naive evaluation over OCaml 5 domains.
+(** The process's OCaml 5 domains, spawned in one place.
 
-    Same semantics as {!Dl_eval} — least fixpoint, early-stopping goal
-    checks — from the same {!Dl_semi} round loop and the bytecode
-    matcher of {!Dl_vm}, with each round's units shared across a
-    persistent pool of [Domain.t] workers.  A unit is a (rule ×
-    delta-position × delta-chunk) triple: the round's delta is split
-    round-robin into chunks, and each worker runs its units' bytecode
-    into a private accumulator instance.  Workers only read the shared
-    round instances (their indexes are pre-built before dispatch), so
-    matching is race-free; the single synchronization point is the
-    round barrier, where the private accumulators are merged
-    single-threaded with the warm {!Instance.union} (which extends
-    cached indexes instead of rebuilding them).  The VM's in-loop
-    cancellation probes are live inside workers: a deadline can
-    interrupt a unit mid-enumeration, raising at the barrier.
+    Two kinds share one domain-count clamp:
 
-    The result is deterministic: every round derives exactly the facts
-    the sequential engine would, whatever the domain count or schedule,
-    because chunks partition the delta and the merged union is a set.
-    Early-stopping checks ({!holds}, {!holds_boolean}) communicate
-    through the round's atomic stop flag — a worker that derives the
-    goal sets it, everyone drains at the next emit, and the barrier
-    returns what was derived so far — so the Boolean verdict is
-    deterministic even though the stopped instance need not be.
+    - the {e epoch pool}, a persistent pool of [Domain.t] workers that
+      drains a batch of independent tasks with the calling thread
+      taking part ({!run_tasks}); the service's [batch] misses run on
+      it.  It is process-global, sized by {!set_domains} /
+      [MONDET_DOMAINS] / [Domain.recommended_domain_count], and resized
+      lazily when the requested count changes.  Call it from one
+      coordinating thread only;
+    - {e long-lived workers} ({!spawn_workers}), domains running their
+      own loops for the life of a server: the TCP front-end's
+      connection workers.
 
-    With an effective domain count of 1 the rounds run on the sequential
-    scheduler: no pool, no chunking — this is then exactly {!Dl_vm}.
-
-    Thread-safety contract: call this module (and anything routed to it
-    through {!Dl_engine}) from one coordinating thread only.  The worker
-    pool is process-global, sized by {!set_domains} / [MONDET_DOMAINS] /
-    [Domain.recommended_domain_count], and is resized lazily when the
-    requested count changes. *)
+    Datalog evaluation itself is sequential ({!Dl_semi}); this module
+    only runs whole evaluations side by side. *)
 
 val set_domains : int -> unit
-(** Request a total worker count (the coordinating thread counts as one
-    worker, so [n - 1] domains are spawned).  Clamped to [1, 64].  This
-    is what the CLI's [--domains] flag calls; it overrides the
-    [MONDET_DOMAINS] environment variable, which in turn overrides
-    [Domain.recommended_domain_count ()]. *)
+(** Request a total worker count for the epoch pool (the coordinating
+    thread counts as one worker, so [n - 1] domains are spawned).
+    Clamped to [1, 64].  This is what [mondet batch --domains] calls; it
+    overrides the [MONDET_DOMAINS] environment variable, which in turn
+    overrides [Domain.recommended_domain_count ()]. *)
 
 val domains : unit -> int
-(** The effective worker count the next evaluation will use. *)
+(** The effective worker count the next {!run_tasks} batch will use. *)
 
 val shutdown : unit -> unit
 (** Join the worker pool (a no-op if none is live).  Idle domains are
     not free: every minor collection synchronizes all live domains, so a
-    long single-threaded phase after a parallel one runs measurably
-    slower while the pool idles.  Benchmarks and other timing-sensitive
-    callers should [shutdown] when switching back to sequential work;
-    the next parallel evaluation respawns the pool transparently.  Also
-    registered with [at_exit]. *)
-
-val fixpoint :
-  ?stop:(Fact.t -> bool) ->
-  ?cancel:Dl_cancel.t ->
-  Datalog.program ->
-  Instance.t ->
-  Instance.t
-(** Least fixpoint, as {!Dl_eval.fixpoint}.  [stop] is probed on every
-    newly derived fact; returning [true] aborts the evaluation after the
-    current round's barrier with the facts derived so far.  [cancel] is
-    probed at every round boundary, on the coordinating thread, while the
-    pool is parked: a cancelled token raises {!Dl_cancel.Cancelled}
-    leaving the pool reusable and every shared cache complete. *)
-
-val fixpoint_delta :
-  ?cancel:Dl_cancel.t ->
-  Datalog.program ->
-  old:Instance.t ->
-  delta:Instance.t ->
-  Instance.t * Instance.t
-(** Delta-start semi-naive rounds with the same sharding as {!fixpoint};
-    contract as {!Dl_eval.fixpoint_delta}. *)
-
-val eval : ?cancel:Dl_cancel.t -> Datalog.query -> Instance.t -> Const.t array list
-(** All goal tuples, via the full parallel fixpoint. *)
-
-val holds : ?cancel:Dl_cancel.t -> Datalog.query -> Instance.t -> Const.t array -> bool
-(** Membership of one goal tuple, early-stopping. *)
-
-val holds_boolean : ?cancel:Dl_cancel.t -> Datalog.query -> Instance.t -> bool
-(** Goal-relation nonemptiness, early-stopping. *)
+    long single-threaded phase after a batch runs measurably slower
+    while the pool idles.  Benchmarks and other timing-sensitive callers
+    should [shutdown] when switching back to sequential work; the next
+    {!run_tasks} batch respawns the pool transparently.  Also registered
+    with [at_exit]. *)
 
 (** {2 Long-lived workers}
 
-    The epoch pool above runs one batch at a time with the caller
+    The epoch pool runs one batch at a time with the caller
     participating; servers instead need domains that run their own
     loops — connection multiplexers — for the whole process lifetime.
     {!spawn_workers} is the handle for those: it shares the pool's
@@ -114,7 +66,8 @@ val run_tasks : (unit -> unit) list -> unit
     This is the request service's dispatch primitive: tasks must be
     mutually independent and confine their writes to data they own —
     shared read-only structures (instances, compiled rules) must have
-    their caches pre-built on the calling thread first, exactly as the
-    fixpoint rounds pre-warm indexes before sharding.  An exception in a
-    task is re-raised after the batch completes ([] and singleton lists
-    bypass the pool entirely). *)
+    their caches pre-built on the calling thread first, or be touched by
+    one task only.  A raising task does not stop the others: the first
+    exception is re-raised once every task has run.  [[]] and singleton
+    lists bypass the pool entirely (a single task runs on the calling
+    thread). *)

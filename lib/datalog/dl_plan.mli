@@ -12,8 +12,8 @@
     {2 Thread safety}
 
     {!compile}'s per-program cache is mutex-guarded: any domain may call
-    it concurrently (the coordinator compiling ahead of a parallel round
-    merely warms the cache).  Everything else here is pure. *)
+    it concurrently (the service's worker domains do).  Everything else
+    here is pure. *)
 
 type cterm = Cslot of int | Cconst of Const.t
 

@@ -3,11 +3,10 @@
    Exactly-once argument: in a round, a match using delta facts is found
    by the unit whose delta position is its leftmost atom matched to a
    delta fact — atoms left of that position read [old = full \ delta],
-   so no other unit claims it.  Chunks partition the delta, so splitting
-   a position across chunks keeps this.  [old] is the previous round's
-   [full], so [full = old ∪ delta] needs no set difference; the emit
-   callback only keeps facts absent from [full], so the next delta needs
-   no deduplication either. *)
+   so no other unit claims it.  [old] is the previous round's [full], so
+   [full = old ∪ delta] needs no set difference; the emit callback only
+   keeps facts absent from [full], so the next delta needs no
+   deduplication either. *)
 
 type 'r matcher =
   'r ->
@@ -21,7 +20,7 @@ type 'r matcher =
 (* Loops rather than iterators: this runs for every rule in every round.
    A goal check that stops early must not pay for the rules it no longer
    visits, hence [f]'s stop answer. *)
-let iter_units shape rules ~old ~delta chunks f =
+let iter_units shape rules ~old ~delta f =
   let rec walk = function
     | [] -> ()
     | r :: rest ->
@@ -31,10 +30,7 @@ let iter_units shape rules ~old ~delta chunks f =
           let nb = Array.length cr.cbody and pos = ref 0 in
           while !live && !pos < nb do
             let rid = cr.cbody.(!pos).crid in
-            for k = 0 to Array.length chunks - 1 do
-              if !live && Instance.cardinal_id chunks.(k) rid > 0 then
-                live := f r !pos chunks.(k)
-            done;
+            if Instance.cardinal_id delta rid > 0 then live := f r !pos;
             (* every later unit matches this atom against [old] *)
             pos := if Instance.cardinal_id old rid > 0 then !pos + 1 else nb
           done
@@ -43,30 +39,9 @@ let iter_units shape rules ~old ~delta chunks f =
   in
   walk rules
 
-type round = {
-  old : Instance.t;
-  delta : Instance.t;
-  full : Instance.t;
-  emit_into : Instance.t ref -> Fact.t -> bool;
-  stopped : bool Atomic.t;
-}
-
-type 'r scheduler =
-  ('r -> Dl_plan.crule) -> 'r list -> 'r matcher -> round -> Instance.t
-
-let sequential shape rules (m : _ matcher) r =
-  let acc = ref Instance.empty in
-  let emit = r.emit_into acc in
-  iter_units shape rules ~old:r.old ~delta:r.delta [| r.delta |]
-    (fun rule pos chunk ->
-      m rule pos ~old:r.old ~delta:chunk ~full:r.full emit;
-      not (Atomic.get r.stopped));
-  !acc
-
 type 'r engine = {
   prepare : Dl_cancel.t -> Datalog.program -> 'r list * 'r matcher;
   shape : 'r -> Dl_plan.crule;
-  schedule : 'r scheduler;
 }
 
 (* The round loop.  [derived] says whether to accumulate the facts
@@ -76,23 +51,25 @@ type 'r engine = {
 let rounds engine ~stop ~cancel ~derived p ~old ~delta =
   Dl_cancel.check cancel;
   let rules, m = engine.prepare cancel p in
-  let fire = engine.schedule engine.shape rules m in
-  let stopped = Atomic.make false in
   let rec loop old delta acc =
     Dl_cancel.check cancel;
     let full = Instance.union old delta in
     if Instance.is_empty delta then (full, acc)
     else begin
-      let emit_into fresh f =
+      let fresh = ref Instance.empty and stopped = ref false in
+      let emit f =
         if not (Instance.mem f full) then begin
           fresh := Instance.add f !fresh;
-          if stop f then Atomic.set stopped true
+          if stop f then stopped := true
         end;
-        not (Atomic.get stopped)
+        not !stopped
       in
-      let fresh = fire { old; delta; full; emit_into; stopped } in
-      if Atomic.get stopped then (Instance.union full fresh, acc)
-      else loop full fresh (if derived then Instance.union acc fresh else acc)
+      iter_units engine.shape rules ~old ~delta (fun rule pos ->
+          m rule pos ~old ~delta ~full emit;
+          not !stopped);
+      if !stopped then (Instance.union full !fresh, acc)
+      else
+        loop full !fresh (if derived then Instance.union acc !fresh else acc)
     end
   in
   loop old delta Instance.empty

@@ -1,19 +1,18 @@
-(** The semi-naive round loop, written once for the {!Dl_eval},
-    {!Dl_vm} and {!Dl_parallel} engines.
+(** The semi-naive round loop, written once for the {!Dl_eval} and
+    {!Dl_vm} engines.
 
-    A round fires {e units}.  A unit is a rule, a delta position and a
-    delta chunk: the body atom at the delta position reads the chunk,
-    atoms left of it read [old] (the facts before the round), atoms right
-    of it read [full = old ∪ delta], so each derivation using a delta
-    fact is found exactly once per round.  The facts absent from [full]
-    are the next round's delta.  The loop probes cancellation at every
-    round boundary, and stops on an empty delta or once a [stop]
-    predicate accepts a derived fact.
+    A round fires {e units}.  A unit is a rule and a delta position: the
+    body atom at the delta position reads the round's delta, atoms left
+    of it read [old] (the facts before the round), atoms right of it
+    read [full = old ∪ delta], so each derivation using a delta fact is
+    found exactly once per round.  The facts absent from [full] are the
+    next round's delta.  The loop probes cancellation at every round
+    boundary, and stops on an empty delta or once a [stop] predicate
+    accepts a derived fact.
 
-    An engine is two choices over this loop: a {!matcher}, which runs
-    one unit ({!Dl_eval.slots} or {!Dl_vm.exec}), and a {!scheduler},
-    which fires a round's units ({!sequential}, or the {!Dl_parallel}
-    pool). *)
+    An engine is a {!matcher} over this loop, which runs one unit
+    ({!Dl_eval.slots} or {!Dl_vm.exec}); the units of a round run in
+    rule order on the calling thread. *)
 
 type 'r matcher =
   'r ->
@@ -33,44 +32,19 @@ val iter_units :
   'r list ->
   old:Instance.t ->
   delta:Instance.t ->
-  Instance.t array ->
-  ('r -> int -> Instance.t -> bool) ->
+  ('r -> int -> bool) ->
   unit
-(** [iter_units shape rules ~old ~delta chunks f] calls [f rule pos
-    chunk] on every unit of a round whose [delta] is split into
-    [chunks], in rule order, until [f] answers [false]; [shape] gives a
-    rule's slot-compiled form.
-    Units that cannot match are skipped: those whose chunk has no fact
-    of the position's relation, and those with an atom left of the
-    position whose relation has no fact in [old]. *)
-
-type round = {
-  old : Instance.t;
-  delta : Instance.t;
-  full : Instance.t;
-  emit_into : Instance.t ref -> Fact.t -> bool;
-      (** the emit callback of a unit accumulating into the given
-          accumulator: it adds the facts absent from [full], and answers
-          [false] once the evaluation has stopped *)
-  stopped : bool Atomic.t;  (** set once [stop] accepts a derived fact *)
-}
-
-type 'r scheduler =
-  ('r -> Dl_plan.crule) -> 'r list -> 'r matcher -> round -> Instance.t
-(** Fires every unit of a round and returns the facts derived beyond
-    [full]; it should stop starting units once [stopped] is set.  It is
-    applied to the shape, the rules and the matcher once per
-    evaluation, so per-evaluation setup goes before the [round]
-    argument. *)
-
-val sequential : 'r scheduler
-(** One accumulator; units run in place on the calling thread. *)
+(** [iter_units shape rules ~old ~delta f] calls [f rule pos] on every
+    unit of a round, in rule order, until [f] answers [false]; [shape]
+    gives a rule's slot-compiled form.
+    Units that cannot match are skipped: those whose position's relation
+    has no fact in [delta], and those with an atom left of the position
+    whose relation has no fact in [old]. *)
 
 type 'r engine = {
   prepare : Dl_cancel.t -> Datalog.program -> 'r list * 'r matcher;
       (** compile the program; the matcher may probe the token *)
   shape : 'r -> Dl_plan.crule;
-  schedule : 'r scheduler;
 }
 
 val fixpoint :

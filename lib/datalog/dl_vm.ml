@@ -401,7 +401,7 @@ let exec (prog : program) ~full ?(old = Instance.empty)
 
 (* ------------------------------------------------------------------ *)
 (* The bytecode matcher: a {!Dl_semi} unit runs its rule's delta-position
-   program, with the unit's chunk as the delta. *)
+   program. *)
 
 let engine =
   {
@@ -411,7 +411,6 @@ let engine =
           fun rp pos ~old ~delta ~full emit ->
             exec rp.semi.(pos) ~full ~old ~delta ~cancel emit ));
     shape = (fun rp -> rp.source);
-    schedule = Dl_semi.sequential;
   }
 
 let fixpoint ?cancel p inst = Dl_semi.fixpoint engine ?cancel p inst

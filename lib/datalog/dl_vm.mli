@@ -23,9 +23,9 @@
     {!compile}'s cache is keyed on {!Datalog.program_fingerprint} and
     mutex-guarded: any domain may compile concurrently (structurally
     equal programs share one compilation).  {!exec} is reentrant — all
-    mutable state is per-call — provided the instances' relation indexes
-    are already built (see {!Instance.index}); {!Dl_parallel} prewarms
-    them before fanning out.
+    mutable state is per-call — provided no other domain builds the
+    same instances' relation indexes meanwhile (see {!Instance.index}):
+    the service's batch pool groups its tasks by instance for this.
 
     {2 Cancellation}
 
@@ -73,10 +73,6 @@ val exec :
     semi-naive variants (default empty).  Raises {!Dl_cancel.Cancelled}
     if [cancel] fires, and [Invalid_argument] on an arity mismatch
     between a stored fact and its atom. *)
-
-val engine : rule_prog Dl_semi.engine
-(** The bytecode matcher, which runs a unit as its rule's [semi.(pos)],
-    under the sequential scheduler ({!Dl_parallel} swaps in the pool). *)
 
 val fixpoint :
   ?cancel:Dl_cancel.t -> Datalog.program -> Instance.t -> Instance.t

@@ -330,9 +330,7 @@ let exec ~cancel f =
   | Svc_session.Missing m -> Error (Error_ m)
   | Parse.Error m -> Error (Error_ ("parse error: " ^ m))
   | Rpq.Error m -> Error (Error_ ("rpq parse error: " ^ m))
-  | Md_rewrite.Unsupported m | Md_decide.Unsupported m
-  | Inverse_rules.Unsupported m ->
-      Error (Error_ ("unsupported: " ^ m))
+  | Unsupported.Error m -> Error (Error_ ("unsupported: " ^ m))
   | Invalid_argument m -> Error (Error_ m)
   | Failure m -> Error (Error_ m)
 
@@ -550,9 +548,8 @@ let step ~use_mats t ~cancel (s, load) req =
      such computation runs at a time, whatever the session;
    - the cache carries its own lock, and evaluation runs
      [Dl_engine.pool_strategy ()] (the VM unless the process default is
-     [naive]) — the [Parallel] strategy would re-enter the
-     single-coordinator domain pool, and [Magic] caches its demand
-     transformations in a global table.
+     [naive]), never [Magic], which caches its demand transformations
+     in a global table.
 
    Per-session quotas shed with [busy] under the session lock, after the
    deadline and before any planning work. *)
@@ -664,9 +661,8 @@ let handle_batch t reqs : response list =
       | None -> Hashtbl.add groups c.cplan.pgroup (ref [ c ]))
     pooled;
   (* workers run the pool preference, as concurrent requests do: vm for
-     the indexed default and for the pool-unsafe strategies (Parallel
-     would re-enter the pool they themselves run on, Magic's transform
-     cache is unguarded); an explicit naive/vm default passes through *)
+     the indexed default and for Magic, whose transform cache is
+     unguarded; an explicit naive/vm default passes through *)
   Dl_parallel.run_tasks
     (Hashtbl.fold
        (fun _ l acc -> (fun () -> List.iter (run_cell Concurrent) !l) :: acc)

@@ -1,7 +1,3 @@
-exception Unsupported of string
-
-let unsupported fmt = Format.kasprintf (fun s -> raise (Unsupported s)) fmt
-
 type annotation = Plain | Sk of string * int
 
 let skolem_name ~view ~var = Printf.sprintf "f$%s$%s" view var
@@ -38,7 +34,7 @@ let idb_apred_name pred ann =
 
 let var_only = function
   | Cq.Var v -> v
-  | Cq.Cst _ -> unsupported "constants are not supported by inverse rules"
+  | Cq.Cst _ -> Unsupported.fail "constants are not supported by inverse rules"
 
 (* ------------------------------------------------------------------ *)
 (* Inverse rules of the view definitions                               *)
@@ -49,7 +45,7 @@ let provenances (views : View.collection) =
       let q =
         match v.View.def with
         | View.Cq_def q -> q
-        | _ -> unsupported "inverse rules require CQ views (%s)" v.View.name
+        | _ -> Unsupported.fail "inverse rules require CQ views (%s)" v.View.name
       in
       let head = q.Cq.head in
       let k = List.length head in
@@ -174,7 +170,7 @@ let expand_var v = function
 let check_distinct_head (r : Datalog.rule) =
   let hv = List.map var_only r.Datalog.head.Cq.args in
   if List.length hv <> List.length (List.sort_uniq String.compare hv) then
-    unsupported "repeated variables in a rule head"
+    Unsupported.fail "repeated variables in a rule head"
 
 (* all ways to choose one element from each list *)
 let rec choices = function

@@ -16,11 +16,6 @@
     function-free), so annotations assign each variable either the plain
     shape or a single skolem symbol. *)
 
-exception Unsupported of string
-(** Raised when the query or views fall outside the algorithm's scope:
-    non-CQ view definitions, constants in rule bodies or view definitions,
-    or repeated variables in rule heads. *)
-
 type annotation = Plain | Sk of string * int
 (** The shape of a defunctionalized position: either a single base-domain
     variable, or the skolem function of that name and arity applied to the
@@ -32,7 +27,10 @@ val rewrite : ?guard:bool -> Datalog.query -> View.collection -> Datalog.query
 (** The defunctionalized certain-answer program, a Datalog query over the
     view schema.  With [guard] (default true) every rule is conjoined with
     the guarding view atom, making the output frontier-guarded whenever the
-    input query is. *)
+    input query is.
+    @raise Unsupported.Error when the query or views fall outside the
+    algorithm's scope: non-CQ view definitions, constants in rule bodies
+    or view definitions, or repeated variables in rule heads. *)
 
 val certain_answers :
   Datalog.query -> View.collection -> Instance.t -> Const.t array list

@@ -26,7 +26,11 @@
 #      (MONDET_PAR_MATCHER / set_matcher appear in no source, test or
 #      doc), and the round step `Instance.union old delta` is written in
 #      exactly one lib/datalog file besides dl_engine.ml, whose Naive arm
-#      recomputes from that union.
+#      recomputes from that union;
+#  10. the sequential engines: the removed Parallel strategy is named —
+#      as `Dl_engine.Parallel`, `--engine parallel` or
+#      `MONDET_ENGINE=parallel` — in no file under lib, bin, test, bench
+#      or docs, nor in README.md, DESIGN.md or ARCHITECTURE.md.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -148,6 +152,13 @@ loops=$(grep -l 'Instance\.union old delta' lib/datalog/*.ml |
   grep -v '/dl_engine\.ml$' || true)
 [ "$(echo "$loops" | grep -c .)" -eq 1 ] ||
   err "the semi-naive round loop must be written in exactly one lib/datalog file, found: $(echo $loops)"
+
+# 10. the removed Parallel strategy.  CHANGES.md, EXPERIMENTS.md and
+#     ROADMAP.md are history and keep the names.
+if grep -rlE 'Dl_engine\.Parallel|--engine parallel|MONDET_ENGINE=parallel' \
+  lib bin test bench docs README.md DESIGN.md ARCHITECTURE.md; then
+  err "the files above name the removed Parallel strategy"
+fi
 
 if [ "$fail" -eq 0 ]; then
   echo "check_docs: ok ($(echo "$verbs" | wc -w | tr -d ' ') verbs, $(echo "$flags" | wc -w | tr -d ' ') flags, $(echo "$subs" | wc -w | tr -d ' ') subcommands)"

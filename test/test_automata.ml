@@ -107,7 +107,7 @@ let test_forward_unsupported () =
   match Forward.approximations_nta
           (Parse.query ~goal:"G" "G <- E(x,'a').")
   with
-  | exception Forward.Unsupported _ -> ()
+  | exception Unsupported.Error _ -> ()
   | _ -> Alcotest.fail "constants should be unsupported"
 
 (* --- CQ-satisfaction DTA ------------------------------------------- *)

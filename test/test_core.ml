@@ -143,7 +143,7 @@ let test_forward_backward_atomic () =
 let test_forward_backward_missing_view () =
   let conn = Parse.query ~goal:"G" "G <- R(x,y), U(y)." in
   match Md_rewrite.forward_backward_atomic conn [ View.atomic "VR" "R" 2 ] with
-  | exception Md_rewrite.Unsupported _ -> ()
+  | exception Unsupported.Error _ -> ()
   | _ -> Alcotest.fail "expected Unsupported"
 
 (* --- separators ------------------------------------------------------ *)

@@ -365,15 +365,6 @@ let prop_strategy name strategy =
 let prop_indexed = prop_strategy "rpq indexed = oracle" Dl_engine.Indexed
 let prop_vm = prop_strategy "rpq vm = oracle" Dl_engine.Vm
 
-let prop_parallel =
-  QCheck.Test.make ~name:"rpq parallel = oracle" ~count:120 rpq_pair_arb
-    (fun (e, g) ->
-      Dl_parallel.set_domains 3;
-      Fun.protect
-        ~finally:(fun () -> Dl_parallel.set_domains 1)
-        (fun () ->
-          Rpq_translate.eval ~strategy:Dl_engine.Parallel e g = oracle_pairs e g))
-
 let prop_anchored =
   QCheck.Test.make ~name:"rpq anchored = oracle slice" ~count:120 rpq_pair_arb
     (fun (e, g) ->
@@ -453,7 +444,6 @@ let suite =
       [
         prop_indexed;
         prop_vm;
-        prop_parallel;
         prop_anchored;
         prop_minimize;
         prop_holds;

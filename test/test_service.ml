@@ -960,6 +960,36 @@ let test_failed_load_no_session () =
       check_no_session entry svc handle)
     line_entries
 
+(* Inputs outside a decision procedure's scope answer [error
+   unsupported: ...] on both single-line entry points, whichever
+   procedure rejects them, and the service keeps answering: constants in
+   the query reach the CQ automaton, constants in a view the forward
+   automaton. *)
+let test_unsupported_inputs () =
+  List.iter
+    (fun (entry, handle) ->
+      List.iter
+        (fun (query, views) ->
+          let svc = Svc_service.create ~parallel:false () in
+          let answer line = Svc_proto.print_response (handle svc line) in
+          check_string (entry ^ ": load program") "1 ok loaded program g"
+            (answer ("1 load s program g goal G : " ^ query));
+          check_string (entry ^ ": load views") "2 ok loaded views v"
+            (answer ("2 load s views v : " ^ views));
+          let out = answer "3 mondet-test s g v" in
+          check_bool
+            (Printf.sprintf "%s: %s over %s answers unsupported, got %S" entry
+               query views out)
+            true
+            (String.starts_with ~prefix:"3 error unsupported: " out);
+          check_bool (entry ^ ": stats answers") true
+            (String.starts_with ~prefix:"4 ok hits=" (answer "4 stats")))
+        [
+          ("G() <- E('a',x).", "V(x,y) <- E(x,y).");
+          ("G() <- E(x,y).", "V(x) <- E(x,'c').");
+        ])
+    (List.filter (fun (e, _) -> e <> "handle_lines") line_entries)
+
 (* malformed lines keep their position in handle_lines output *)
 let test_handle_lines_order () =
   let svc = Svc_service.create ~parallel:false () in
@@ -1005,6 +1035,8 @@ let suite =
       test_deadline_first;
     Alcotest.test_case "failed load creates no session" `Quick
       test_failed_load_no_session;
+    Alcotest.test_case "unsupported inputs answer an error" `Quick
+      test_unsupported_inputs;
     Alcotest.test_case "mixed workload (2 sessions, pool)" `Slow
       test_mixed_workload;
     Alcotest.test_case "key modes agree (fingerprint vs printed)" `Slow

@@ -114,7 +114,7 @@ let test_inverse_guarded () =
 let test_inverse_unsupported () =
   let u = View.ucq "U" (Parse.ucq "v(x) <- E(x,y). v(x) <- E(y,x).") in
   (match Inverse_rules.rewrite tc_query [ u ] with
-  | exception Inverse_rules.Unsupported _ -> ()
+  | exception Unsupported.Error _ -> ()
   | _ -> Alcotest.fail "expected Unsupported")
 
 let test_certain_answers_monotone () =

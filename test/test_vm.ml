@@ -43,22 +43,16 @@ let test_rule_shapes () =
   let p0 = [ Datalog.rule (Cq.atom "G" []) [] ] in
   check_bool "empty body derives" true
     (Dl_vm.holds_boolean (Datalog.make p0 "G") Instance.empty);
-  (* ... under every strategy, the sharded one included: its first round
-     is not skipped for an empty input *)
-  Dl_parallel.set_domains 3;
-  Fun.protect
-    ~finally:(fun () -> Dl_parallel.set_domains 1)
-    (fun () ->
-      List.iter
-        (fun s ->
-          check_bool
-            ("empty body derives under " ^ Dl_engine.to_string s)
-            true
-            (Instance.cardinal
-               (Dl_engine.fixpoint ~strategy:s p0 Instance.empty)
-               "G"
-            = 1))
-        Dl_engine.all);
+  (* ... under every strategy: the first round is not skipped for an
+     empty input *)
+  List.iter
+    (fun s ->
+      check_bool
+        ("empty body derives under " ^ Dl_engine.to_string s)
+        true
+        (Instance.cardinal (Dl_engine.fixpoint ~strategy:s p0 Instance.empty) "G"
+        = 1))
+    Dl_engine.all;
   (* constants in the body: check-const and constant-keyed probes *)
   let qc = Parse.query ~goal:"P" "P(x) <- E(x,'a2')." in
   let i = chain 5 in
@@ -79,14 +73,8 @@ let test_engine_facade () =
   check_bool "of_string" true (Dl_engine.of_string "vm" = Some Dl_engine.Vm);
   check_bool "to_string" true
     (String.equal (Dl_engine.to_string Dl_engine.Vm) "vm");
-  (* pool-safe demotion: only strategies with guarded caches survive *)
-  check_bool "parallel demotes" true
-    (Dl_engine.pool_safe Dl_engine.Parallel = Dl_engine.Indexed);
-  check_bool "magic demotes" true
-    (Dl_engine.pool_safe Dl_engine.Magic = Dl_engine.Indexed);
-  check_bool "vm passes" true (Dl_engine.pool_safe Dl_engine.Vm = Dl_engine.Vm);
-  check_bool "naive passes" true
-    (Dl_engine.pool_safe Dl_engine.Naive = Dl_engine.Naive);
+  check_bool "four strategies" true (List.length Dl_engine.all = 4);
+  check_bool "no parallel strategy" true (Dl_engine.of_string "parallel" = None);
   (* pool preference: worker domains run vm unless the default is an
      explicit naive/vm *)
   let saved = Dl_engine.default () in
@@ -102,7 +90,6 @@ let test_engine_facade () =
             (Dl_engine.pool_strategy () = want))
         [
           (Dl_engine.Indexed, Dl_engine.Vm);
-          (Dl_engine.Parallel, Dl_engine.Vm);
           (Dl_engine.Magic, Dl_engine.Vm);
           (Dl_engine.Vm, Dl_engine.Vm);
           (Dl_engine.Naive, Dl_engine.Naive);
@@ -324,22 +311,6 @@ let prop_vm_holds_differential =
             tuples)
         Test_datalog.dg_idbs)
 
-(* the pool scheduler against the naive oracle: workers run the Dl_vm
-   delta-position programs of their units *)
-let prop_parallel_bytecode_differential =
-  QCheck.Test.make ~name:"parallel bytecode matcher = naive" ~count:120
-    Test_datalog.dg_pair_arb (fun (p, i) ->
-      Dl_parallel.set_domains 3;
-      Fun.protect
-        ~finally:(fun () -> Dl_parallel.set_domains 1)
-        (fun () ->
-          List.for_all
-            (fun (goal, _) ->
-              let q = Datalog.make p goal in
-              norm (Dl_engine.eval ~strategy:Dl_engine.Parallel q i)
-              = norm (Dl_engine.eval ~strategy:Dl_engine.Naive q i))
-            Test_datalog.dg_idbs))
-
 let suite =
   [
     Alcotest.test_case "transitive closure" `Quick test_tc_chain;
@@ -357,7 +328,6 @@ let suite =
         prop_vm_eval_differential;
         prop_vm_boolean_differential;
         prop_vm_holds_differential;
-        prop_parallel_bytecode_differential;
       ]
   @ [
       Alcotest.test_case "pool shutdown" `Quick (fun () ->
