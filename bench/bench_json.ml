@@ -105,8 +105,23 @@ let micro_tests =
           in
           fun () -> ignore (Md_rewrite.forward_backward_atomic q views)))
   in
+  let e13 n =
+    (* E13's full Theorem 5 pipeline on the n-path over the tc view:
+       composition, the forward NTA and the emptiness check *)
+    Test.make
+      ~name:(Printf.sprintf "e13/thm5-path%d" n)
+      (Staged.stage
+         (let v i = Cq.Var (Printf.sprintf "x%d" i) in
+          let q = Cq.make ~head:[] (List.init n (fun i -> Cq.atom "E" [ v i; v (i + 1) ])) in
+          fun () ->
+            let q'' =
+              Md_decide.compose_with_views (Datalog.of_cq ~goal:"G0" q) [ tc_view ]
+            in
+            let nta, _ = Forward.approximations_nta q'' in
+            ignore (Run.check_empty nta (Cq_dta.make ~negate:true q))))
+  in
   Test.make_grouped ~name:"mondet"
-    [ t1; t2; f1; f2; f3; f4; e6; e8 "" 3; e8 "-4x4" 4; e9; e11 ]
+    [ t1; t2; f1; f2; f3; f4; e6; e8 "" 3; e8 "-4x4" 4; e9; e11; e13 4; e13 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Scaling series and raw engine throughput.                           *)

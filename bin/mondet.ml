@@ -7,12 +7,8 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* reads to end of file, so a path may be a pipe such as /dev/stdin *)
+let read_file path = In_channel.with_open_text path In_channel.input_all
 
 let views_of_file path = Parse.views (read_file path)
 

@@ -71,7 +71,19 @@ let poke slot =
 (* Worker: multiplex the connections assigned to this slot until the
    server closes.  All I/O errors on a connection just drop it. *)
 
-let worker_loop ~closing ~active ~max_line service slot =
+(* The response line to one request line.  An exception [handle] lets
+   escape answers [- error internal: EXN], so the worker keeps serving. *)
+let answer_line handle l =
+  match handle l with
+  | r -> response_line r
+  | exception e ->
+      response_line
+        {
+          Svc_proto.rid = "-";
+          result = Svc_proto.Error_ ("internal: " ^ Printexc.to_string e);
+        }
+
+let worker_loop ~closing ~active ~max_line handle slot =
   let scratch = Bytes.create 65536 in
   let conns = ref [] in
   let drop c =
@@ -102,9 +114,7 @@ let worker_loop ~closing ~active ~max_line service slot =
                      (Printf.sprintf "line exceeds %d bytes" max_line);
                })
       | Svc_reader.Line l when String.trim l = "" -> None
-      | Svc_reader.Line l ->
-          Some
-            (response_line (Svc_service.handle_line_concurrent service l))
+      | Svc_reader.Line l -> Some (answer_line handle l)
     in
     match line with
     | None -> true
@@ -191,7 +201,10 @@ let bind_listener = function
   | Unix.ADDR_UNIX path -> bind_unix ~path
   | addr -> bound_socket addr
 
-let serve ?(stop = fun () -> false) ?on_listen config service addr =
+let serve ?(stop = fun () -> false) ?on_listen ?handle config service addr =
+  let handle =
+    Option.value handle ~default:(Svc_service.handle_line_concurrent service)
+  in
   Svc_server.ignore_sigpipe ();
   let sock = bind_listener addr in
   Unix.listen sock 64;
@@ -210,7 +223,7 @@ let serve ?(stop = fun () -> false) ?on_listen config service addr =
   in
   let workers =
     Dl_parallel.spawn_workers nworkers (fun i ->
-        worker_loop ~closing ~active ~max_line:config.max_line service
+        worker_loop ~closing ~active ~max_line:config.max_line handle
           slots.(i))
   in
   assert (Dl_parallel.worker_count workers = nworkers);

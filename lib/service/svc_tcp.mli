@@ -44,6 +44,7 @@ val default_config : config
 val serve :
   ?stop:(unit -> bool) ->
   ?on_listen:(Unix.sockaddr -> unit) ->
+  ?handle:(string -> Svc_proto.response) ->
   config ->
   Svc_service.t ->
   Unix.sockaddr ->
@@ -56,6 +57,11 @@ val serve :
     times a second; a [true] stops accepting, closes every connection,
     joins the workers, removes a Unix-domain socket file and returns.
     Without [stop], never returns.
+
+    [handle] answers one request line; it defaults to
+    {!Svc_service.handle_line_concurrent} on [service].  An exception it
+    raises is answered [- error internal: EXN] and the worker goes on
+    serving that connection and every other one.
 
     The [service] must be dedicated to this server and not driven
     through the single-coordinator entry points concurrently (see

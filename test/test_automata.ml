@@ -158,6 +158,143 @@ let prop_cq_dta_random =
       let q = Parse.cq "q() <- E(x,y), U(y)" in
       Cq_dta.holds_on_code q code = Cq.holds_boolean q i)
 
+(* random codes of width 3 over E/2 and U/1: labels of up to two atoms,
+   up to two children per node, edges random partial injections.  E-atoms
+   join distinct positions: a self-loop would satisfy every E-only CQ and
+   collapse the states. *)
+let code_gen =
+  QCheck.Gen.(
+    let pos = int_bound 2 in
+    let atom =
+      oneof
+        [
+          map2 (fun a d -> ("E", [ a; (a + d) mod 3 ])) pos (int_range 1 2);
+          map (fun a -> ("U", [ a ])) pos;
+        ]
+    in
+    let label = list_size (int_bound 2) atom in
+    let edge =
+      let* images = shuffle_l [ 0; 1; 2 ] and* keep = list_repeat 3 bool in
+      return
+        (List.filteri (fun i _ -> List.nth keep i) (List.combine [ 0; 1; 2 ] images))
+    in
+    sized_size (int_bound 8)
+    @@ fix (fun self n ->
+           if n = 0 then map Code.leaf label
+           else
+             let* l = label and* k = int_range 1 2 in
+             let* kids = list_repeat k (pair edge (self (n / 2))) in
+             return (Code.node l kids)))
+
+(* random Boolean CQs of one to four atoms over E/2 and U/1 *)
+let cq_gen =
+  QCheck.Gen.(
+    let var = map (fun i -> Cq.Var (List.nth [ "x"; "y"; "z"; "w" ] i)) (int_bound 3) in
+    let atom =
+      oneof
+        [ map2 (fun a b -> Cq.atom "E" [ a; b ]) var var; map (fun a -> Cq.atom "U" [ a ]) var ]
+    in
+    map (Cq.make ~head:[]) (list_size (int_range 1 4) atom))
+
+let print_cq_code (q, c) = Fmt.str "%a on %a" Cq.pp q Code.pp c
+
+let prop_bitmask_step_oracle =
+  QCheck.Test.make ~name:"bitmask step = list step on random codes" ~count:150
+    (QCheck.make ~print:print_cq_code (QCheck.Gen.pair cq_gen code_gen))
+    (fun (q, code) ->
+      List.for_all
+        (fun prune ->
+          let sorted l = List.sort compare l in
+          sorted (Cq_dta.pairs_on_code ~prune q code)
+          = sorted (Cq_dta_oracle.pairs_on_code ~prune q code))
+        [ true; false ])
+
+(* random path, star and small cyclic Boolean CQs of at most [max] E-atoms *)
+let shaped_cq_gen max =
+  QCheck.Gen.(
+    let v i = Cq.Var (Printf.sprintf "x%d" i) in
+    let e a b = Cq.atom "E" [ v a; v b ] in
+    let* n = int_range 1 max and* shape = int_bound 2 in
+    let* flips = list_repeat n bool in
+    let atoms =
+      List.mapi
+        (fun i flip ->
+          let a, b =
+            match shape with
+            | 0 -> (i, i + 1) (* path *)
+            | 1 -> (0, i + 1) (* star *)
+            | _ -> (i, (i + 1) mod n) (* cycle, a self-loop when n = 1 *)
+          in
+          if flip then e b a else e a b)
+        flips
+    in
+    return (Cq.make ~head:[] atoms))
+
+let tc_view =
+  View.datalog "VT"
+    (Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).")
+
+let atomic_views = [ View.atomic "VE" "E" 2 ]
+
+(* Theorem 5 through Md_decide against the same pipeline run with the list
+   automaton: the same verdict, a witness exactly when the oracle finds
+   one, and every witness a counterexample code *)
+let prop_thm5_oracle =
+  QCheck.Test.make ~name:"Theorem 5 verdicts = oracle" ~count:120
+    (QCheck.make
+       ~print:(fun (qs, tc) ->
+         Fmt.str "%a over %s" Fmt.(list ~sep:(any " | ") Cq.pp) qs
+           (if tc then "tc" else "atomic"))
+       QCheck.Gen.(
+         (* a CQ of up to four atoms, or a union of two of up to two: the
+            product of two negated automata grows fast (a 4-cycle or 4-star
+            union takes seconds) *)
+         pair
+           (oneof
+              [
+                map (fun q -> [ q ]) (shaped_cq_gen 4);
+                list_repeat 2 (shaped_cq_gen 2);
+              ])
+           bool))
+    (fun (qs, tc) ->
+      let views = if tc then [ tc_view ] else atomic_views in
+      let u = Ucq.make qs in
+      let verdict =
+        match qs with
+        | [ q ] -> Md_decide.cq_query q views
+        | _ -> Md_decide.ucq_query u views
+      in
+      let q'' = Md_decide.compose_with_views (Datalog.of_ucq ~goal:"G0" u) views in
+      let nta, _ = Forward.approximations_nta q'' in
+      let all_fail mk = Dta.conj_list (List.map mk qs) in
+      let witness = Run.find nta (all_fail (Cq_dta.make ~negate:true)) in
+      let oracle = Run.find nta (all_fail (Cq_dta_oracle.make ~negate:true)) in
+      verdict = Option.is_none oracle
+      && Option.is_some witness = Option.is_some oracle
+      &&
+      match witness with
+      | None -> true
+      | Some w -> not (Ucq.holds_boolean u (Code.decode w)))
+
+let test_cq_dta_too_wide () =
+  let unsupported name q =
+    match Cq_dta.make q with
+    | exception Unsupported.Error _ -> ()
+    | _ -> Alcotest.fail (name ^ ": expected Unsupported")
+  in
+  let v i = Cq.Var (Printf.sprintf "x%d" i) in
+  unsupported "63 atoms"
+    (Cq.make ~head:[]
+       (List.init 63 (fun i -> Cq.atom (Printf.sprintf "U%d" i) [ v 0 ])));
+  unsupported "63 variables"
+    (Cq.make ~head:[]
+       (List.init 21 (fun i -> Cq.atom "R" [ v (3 * i); v ((3 * i) + 1); v ((3 * i) + 2) ])));
+  (* 62 of each still fits *)
+  ignore
+    (Cq_dta.make
+       (Cq.make ~head:[]
+          (List.init 62 (fun i -> Cq.atom "E" [ v i; v ((i + 1) mod 62) ]))))
+
 (* --- containment via Run ------------------------------------------- *)
 
 let test_datalog_in_cq_containment () =
@@ -219,12 +356,15 @@ let suite =
     Alcotest.test_case "forward repeated IDB args" `Quick test_forward_repeated_idb_args;
     Alcotest.test_case "forward unsupported" `Quick test_forward_unsupported;
     Alcotest.test_case "CQ DTA on codes" `Quick test_cq_dta_on_codes;
+    Alcotest.test_case "CQ DTA: 63 atoms or variables unsupported" `Quick
+      test_cq_dta_too_wide;
     Alcotest.test_case "Datalog ⊆ CQ" `Quick test_datalog_in_cq_containment;
     Alcotest.test_case "Datalog ⊆ UCQ" `Quick test_datalog_in_ucq_containment;
     Alcotest.test_case "backward round trip" `Quick test_backward_roundtrip;
     Alcotest.test_case "adom rules" `Quick test_adom_rules;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_cq_dta_random ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_cq_dta_random; prop_bitmask_step_oracle; prop_thm5_oracle ]
 
 (* ablation flags preserve verdicts *)
 let test_ablation_flags_agree () =

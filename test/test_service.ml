@@ -964,7 +964,8 @@ let test_failed_load_no_session () =
    unsupported: ...] on both single-line entry points, whichever
    procedure rejects them, and the service keeps answering: constants in
    the query reach the CQ automaton, constants in a view the forward
-   automaton. *)
+   automaton, and a 63-atom query overflows the CQ automaton's atom
+   masks. *)
 let test_unsupported_inputs () =
   List.iter
     (fun (entry, handle) ->
@@ -987,6 +988,11 @@ let test_unsupported_inputs () =
         [
           ("G() <- E('a',x).", "V(x,y) <- E(x,y).");
           ("G() <- E(x,y).", "V(x) <- E(x,'c').");
+          ( "G() <- "
+            ^ String.concat ", "
+                (List.init 63 (fun i -> Printf.sprintf "U%d(x)" i))
+            ^ ".",
+            "V(x) <- U0(x)." );
         ])
     (List.filter (fun (e, _) -> e <> "handle_lines") line_entries)
 

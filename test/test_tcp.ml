@@ -109,7 +109,7 @@ let test_stale_socket_reclaim () =
 (* In-process TCP server scaffolding. *)
 
 let with_server ?(config = Svc_tcp.default_config)
-    ?(addr = Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) service f =
+    ?(addr = Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) ?handle service f =
   let stop = Atomic.make false in
   let bound = ref None in
   let mu = Mutex.create () in
@@ -123,7 +123,7 @@ let with_server ?(config = Svc_tcp.default_config)
             bound := Some a;
             Condition.signal cv;
             Mutex.unlock mu)
-          config service addr)
+          ?handle config service addr)
   in
   Mutex.lock mu;
   while !bound = None do
@@ -206,6 +206,29 @@ let test_unix_socket () =
         (roundtrip ic oc "q2 eval s tc i");
       Unix.close fd);
   check_bool "socket file removed on stop" false (Sys.file_exists path)
+
+(* An exception escaping the request handler is answered [- error
+   internal: ...] and the single worker keeps serving: the next request
+   on the same connection and one on a new connection both answer. *)
+let test_tcp_handler_exception () =
+  let service = Svc_service.create ~parallel:false () in
+  let config = { Svc_tcp.default_config with Svc_tcp.workers = 1 } in
+  let handle line =
+    if String.starts_with ~prefix:"boom" line then raise Not_found
+    else Svc_service.handle_line_concurrent service line
+  in
+  with_server ~config ~handle service (fun addr ->
+      let fd, ic, oc = connect addr in
+      List.iter (fun l -> ignore (roundtrip ic oc l)) load_lines;
+      check_string "escaped exception answered" "- error internal: Not_found"
+        (roundtrip ic oc "boom");
+      check_string "same connection still served" "q1 ok a,b;a,c;b,c"
+        (roundtrip ic oc "q1 eval s tc i");
+      let fd2, ic2, oc2 = connect addr in
+      check_string "new connection served" "q2 ok true"
+        (roundtrip ic2 oc2 "q2 holds s tc i (a,c)");
+      Unix.close fd2;
+      Unix.close fd)
 
 let test_tcp_admission_shed () =
   let service = Svc_service.create ~parallel:false () in
@@ -409,6 +432,8 @@ let suite =
     Alcotest.test_case "tcp oversized line" `Quick test_tcp_oversized_line;
     Alcotest.test_case "unix socket line cap and cleanup" `Quick
       test_unix_socket;
+    Alcotest.test_case "tcp handler exception answered" `Quick
+      test_tcp_handler_exception;
     Alcotest.test_case "tcp admission shed" `Quick test_tcp_admission_shed;
     Alcotest.test_case "tcp per-session quota" `Quick test_tcp_quota_busy;
     Alcotest.test_case "tcp stress vs oracle" `Slow test_tcp_stress_oracle;
