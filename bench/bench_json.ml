@@ -47,7 +47,7 @@ let micro_tests =
       (Staged.stage (fun () ->
            let tp = Tiling.simple_solvable in
            let t = Reduction.grid_test tp ~tau:(fun _ _ -> "w") 3 3 in
-           ignore (Dl_eval.holds_boolean (Reduction.query tp) t)))
+           ignore (Dl_engine.holds_boolean (Reduction.query tp) t)))
   in
   let f2 =
     Test.make ~name:"figure2/axes-image"
@@ -144,22 +144,12 @@ let scale_tests =
       (Staged.stage (fun () ->
            let tp = Tiling.simple_solvable in
            let t = Reduction.grid_test tp ~tau:(fun _ _ -> "w") n n in
-           ignore (Dl_eval.holds_boolean (Reduction.query tp) t)))
+           ignore (Dl_engine.holds_boolean (Reduction.query tp) t)))
   in
   let diamond n =
     Test.make ~name:(Printf.sprintf "diamond-chain-%d" n)
       (Staged.stage (fun () ->
-           ignore (Dl_eval.holds_boolean Diamonds.query (Diamonds.chain n))))
-  in
-  let join =
-    (* one three-way join, no recursion: isolates planner + index lookup *)
-    Test.make ~name:"raw/join-path3"
-      (Staged.stage
-         (let g = chain_graph 256 in
-          let q =
-            Parse.query ~goal:"Q" "Q(x,w) <- E(x,y), E(y,z), E(z,w)."
-          in
-          fun () -> ignore (Dl_eval.eval q g)))
+           ignore (Dl_engine.holds_boolean Diamonds.query (Diamonds.chain n))))
   in
   let hom =
     (* homomorphism search of a 5-edge path pattern into the graph *)
@@ -177,57 +167,41 @@ let scale_tests =
           in
           fun () -> ignore (Cq.holds_boolean pat g)))
   in
-  let tc =
-    (* recursive fixpoint: transitive closure of a 64-chain, ~2k derived
-       facts, exercises the semi-naive delta rounds *)
-    Test.make ~name:"raw/tc-chain-64"
-      (Staged.stage
-         (let g = chain_graph 64 in
-          let q =
-            Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)."
-          in
-          fun () -> ignore (Dl_eval.eval q g)))
-  in
-  (* the same raw probes through the bytecode VM, paired with the rows
-     above: the vm row beating its interpreted counterpart is what the
-     static-plan lowering buys on these workloads *)
+  (* raw engine probes, through the bytecode VM (the rows keep the -vm
+     names they had when an interpreted matcher ran beside them) *)
   let join_vm =
+    (* one three-way join, no recursion: isolates planner + index lookup *)
     Test.make ~name:"raw/join-path3-vm"
       (Staged.stage
          (let g = chain_graph 256 in
           let q =
             Parse.query ~goal:"Q" "Q(x,w) <- E(x,y), E(y,z), E(z,w)."
           in
-          fun () -> ignore (Dl_vm.eval q g)))
+          fun () -> ignore (Dl_engine.eval ~strategy:Dl_engine.Vm q g)))
   in
   let tc_vm =
+    (* recursive fixpoint: transitive closure of a 64-chain, ~2k derived
+       facts, exercises the semi-naive delta rounds *)
     Test.make ~name:"raw/tc-chain-64-vm"
       (Staged.stage
          (let g = chain_graph 64 in
           let q =
             Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)."
           in
-          fun () -> ignore (Dl_vm.eval q g)))
+          fun () -> ignore (Dl_engine.eval ~strategy:Dl_engine.Vm q g)))
   in
   Test.make_grouped ~name:"scale"
     (List.map grid [ 3; 4; 5; 6; 7; 8 ]
     @ List.map diamond [ 2; 3; 4; 5; 6 ]
-    @ [ join; hom; tc; join_vm; tc_vm ])
+    @ [ hom; join_vm; tc_vm ])
 
 (* ------------------------------------------------------------------ *)
-(* Engine ablation probes: the same workload under the indexed, the
-   magic-sets, and the bytecode-VM strategy, so the trajectory records
-   what goal-directed evaluation and static-plan lowering each buy (or
-   cost) on the paper pipelines.                                       *)
+(* Engine ablation probes: the same workload under the magic-sets and
+   the plain bytecode-VM strategy, so the trajectory records what
+   goal-directed evaluation buys (or costs) on the paper pipelines.     *)
 
 let engine_tests =
-  let strategies =
-    [
-      ("indexed", Dl_engine.Indexed);
-      ("magic", Dl_engine.Magic);
-      ("vm", Dl_engine.Vm);
-    ]
-  in
+  let strategies = [ ("magic", Dl_engine.Magic); ("vm", Dl_engine.Vm) ] in
   let per_strategy name mk =
     List.map
       (fun (sname, s) ->
@@ -462,13 +436,11 @@ let rpq_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Bytecode-VM probes on recursive workloads, paired with the indexed
-   engine run in the same process: the engine/vm-*-vm vs
-   engine/vm-*-indexed deltas are the headline numbers for the
-   static-plan lowering.                                                *)
+(* Bytecode-VM probes on recursive workloads: one wide join, many
+   narrow rounds, and wide rounds of fat joins.                         *)
 
 let vm_tests =
-  let strategies = [ ("indexed", Dl_engine.Indexed); ("vm", Dl_engine.Vm) ] in
+  let strategies = [ ("vm", Dl_engine.Vm) ] in
   let per_strategy name mk =
     List.map
       (fun (sname, s) ->

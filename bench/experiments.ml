@@ -127,7 +127,7 @@ let e9 () =
     List.for_all
       (fun w ->
         let i = Encode.encode_run m w in
-        Dl_eval.holds_boolean q i
+        Dl_engine.holds_boolean q i
         = Th9.simulating_separator m (View.image views i))
       [ "0"; "00"; "000" ]
   in
@@ -220,7 +220,7 @@ let e12 () =
     in
     let agree =
       List.for_all
-        (fun i -> Dl_eval.holds_boolean q i = r (View.image views i))
+        (fun i -> Dl_engine.holds_boolean q i = r (View.image views i))
         insts
     in
     pf "  %-12s R = VhC ∨ VhD ∨ Q*verify ∨ (Q*start ∧ ProductTest) on %d instances: %b@."
@@ -283,7 +283,7 @@ let e13 () =
 (* E14 — ablation: magic-sets demand transformation on/off *)
 let e14 () =
   pf "@.### E14 — ablation: magic-sets on the Thm 6 and Thm 9 pipelines ###@.";
-  let strategies = [ ("indexed", Dl_engine.Indexed); ("magic", Dl_engine.Magic) ] in
+  let strategies = [ ("vm", Dl_engine.Vm); ("magic", Dl_engine.Magic) ] in
   (* Theorem 6 pipeline: bounded canonical-test search — every test is one
      Boolean evaluation of the reduction query on a chased instance *)
   let tp = Tiling.simple_unsolvable in
@@ -402,21 +402,20 @@ let e16 () =
    differential suite and [mondet bench-serve] respectively); see
    EXPERIMENTS.md.  The next in-process experiment is E19. *)
 
-(* E19 — ablation: the register-bytecode VM vs the interpreted matcher.
+(* E19 — the register-bytecode VM: lowering cost and evaluation time.
 
    Methodology: the three recursive/join workloads also timed by the
    engine/vm-* bench rows — a non-recursive three-way join over 614
    edges, transitive closure of a 128-chain (~8k derived facts, many
    narrow delta rounds), and same-generation on a 192-node graph (wide
-   rounds, each a fat three-way join) — evaluated under the indexed
-   engine (interpreted slot matcher, per-round index selection) and
-   under the VM (static plans lowered once to flat bytecode).  Answers
-   are asserted identical as sorted tuple sets, not just counts.  The
+   rounds, each a fat three-way join) — evaluated under the VM (static
+   plans lowered once to flat bytecode) and, as a cross-check of the
+   answers (sorted tuple sets, not just counts), under magic sets.  The
    one-time lowering cost is reported separately: bytecode size and a
    cold [Dl_vm.compile] timing per program (warm compiles are
-   fingerprint-cache hits). *)
+   compile-cache hits). *)
 let e19 () =
-  pf "@.### E19 — ablation: bytecode VM vs interpreted slot matcher ###@.";
+  pf "@.### E19 — the bytecode VM: lowering cost and evaluation time ###@.";
   let node i = Const.named (Printf.sprintf "n%d" i) in
   let graph n =
     Instance.of_list
@@ -441,9 +440,8 @@ let e19 () =
   in
   let norm ts = List.sort compare (List.map Array.to_list ts) in
   (* one-time lowering cost, per program: bytecode volume and the cold
-     compile time — measured before any evaluation, since the
-     fingerprint cache makes every later compile a mutex-guarded assoc
-     hit *)
+     compile time — measured before any evaluation, since the compile
+     cache makes every later compile a mutex-guarded lookup *)
   List.iter
     (fun (name, q, _) ->
       let rps, t = time (fun () -> Dl_vm.compile q.Datalog.program) in
@@ -452,8 +450,7 @@ let e19 () =
           (fun acc rp ->
             Array.fold_left
               (fun acc (p : Dl_vm.program) -> acc + Array.length p.code)
-              (acc + Array.length rp.Dl_vm.naive.code)
-              rp.Dl_vm.semi)
+              acc rp.Dl_vm.semi)
           0 rps
       in
       pf "  lowering %-24s %d rule(s), %d bytecode words, %.4fs@." name
@@ -463,19 +460,17 @@ let e19 () =
   List.iter
     (fun (name, q, g) ->
       let a0, t0 =
-        time (fun () -> Dl_engine.eval ~strategy:Dl_engine.Indexed q g)
-      in
-      pf "  %-24s %-10s %-10d %.3fs@." name "indexed" (List.length a0) t0;
-      let a1, t1 =
         time (fun () -> Dl_engine.eval ~strategy:Dl_engine.Vm q g)
       in
-      pf "  %-24s %-10s %-10d %.3fs  (%.2fx)@." name "vm" (List.length a1) t1
-        (t0 /. t1);
+      pf "  %-24s %-10s %-10d %.3fs@." name "vm" (List.length a0) t0;
+      let a1, t1 =
+        time (fun () -> Dl_engine.eval ~strategy:Dl_engine.Magic q g)
+      in
+      pf "  %-24s %-10s %-10d %.3fs@." name "magic" (List.length a1) t1;
       assert (norm a0 = norm a1))
     workloads;
-  pf "  (vm and indexed share plan selection; the vm rows replace the@.";
-  pf "   per-tuple environment interpretation with a register dispatch@.";
-  pf "   loop — single-core container numbers)@."
+  pf "  (all-free goals: magic sets prune nothing here and pay for their@.";
+  pf "   extra rules — single-core container numbers)@."
 
 (* E20 — incremental maintenance vs cold re-evaluation.
 
@@ -492,7 +487,7 @@ let e19 () =
    mutations in both directions — asserting fresh edges / retracting
    them again, and retracting an existing internal edge / re-asserting
    it.  After all mutations the maintained fixpoint is asserted equal
-   to a cold [Dl_eval.fixpoint] of the final base (the same oracle the
+   to a cold [Dl_engine.fixpoint] of the final base (the same oracle the
    qcheck differential suite uses).  Reported speedups are cold-build
    time over per-mutation repair time; each row also prints the
    Backward/Forward counters ([Dl_incr.last_repair]) of its last
@@ -598,7 +593,7 @@ let e20 () =
       row "retract-32" r32;
       assert (
         Instance.equal (Dl_incr.full m)
-          (Dl_eval.fixpoint (Dl_incr.program m) (Dl_incr.base m))))
+          (Dl_engine.fixpoint (Dl_incr.program m) (Dl_incr.base m))))
     workloads;
   pf "  (repair = one maintenance pass over an existing materialization;@.";
   pf "   cold = Dl_incr.create, a full fixpoint + derivation counting —@.";
@@ -667,9 +662,8 @@ let e21 () =
   in
   pf "  graph: scale-free, 2048 nodes, %d edges@." (Instance.size g);
   let src = Rpq_graph.node 0 in
-  let d_ind, t_ind =
-    time (fun () ->
-        Rpq_translate.eval_from ~strategy:Dl_engine.Indexed q g src)
+  let d_mag, t_mag =
+    time (fun () -> Rpq_translate.eval_from ~strategy:Dl_engine.Magic q g src)
   in
   let d_vm, t_vm =
     time (fun () -> Rpq_translate.eval_from ~strategy:Dl_engine.Vm q g src)
@@ -677,13 +671,13 @@ let e21 () =
   let cert, t_cert = time (fun () -> Rpq_views.certain_from rw g src) in
   let orac, t_or = time (fun () -> oracle_from q g src) in
   let agree =
-    List.sort compare d_ind = orac
+    List.sort compare d_mag = orac
     && List.sort compare d_vm = orac
     && List.sort compare cert = orac
   in
   pf "  anchored from n0: %d answers@." (List.length orac);
   pf "  %-28s %10s@." "path" "time";
-  pf "  %-28s %9.4fs@." "direct (indexed)" t_ind;
+  pf "  %-28s %9.4fs@." "direct (magic)" t_mag;
   pf "  %-28s %9.4fs@." "direct (vm)" t_vm;
   pf "  %-28s %9.4fs@." "rewriting (image + certain)" t_cert;
   pf "  %-28s %9.4fs@." "naive product BFS" t_or;

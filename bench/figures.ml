@@ -30,7 +30,7 @@ let figure1 () =
       pf "  %-10s %-8d %-14d %-14d %b@."
         (Printf.sprintf "%dx%d" n m)
         (Instance.size t) ha va
-        (Dl_eval.holds_boolean q t))
+        (Dl_engine.holds_boolean q t))
     [ (2, 2); (3, 3); (4, 4); (5, 5) ];
   (* HA semantics: z2 is the right neighbour of z1 *)
   let t = Reduction.grid_test tp2 ~tau:(fun _ _ -> "w") 3 3 in
@@ -53,7 +53,7 @@ let figure2 () =
         (s = l * l))
     [ 1; 2; 3; 4; 5 ];
   let ax = Reduction.axes 3 in
-  pf "  Qstart holds on the axes: %b@." (Dl_eval.holds_boolean q ax)
+  pf "  Qstart holds on the axes: %b@." (Dl_engine.holds_boolean q ax)
 
 let figure3 () =
   pf "@.### F3 — Figure 3: diamonds and the (1,k) game (Theorem 7) ###@.";
@@ -69,8 +69,8 @@ let figure3 () =
       let win = Pebble.one_k_consistent ~k v_i v_i' in
       pf "  %-4d %-10d %-10d %-8b %-8b %b (%.2fs)@." k (Instance.size ik)
         (Instance.size jk)
-        (Dl_eval.holds_boolean Diamonds.query ik)
-        (Dl_eval.holds_boolean Diamonds.query i')
+        (Dl_engine.holds_boolean Diamonds.query ik)
+        (Dl_engine.holds_boolean Diamonds.query i')
         win (Sys.time () -. t0))
     [ 1; 2; 3 ]
 

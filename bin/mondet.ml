@@ -35,10 +35,10 @@ let engine_arg =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Datalog evaluation strategy: $(b,naive) (scan-based naive \
-           iteration), $(b,indexed) (slot-compiled semi-naive), \
-           $(b,magic) (magic-sets demand transformation over the indexed \
-           engine) or $(b,vm) (static join plans lowered to register \
-           bytecode, with mid-round cancellation).")
+           iteration, the test oracle), $(b,vm) (semi-naive rounds over \
+           static join plans lowered to register bytecode, with mid-round \
+           cancellation; the default) or $(b,magic) (magic-sets demand \
+           transformation over the vm engine).")
 
 let domains_arg =
   Arg.(

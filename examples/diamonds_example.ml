@@ -14,7 +14,7 @@ let () =
   let k = 2 in
   let ik = Diamonds.chain k in
   Format.printf "I_%d has %d facts; Q(I_%d) = %b@." k (Instance.size ik) k
-    (Dl_eval.holds_boolean Diamonds.query ik);
+    (Dl_engine.holds_boolean Diamonds.query ik);
   let jk = View.image Diamonds.views ik in
   Format.printf "its view image J_%d (Figure 3(b)): %a@." k Instance.pp jk;
 
@@ -34,7 +34,7 @@ let () =
   Format.printf "I'_%d (inverse chase of the guarded (1,·)-unravelling of J_%d): %d facts@."
     k k (Instance.size i');
   Format.printf "Q(I'_%d) = %b  (the diamond chain is broken)@." k
-    (Dl_eval.holds_boolean Diamonds.query i');
+    (Dl_engine.holds_boolean Diamonds.query i');
   let v_i = View.image Diamonds.views ik in
   let v_i' = View.image Diamonds.views i' in
   Format.printf

@@ -27,10 +27,10 @@ let () =
   section "Grid tests (Figure 1)";
   let good = Reduction.grid_test tp ~tau:(fun _ _ -> "w") 3 3 in
   Format.printf "valid 3×3 tiling: Q = %b  (False = the test fails, TP solvable)@."
-    (Dl_eval.holds_boolean q good);
+    (Dl_engine.holds_boolean q good);
   let bad = Reduction.grid_test tp ~tau:(fun i _ -> if i = 2 then "x" else "w") 3 3 in
   Format.printf "horizontally broken tiling: Q = %b (violation detected)@."
-    (Dl_eval.holds_boolean q bad);
+    (Dl_engine.holds_boolean q bad);
 
   section "Proposition 10 on an unsolvable problem";
   let tpu = Tiling.simple_unsolvable in
@@ -47,7 +47,7 @@ let () =
               ~tau:(fun i _ -> if i = 1 then ta else tb)
               2 1
           in
-          if not (Dl_eval.holds_boolean qu t) then all_pass := false)
+          if not (Dl_engine.holds_boolean qu t) then all_pass := false)
         tpu.Tiling.tiles)
     tpu.Tiling.tiles;
   Format.printf "all 2×1 grid tests satisfy Q_TP: %b (⇒ consistent with determinacy)@."

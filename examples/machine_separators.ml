@@ -29,7 +29,7 @@ let () =
       Format.printf "  input %-6s run instance: %6d facts, Q = %b@."
         ("0^" ^ string_of_int (String.length w))
         (Instance.size i)
-        (Dl_eval.holds_boolean q i))
+        (Dl_engine.holds_boolean q i))
     [ "0"; "00"; "000"; "0000" ];
 
   section "The separator replays the machine";
@@ -70,7 +70,7 @@ let () =
     List.for_all
       (fun w ->
         let i = Encode.encode_run m w in
-        Dl_eval.holds_boolean q i
+        Dl_engine.holds_boolean q i
         = Th9.simulating_separator m (View.image views i))
       [ "0"; "00"; "000"; "0000" ]
   in

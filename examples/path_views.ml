@@ -21,7 +21,7 @@ let () =
       let i = Code.decode w in
       Format.printf "a witness code decodes to: %a@." Instance.pp i;
       Format.printf "  ... which satisfies the query: %b@."
-        (Dl_eval.holds_boolean conn i)
+        (Dl_engine.holds_boolean conn i)
   | None -> Format.printf "(empty language?)@.");
 
   section "Backward map over atomic views: a Datalog rewriting";

@@ -35,7 +35,7 @@ let () =
        T(w0,y1,z1). B(z1,w1). B(y1,w1). U2(w1)."
   in
   Format.printf "Q on a two-diamond witness: %b@."
-    (Dl_eval.holds_boolean q witness);
+    (Dl_engine.holds_boolean q witness);
   Format.printf "its view image: %a@." Instance.pp (View.image views witness);
 
   section "Monotonic determinacy (bounded canonical tests, Lemma 5)";
@@ -83,7 +83,7 @@ let () =
     List.for_all
       (fun i ->
         (not (Cq.holds_boolean cq_rw (View.image views34 i)))
-        || Dl_eval.holds_boolean q i)
+        || Dl_engine.holds_boolean q i)
       insts
   in
   Format.printf "soundness (rewriting ⇒ query) on %d random instances: %b@."
@@ -119,7 +119,7 @@ let () =
      determinacy over {V3, V4}: *)
   let degenerate = Parse.instance "U1(a). U2(a)." in
   Format.printf "I = {U1(a), U2(a)}: Q(I) = %b but V3(I) = V4(I) = ∅@."
-    (Dl_eval.holds_boolean q degenerate);
+    (Dl_engine.holds_boolean q degenerate);
   (match Md_tests.decide_bounded ~max_depth:3 q views34 with
   | Md_tests.Not_determined t ->
       Format.printf

@@ -43,8 +43,8 @@ let term_const = function Var v -> const_of_var v | Cst c -> c
 (* The canonical database is asked for over and over on the same query
    value (containment tests, hom dualities, repeated Boolean checks), so
    it is memoized under physical equality — instances are persistent, so
-   sharing one across callers is safe.  Coordinator-only, like
-   [Dl_eval]'s compiled-rule cache. *)
+   sharing one across callers is safe.  Coordinator-only: unlike
+   [Dl_vm]'s compile cache, it takes no lock. *)
 let cdb_cache : (t * Instance.t) list ref = ref []
 
 let canonical_db q =

@@ -213,7 +213,8 @@ let fp_stream seed chash (q : query) =
 
 (* Memoized under physical equality: sessions hand the same query value
    to every request, so warm cache-key construction never re-traverses
-   the program (same pattern as Dl_eval's compiled-rule cache). *)
+   the program (the first lookup of Dl_vm's compile cache follows the
+   same pattern). *)
 let fp_cache : (query * (int * int)) list ref = ref []
 
 let fingerprint q =
@@ -232,9 +233,9 @@ let fingerprint_hex q =
   Fp.hex h1 h2
 
 (* Goal-less fingerprint of a bare program, for caches keyed on the rule
-   set alone (the bytecode cache in Dl_vm).  Deliberately unmemoized:
-   the fold is O(|p|) on always-small programs, and keeping it pure makes
-   it safe to call from any domain. *)
+   set alone.  Unmemoized, so pure and safe from any domain: its one
+   caller, Dl_vm.compile, looks a program up by physical equality first
+   and fingerprints it only on a miss (a program built afresh). *)
 let program_fingerprint (p : program) =
   ( fp_stream_program Fp.seed1 Const.hash p,
     fp_stream_program Fp.seed2 Const.hash2 p )

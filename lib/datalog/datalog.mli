@@ -88,7 +88,8 @@ val fingerprint_hex : query -> string
 val program_fingerprint : program -> int * int
 (** Fingerprint of a bare program (no goal mixed in), for caches keyed on
     the rule set alone.  Unmemoized — the fold is O(|p|) and pure, so it
-    is safe from any domain. *)
+    is safe from any domain; {!Dl_vm.compile} calls it only when a
+    physical-equality lookup misses. *)
 
 val pp_rule : rule Fmt.t
 val pp_program : program Fmt.t

@@ -1,13 +1,14 @@
 (** Cooperative cancellation tokens for long-running decisions.
 
-    Every fixpoint entry point ({!Dl_eval}, {!Dl_vm}, the
+    Every fixpoint entry point ({!Dl_eval}, {!Dl_semi}, the
     {!Dl_engine} facade) and the chase-based separator checks take an
     optional token and probe it at coarse boundaries: the start of each
-    semi-naive round, and each chase step.  A probe on an expired or
-    cancelled token raises {!Cancelled}; because probes sit at round
-    boundaries, an abort never leaves shared caches (compiled rules,
-    instance indexes, memoized chase prefixes) in a half-written state —
-    see DESIGN.md, "The cancellation-token contract". *)
+    semi-naive round, and each chase step; {!Dl_vm} also probes on its
+    cursor advances.  A probe on an expired or cancelled token raises
+    {!Cancelled}; because no probe sits inside a cache fill, an abort
+    never leaves shared caches (compiled rules, instance indexes,
+    memoized chase prefixes) in a half-written state — see DESIGN.md,
+    "The cancellation-token contract". *)
 
 type t
 

@@ -16,9 +16,10 @@ type stratum = {
   spreds : string list;  (* IDB predicates of this SCC, sorted *)
   srecursive : bool;
   srules : Datalog.program;  (* rules whose head is in [spreds] *)
-  scrules : (Dl_plan.crule * bool array) list;
-      (* the same, slot-compiled once, each with its body positions
-         drawing from this stratum marked *)
+  sprogs : Dl_vm.rule_prog list;  (* the same, compiled to bytecode *)
+  sseeded : (Dl_vm.rule_prog * Dl_vm.program * bool array) list;
+      (* recursive strata only: each rule with its head-seeded program
+         and its body positions drawing from this stratum marked *)
   scounts : (Fact.t, int) Hashtbl.t;
       (* derivation counts; only populated when [not srecursive] *)
 }
@@ -89,18 +90,18 @@ let make_stratum p comp =
   let srecursive =
     match comp with [ a ] -> Datalog.depends_on p a a | _ -> true
   in
+  let sprogs = Dl_vm.compile srules in
+  let seeded (rp : Dl_vm.rule_prog) =
+    ( rp,
+      Dl_vm.head_program rp.source,
+      Array.map (fun (a : Dl_plan.catom) -> List.mem a.crel comp) rp.source.cbody )
+  in
   {
     spreds = List.sort String.compare comp;
     srecursive;
     srules;
-    scrules =
-      List.map
-        (fun cr ->
-          ( cr,
-            Array.map
-              (fun a -> List.mem a.Dl_plan.crel comp)
-              cr.Dl_plan.cbody ))
-        (Dl_eval.compile srules);
+    sprogs;
+    sseeded = (if srecursive then List.map seeded sprogs else []);
     scounts = Hashtbl.create 64;
   }
 
@@ -112,10 +113,10 @@ let make_stratum p comp =
    [lo = hi ∖ delta] this produces each match using at least one [delta]
    fact exactly once — the invariant the counting passes rely on.  These
    are the units of one semi-naive round with [lo]/[hi] as its
-   [old]/[full], run by the slots matcher. *)
-let fire_split crules ~delta ~lo ~hi k =
-  Dl_semi.iter_units fst crules ~old:lo ~delta (fun (cr, _) pos ->
-      Dl_eval.slots cr pos ~old:lo ~delta ~full:hi (fun f ->
+   [old]/[full], run by their delta-position programs. *)
+let fire_split ~cancel rules ~delta ~lo ~hi k =
+  Dl_semi.iter_units rules ~old:lo ~delta (fun (rp : Dl_vm.rule_prog) pos ->
+      Dl_vm.exec rp.semi.(pos) ~full:hi ~old:lo ~delta ~cancel (fun f ->
           k f;
           true);
       true)
@@ -143,12 +144,12 @@ let create ?strategy ?(cancel = Dl_cancel.none) p inst =
            enumeration over the state seen so far counts every
            derivation of the stratum exactly once. *)
         List.iter
-          (fun (cr, _) ->
-            let sources = Array.make (Array.length cr.Dl_plan.cbody) !state in
-            Dl_eval.run_compiled cr sources (fun env ->
-                bump s.scounts (Dl_eval.chead_fact cr env) 1;
+          (fun (rp : Dl_vm.rule_prog) ->
+            Dl_vm.exec (Dl_vm.naive_program rp.source) ~full:!state ~cancel
+              (fun f ->
+                bump s.scounts f 1;
                 true))
-          s.scrules;
+          s.sprogs;
         Hashtbl.iter
           (fun f _ ->
             if not (Instance.mem f !state) then state := Instance.add f !state)
@@ -198,23 +199,17 @@ end)
 let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
   let tbl = FH.create 256 in
   let checked = ref 0 and proved = ref 0 in
-  let rules =
-    List.map
-      (fun (cr, local) ->
-        (cr, local, Array.make (Array.length cr.Dl_plan.cbody) state))
-      s.scrules
-  in
   let has st f =
     match FH.find_opt tbl f with Some e -> e.st = st | None -> false
   in
   let is_proved = has Proved in
   (* the stratum body facts of a match, or [None] if one is deleted *)
-  let body cr local env =
+  let body (cr : Dl_plan.crule) local regs =
     let rec go i acc =
       if i < 0 then Some acc
       else if not local.(i) then go (i - 1) acc
       else
-        let f = Dl_eval.catom_fact cr.Dl_plan.cbody.(i) env in
+        let f = Dl_vm.atom_fact cr.cbody.(i) regs in
         if has Deleted f then None else go (i - 1) (f :: acc)
     in
     go (Array.length local - 1) []
@@ -232,21 +227,22 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
     while not (Queue.is_empty work) do
       let p = Queue.pop work in
       List.iter
-        (fun (cr, local, sources) ->
-          Array.iter
-            (fun (a : Dl_plan.catom) ->
+        (fun ((rp : Dl_vm.rule_prog), _, local) ->
+          let cr = rp.source in
+          Array.iteri
+            (fun j (a : Dl_plan.catom) ->
               if a.crid = p.Fact.rid then
-                Dl_eval.run_seeded cr a p.Fact.args sources (fun env ->
-                    let h = Dl_eval.chead_fact cr env in
+                Dl_vm.run_body ~cancel rp j p.Fact.args state (fun regs ->
+                    let h = Dl_vm.atom_fact cr.chead regs in
                     (match FH.find_opt tbl h with
                     | Some ({ st = Checked } as e) -> (
-                        match body cr local env with
+                        match body cr local regs with
                         | Some b when List.for_all is_proved b -> mark h e
                         | _ -> ())
                     | _ -> ());
                     true))
-            cr.Dl_plan.cbody)
-        rules
+            cr.cbody)
+        s.sseeded
     done
   in
   (* Backward: mark [f] checked and look for a proof among its
@@ -262,16 +258,15 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
     else begin
       let pending = ref [] and found = ref false in
       List.iter
-        (fun (cr, local, sources) ->
-          if (not !found) && cr.Dl_plan.chead.crid = f.Fact.rid then
-            Dl_eval.run_seeded cr cr.Dl_plan.chead f.Fact.args sources
-              (fun env ->
-                match body cr local env with
+        (fun ((rp : Dl_vm.rule_prog), head, local) ->
+          if (not !found) && rp.source.chead.crid = f.Fact.rid then
+            Dl_vm.run_head ~cancel head f.Fact.args state (fun regs ->
+                match body rp.source local regs with
                 | None -> true
                 | Some b ->
                     if List.for_all is_proved b then (found := true; false)
                     else (pending := b :: !pending; true)))
-        rules;
+        s.sseeded;
       if !found then (prove f e; (e, [])) else (e, List.rev !pending)
     end
   in
@@ -318,7 +313,7 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
     queue := [];
     if round <> [] then begin
       let round = Instance.of_list round in
-      fire_split s.scrules ~delta:round ~lo:old_full ~hi:old_full (fun h ->
+      fire_split ~cancel s.sprogs ~delta:round ~lo:old_full ~hi:old_full (fun h ->
           queue := h :: !queue);
       deleted := Instance.union !deleted round
     end
@@ -382,14 +377,14 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
           let touched = Hashtbl.create 16 in
           let touch f = if not (Hashtbl.mem touched f) then Hashtbl.add touched f () in
           if not (Instance.is_empty !dall) then
-            fire_split s.scrules ~delta:!dall
+            fire_split ~cancel s.sprogs ~delta:!dall
               ~lo:(Instance.diff old_full !dall)
               ~hi:old_full
               (fun f ->
                 bump s.scounts f (-1);
                 touch f);
           if not (Instance.is_empty !aall) then
-            fire_split s.scrules ~delta:!aall
+            fire_split ~cancel s.sprogs ~delta:!aall
               ~lo:(Instance.diff !state !aall)
               ~hi:!state
               (fun f ->
@@ -415,7 +410,7 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
              additions and asserted seeds) with a delta fixpoint — this
              is where the engine strategies serve maintenance. *)
           let seeds = ref (Instance.facts local_del) in
-          fire_split s.scrules ~delta:!dall ~lo:old_full ~hi:old_full (fun f ->
+          fire_split ~cancel s.sprogs ~delta:!dall ~lo:old_full ~hi:old_full (fun f ->
               seeds := f :: !seeds);
           let d, r =
             if !seeds = [] then (Instance.empty, no_repair)

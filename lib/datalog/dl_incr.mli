@@ -41,9 +41,11 @@
       again, and a fact whose only support is a cycle through itself is
       still deleted.  Insertions (lower-strata additions and asserted
       seeds) then run a delta fixpoint — {!Dl_engine.fixpoint_delta}, so
-      the indexed and bytecode-VM engines both serve
-      maintenance fixpoints, reusing the warm {!Instance.union} and
-      {!Instance.diff} paths and incremental fingerprints.
+      every strategy serves maintenance fixpoints, reusing the warm
+      {!Instance.union} and {!Instance.diff} paths and incremental
+      fingerprints.  The counting passes and the Backward/Forward
+      search run {!Dl_vm} programs: the delta-position variants, and
+      the head- and body-seeded runs.
 
     {2 Ownership and threading}
 

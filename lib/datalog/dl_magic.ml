@@ -139,25 +139,24 @@ let transform_uncached (q : Datalog.query) (pattern : pattern) : t =
 
 (* Transformed queries are cached under physical equality of the source
    program (the constructors upstream memoize their programs), so repeated
-   goal checks over the same query transform — and hence slot-compile —
-   once. *)
+   goal checks over the same query transform — and hence compile — once.
+   The cache is mutex-guarded, so any domain may transform; the
+   transformation itself runs outside the lock. *)
+let cache_mutex = Mutex.create ()
 let cache : (Datalog.program * string * string * t) list ref = ref []
 
 let transform q pattern =
   let key = pattern_string pattern in
-  match
-    List.find_opt
-      (fun (p, g, k, _) ->
-        p == q.Datalog.program
-        && String.equal g q.Datalog.goal
-        && String.equal k key)
-      !cache
-  with
+  let hit (p, g, k, _) =
+    p == q.Datalog.program && String.equal g q.Datalog.goal && String.equal k key
+  in
+  match Mutex.protect cache_mutex (fun () -> List.find_opt hit !cache) with
   | Some (_, _, _, t) -> t
   | None ->
       let t = transform_uncached q pattern in
-      let keep = if List.length !cache >= 32 then [] else !cache in
-      cache := (q.Datalog.program, q.Datalog.goal, key, t) :: keep;
+      Mutex.protect cache_mutex (fun () ->
+          let keep = if List.length !cache >= 32 then [] else !cache in
+          cache := (q.Datalog.program, q.Datalog.goal, key, t) :: keep);
       t
 
 let applicable (q : Datalog.query) = Datalog.is_idb q.Datalog.program q.Datalog.goal

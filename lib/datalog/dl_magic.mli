@@ -35,7 +35,8 @@ type t = {
 }
 
 val transform : Datalog.query -> pattern -> t
-(** Cached under physical equality of the source program.
+(** Cached under physical equality of the source program; the cache is
+    mutex-guarded, so any domain may call [transform].
     @raise Invalid_argument if the pattern length differs from the goal
     arity or the goal has no rules (see {!applicable}). *)
 

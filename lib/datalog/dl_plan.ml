@@ -2,24 +2,17 @@
    planning.
 
    Slot compilation numbers a rule's variables into slots of a flat
-   binding array (shared with {!Dl_eval}'s interpreted matcher and
-   {!Dl_vm}'s bytecode).  Planning then fixes, per rule and per delta
+   register file.  Planning then fixes, per rule and per delta
    position, an explicit join order with a binding pattern for every
-   argument position and the lifetime of every slot — everything the
-   bytecode codegen needs to emit straight-line matching code with no
+   argument position and the lifetime of every slot — everything
+   {!Dl_vm}'s codegen needs to emit straight-line matching code with no
    runtime tags.
 
-   Two planning disciplines coexist:
-
-   - the {e dynamic} primitives ({!estimate_atom}, {!select_candidates})
-     used by {!Dl_eval.run_compiled}, which re-chooses the next atom at
-     every depth of every firing from live index statistics;
-   - the {e static} planner ({!plan}), which commits to an atom order at
-     compile time (delta atom first, then greedily most-bound-first) and
-     leaves only the index-probe {e position} choice to run time.  The
-     static order is what makes flat bytecode possible: each slot has one
-     binding site per plan, so the register file needs no option tags and
-     no trail. *)
+   The planner commits to an atom order at compile time (delta atom
+   first, then greedily most-bound-first) and leaves only the
+   index-probe {e position} choice to run time.  The static order is
+   what makes flat bytecode possible: each slot has one binding site per
+   plan, so the register file needs no option tags and no trail. *)
 
 type cterm = Cslot of int | Cconst of Const.t
 
@@ -68,83 +61,6 @@ let compile_rule (r : Datalog.rule) =
       |> List.sort_uniq Int.compare;
   }
 
-(* Compiled programs are cached under physical equality: the constructors
-   upstream memoize their programs, so repeated fixpoints over the same
-   query compile once.  The cache is mutex-guarded — any domain may call
-   [compile]; see the thread-safety note in the mli. *)
-let cache_mutex = Mutex.create ()
-let compiled_cache : (Datalog.program * crule list) list ref = ref []
-
-let compile (p : Datalog.program) =
-  Mutex.lock cache_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_mutex)
-    (fun () ->
-      match List.find_opt (fun (p', _) -> p' == p) !compiled_cache with
-      | Some (_, c) -> c
-      | None ->
-          let c = List.map compile_rule p in
-          let keep =
-            if List.length !compiled_cache >= 32 then [] else !compiled_cache
-          in
-          compiled_cache := (p, c) :: keep;
-          c)
-
-(* ------------------------------------------------------------------ *)
-(* Dynamic planning primitives (used per-firing by Dl_eval.run_compiled). *)
-
-(* An atom whose every position is fixed (constants or bound slots) has
-   at most one match.  Past a few candidates, a membership test in the
-   relation's tuple set beats scanning the smallest bucket for it. *)
-let scan_limit = 16
-
-let ground_tuple (a : catom) env =
-  Array.map
-    (function
-      | Cconst c -> c
-      | Cslot s -> ( match env.(s) with Some c -> c | None -> assert false))
-    a.cterms
-
-(* Smallest index bucket consistent with the bindings so far (the whole
-   relation if no position is bound); also reports the best bucket's
-   position/constant so the caller can fetch exactly those candidates. *)
-let select_candidates (a : catom) env src =
-  match Instance.index_id src a.crid with
-  | None -> []
-  | Some idx -> (
-      let best = ref (Index.size idx) and where = ref None and free = ref false in
-      Array.iteri
-        (fun p t ->
-          let c = match t with Cconst c -> Some c | Cslot s -> env.(s) in
-          match c with
-          | None -> free := true
-          | Some c ->
-              let n = Index.count idx p c in
-              if n < !best || !where = None then begin
-                best := n;
-                where := Some (p, c)
-              end)
-        a.cterms;
-      match !where with
-      | None -> Index.all idx
-      | Some _ when (not !free) && !best > scan_limit ->
-          let tup = ground_tuple a env in
-          if Instance.mem_tuple_id src a.crid tup then [ tup ] else []
-      | Some (p, c) -> Index.lookup idx p c)
-
-let estimate_atom (a : catom) env src =
-  match Instance.index_id src a.crid with
-  | None -> 0
-  | Some idx ->
-      let best = ref (Index.size idx) and free = ref false in
-      Array.iteri
-        (fun p t ->
-          match (match t with Cconst c -> Some c | Cslot s -> env.(s)) with
-          | Some c -> best := min !best (Index.count idx p c)
-          | None -> free := true)
-        a.cterms;
-      if !free then !best else min !best 1
-
 (* ------------------------------------------------------------------ *)
 (* Static plans. *)
 
@@ -159,10 +75,11 @@ type t = {
   last_use : int array;
 }
 
-let plan (cr : crule) ~delta =
+let plan ?(seeded = []) (cr : crule) ~delta =
   let nb = Array.length cr.cbody in
   let ns = max cr.nvars 1 in
   let bound = Array.make ns false in
+  List.iter (fun s -> bound.(s) <- true) seeded;
   let chosen = Array.make nb false in
   let first_def = Array.make ns (-1) in
   let last_use = Array.make ns (-1) in

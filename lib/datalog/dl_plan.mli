@@ -2,18 +2,10 @@
     planning.
 
     Rules are {e slot-compiled} — variables numbered into slots of a flat
-    binding array — and then {e planned}: an explicit per-rule join order
+    register file — and then {e planned}: an explicit per-rule join order
     with a binding pattern for every argument position and the lifetime
-    of every slot.  {!Dl_eval.run_compiled} interprets slot-compiled
-    rules with {e dynamic} atom ordering (re-chosen per firing from index
-    statistics, via {!estimate_atom} / {!select_candidates});
-    {!Dl_vm} lowers {e static} plans to flat register bytecode.
-
-    {2 Thread safety}
-
-    {!compile}'s per-program cache is mutex-guarded: any domain may call
-    it concurrently (the service's worker domains do).  Everything else
-    here is pure. *)
+    of every slot.  {!Dl_vm} lowers the plans to flat register bytecode
+    and caches the result per program.  Everything here is pure. *)
 
 type cterm = Cslot of int | Cconst of Const.t
 
@@ -31,31 +23,6 @@ type crule = {
 }
 
 val compile_rule : Datalog.rule -> crule
-
-val compile : Datalog.program -> crule list
-(** Slot-compile a program.  Results are cached under physical equality
-    of the program; the cache is mutex-guarded, so concurrent calls from
-    worker domains are safe (they serialize on the cache). *)
-
-(** {2 Dynamic planning primitives}
-
-    Per-firing selectivity estimates over a partial binding [env]
-    (a [Const.t option array] indexed by slot), used by the interpreted
-    matcher to order atoms most-constrained-first at every depth. *)
-
-val estimate_atom : catom -> Const.t option array -> Instance.t -> int
-(** Upper bound on the number of candidate tuples for the atom under the
-    bindings accumulated so far: the smallest index bucket among its
-    bound positions, or the relation's cardinality if none is bound.  A
-    ground atom (every position fixed) estimates at most 1. *)
-
-val select_candidates :
-  catom -> Const.t option array -> Instance.t -> Const.t array list
-(** The candidate tuples behind {!estimate_atom}'s bound: the most
-    selective bound position's bucket (the whole relation if no position
-    is bound).  A ground atom whose best bucket holds more than a few
-    tuples is a membership test instead: its tuple if present, else
-    nothing. *)
 
 (** {2 Static plans}
 
@@ -90,11 +57,15 @@ type t = {
           the head reads it at emit time) *)
 }
 
-val plan : crule -> delta:int option -> t
+val plan : ?seeded:int list -> crule -> delta:int option -> t
 (** Plan one rule.  [delta = Some j] forces body atom [j] first (it
     matches the small delta); the remaining atoms are ordered greedily
     most-bound-first (constants and already-bound slots count as bound,
     constants break ties), lowest body index on full ties — so plans are
-    deterministic functions of the rule. *)
+    deterministic functions of the rule.  The [seeded] slots (default
+    none) count as bound before the first step: every position they
+    occupy is a check, never a binder, and their [first_def] is [-1].
+    This is the plan of a run whose registers a caller preloads, such as
+    {!Dl_vm}'s head-seeded entry. *)
 
 val pp : t Fmt.t

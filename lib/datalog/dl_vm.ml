@@ -1,15 +1,15 @@
 (* Layer 2 of the rule-compilation pipeline: lower static join plans
    (Dl_plan) to a flat int-array bytecode executed by a tight dispatch
-   loop over a preallocated register file of unboxed constants.
+   loop over a preallocated register file of unboxed constants.  This is
+   the only semi-naive matcher: every engine but the naive oracle, and
+   the counting and Backward/Forward passes of Dl_incr, run it.
 
-   Why bytecode wins over the interpreted slot matcher
-   (Dl_eval.run_compiled):
+   Why bytecode:
 
-   - the join order is fixed at compile time, so the per-depth O(nb)
-     selectivity rescan (one index probe per remaining atom, at every
-     depth of every firing) disappears — only the probe *position* of
-     each step is still chosen at run time, from the step's statically
-     known bound positions;
+   - the join order is fixed at compile time, so there is no per-depth
+     selectivity rescan — only the probe *position* of each step is
+     chosen at run time, from the step's statically known bound
+     positions;
    - under a static plan every slot has exactly one binding site, so the
      register file is a plain [Const.t array] ([Const.t] is a private
      int — no tags, no options) and backtracking needs no trail: re-
@@ -24,8 +24,7 @@
    step; exhausted cursors jump back to the enclosing step's advance
    point, failed checks to their own step's.  A [cancel-probe] sits on
    every advance path, so a deadline interrupts a long fixpoint round
-   mid-enumeration — something the round-boundary probes of the
-   interpreted engines cannot do. *)
+   mid-enumeration, not only at a round boundary. *)
 
 (* ------------------------------------------------------------------ *)
 (* Opcodes.  Layout (operands after the opcode word):
@@ -71,7 +70,6 @@ type program = {
 
 type rule_prog = {
   source : Dl_plan.crule;
-  naive : program; (* all body atoms read the full instance *)
   semi : program array; (* one delta-position variant per body atom *)
 }
 
@@ -228,29 +226,62 @@ let compile_rule (cr : Dl_plan.crule) =
   let nb = Array.length cr.cbody in
   {
     source = cr;
-    naive = lower (Dl_plan.plan cr ~delta:None);
     semi = Array.init nb (fun j -> lower (Dl_plan.plan cr ~delta:(Some j)));
   }
 
-(* Bytecode is cached per program *fingerprint* (not physical equality):
-   structurally equal programs share one compilation, wherever they came
-   from.  Mutex-guarded like the slot cache — any domain may compile. *)
+let naive_program cr = lower (Dl_plan.plan cr ~delta:None)
+
+(* One cache for every compiled program.  A lookup is by physical
+   equality first: the constructors upstream memoize their programs, so
+   the same value comes back on every fixpoint and costs no fingerprint.
+   On a miss the program is fingerprinted and looked up again, so a
+   structurally equal program built afresh (an anchored RPQ translation
+   per request) still shares one compilation; its entry is re-pointed at
+   the new value, so repeated use of that value hits physically.
+
+   The cache is least-recently-used and holds 16 programs.  Bytecode is
+   about ten times the size of the rules it comes from (every delta
+   variant of every rule), and the cached programs are most of what a
+   decision workload keeps live: on mondetbench's decide, 32 entries
+   dropped wholesale when full peaked about 2 MB above 16 LRU entries,
+   and 32 LRU entries compiled as often as 16.  Mutex-guarded: any
+   domain may compile.  The fingerprint is computed outside the lock. *)
+type entry = {
+  mutable prog : Datalog.program;
+  key : int * int;
+  rps : rule_prog list;
+}
+
 let cache_mutex = Mutex.create ()
-let cache : ((int * int) * rule_prog list) list ref = ref []
+let cache : entry list ref = ref []
+let cache_size = 16
+
+(* Under the lock: the first entry [hit] accepts, moved to the front. *)
+let lookup hit =
+  match List.find_opt hit !cache with
+  | Some e when e != List.hd !cache ->
+      cache := e :: List.filter (fun e' -> e' != e) !cache;
+      Some e
+  | found -> found
 
 let compile (p : Datalog.program) =
-  let key = Datalog.program_fingerprint p in
-  Mutex.lock cache_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cache_mutex)
-    (fun () ->
-      match List.assoc_opt key !cache with
-      | Some c -> c
-      | None ->
-          let c = List.map (fun r -> compile_rule (Dl_plan.compile_rule r)) p in
-          let keep = if List.length !cache >= 32 then [] else !cache in
-          cache := (key, c) :: keep;
-          c)
+  match Mutex.protect cache_mutex (fun () -> lookup (fun e -> e.prog == p)) with
+  | Some e -> e.rps
+  | None ->
+      let key = Datalog.program_fingerprint p in
+      Mutex.protect cache_mutex (fun () ->
+          match lookup (fun e -> e.key = key) with
+          | Some e ->
+              e.prog <- p;
+              e.rps
+          | None ->
+              let rps =
+                List.map (fun r -> compile_rule (Dl_plan.compile_rule r)) p
+              in
+              cache :=
+                { prog = p; key; rps }
+                :: List.filteri (fun i _ -> i < cache_size - 1) !cache;
+              rps)
 
 (* ------------------------------------------------------------------ *)
 (* The dispatch loop. *)
@@ -269,15 +300,27 @@ let arity_error name tup arity =
     (Printf.sprintf "Dl_vm: %s has a fact of arity %d but an atom of arity %d"
        name (Array.length tup) arity)
 
-let exec (prog : program) ~full ?(old = Instance.empty)
-    ?(delta = Instance.empty) ?(cancel = Dl_cancel.none) emit =
+(* The pc just past step 0's cursor-opening opcode: where a run whose
+   step-0 cursor is given (a body seed) starts. *)
+let after_open0 code =
+  if code.(0) = op_scan then 3 else 4 + (3 * code.(3))
+
+(* The loop behind every entry point.  [regs] may come preloaded (the
+   head-seeded entry); [seed], when given, is step 0's whole cursor, so
+   that step opens no index.  [on_match] receives the register file of
+   every match and returns [false] to stop. *)
+let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
   let code = prog.code in
   let pool = prog.pool in
-  let regs = Array.make (max prog.nregs 1) reg_init in
   let cur = Array.make (max prog.nsteps 1) [||] in
   let cursors : Const.t array list array = Array.make (max prog.nsteps 1) [] in
   let fuel = ref cancel_interval in
   let pc = ref 0 in
+  (match seed with
+  | Some tup ->
+      cursors.(0) <- [ tup ];
+      pc := after_open0 code
+  | None -> ());
   let running = ref true in
   let inst_of s = if s = src_full then full else if s = src_old then old else delta in
   (* each step's (relation, source) pair is static, so its index is
@@ -286,7 +329,7 @@ let exec (prog : program) ~full ?(old = Instance.empty)
      before the loop, on the calling thread) *)
   let idxs =
     Array.init (max prog.nsteps 1) (fun k ->
-        if k >= prog.nsteps then None
+        if k >= prog.nsteps || (k = 0 && seed <> None) then None
         else Instance.index_id (inst_of prog.srcs.(k)) prog.rels.(k))
   in
   (* all unsafe accesses below are bounds-safe by construction: [code]
@@ -334,14 +377,7 @@ let exec (prog : program) ~full ?(old = Instance.empty)
       pc := base + 4
     end
     else if op = op_emit then begin
-      let nh = Array.length prog.head_regs in
-      let args = Array.make nh reg_init in
-      for i = 0 to nh - 1 do
-        Array.unsafe_set args i
-          (Array.unsafe_get regs (Array.unsafe_get prog.head_regs i))
-      done;
-      if emit (Fact.of_interned prog.head_rid args) then
-        pc := Array.unsafe_get code (base + 1)
+      if on_match regs then pc := Array.unsafe_get code (base + 1)
       else running := false
     end
     else if op = op_check_const then begin
@@ -399,28 +435,56 @@ let exec (prog : program) ~full ?(old = Instance.empty)
       running := false
   done
 
+let new_regs (prog : program) = Array.make (max prog.nregs 1) reg_init
+
+let head_fact (prog : program) regs =
+  let nh = Array.length prog.head_regs in
+  let args = Array.make nh reg_init in
+  for i = 0 to nh - 1 do
+    Array.unsafe_set args i
+      (Array.unsafe_get regs (Array.unsafe_get prog.head_regs i))
+  done;
+  Fact.of_interned prog.head_rid args
+
+let exec (prog : program) ~full ?(old = Instance.empty)
+    ?(delta = Instance.empty) ?(cancel = Dl_cancel.none) emit =
+  run prog ~full ~old ~delta ~cancel ~regs:(new_regs prog) ~seed:None
+    (fun regs -> emit (head_fact prog regs))
+
 (* ------------------------------------------------------------------ *)
-(* The bytecode matcher: a {!Dl_semi} unit runs its rule's delta-position
-   program. *)
+(* Seeded entries, for Dl_incr's Backward/Forward search. *)
 
-let engine =
-  {
-    Dl_semi.prepare =
-      (fun cancel p ->
-        ( compile p,
-          fun rp pos ~old ~delta ~full emit ->
-            exec rp.semi.(pos) ~full ~old ~delta ~cancel emit ));
-    shape = (fun rp -> rp.source);
-  }
+let head_program (cr : Dl_plan.crule) =
+  let seeded =
+    Array.fold_left
+      (fun acc -> function Dl_plan.Cslot s -> s :: acc | Dl_plan.Cconst _ -> acc)
+      [] cr.chead.cterms
+  in
+  lower (Dl_plan.plan ~seeded cr ~delta:None)
 
-let fixpoint ?cancel p inst = Dl_semi.fixpoint engine ?cancel p inst
+(* Preload the head registers from the fact, then read them back: a
+   repeated head variable the fact gives two values keeps only one, so
+   the read-back fails exactly on a clash. *)
+let run_head ?(cancel = Dl_cancel.none) (prog : program) tup src on_match =
+  let hr = prog.head_regs in
+  if Array.length tup <> Array.length hr then
+    arity_error prog.head_rel tup (Array.length hr);
+  let regs = new_regs prog in
+  Array.iteri (fun i r -> regs.(r) <- tup.(i)) hr;
+  if Array.for_all2 (fun r c -> Const.equal regs.(r) c) hr tup then
+    run prog ~full:src ~old:src ~delta:Instance.empty ~cancel ~regs ~seed:None
+      on_match
 
-let fixpoint_delta ?cancel p ~old ~delta =
-  Dl_semi.fixpoint_delta engine ?cancel p ~old ~delta
+let run_body ?(cancel = Dl_cancel.none) (rp : rule_prog) j tup src on_match =
+  let prog = rp.semi.(j) in
+  run prog ~full:src ~old:src ~delta:Instance.empty ~cancel
+    ~regs:(new_regs prog) ~seed:(Some tup) on_match
 
-let eval ?cancel q inst = Dl_semi.eval engine ?cancel q inst
-let holds ?cancel q inst tup = Dl_semi.holds engine ?cancel q inst tup
-let holds_boolean ?cancel q inst = Dl_semi.holds_boolean engine ?cancel q inst
+let atom_fact (a : Dl_plan.catom) regs =
+  Fact.of_interned a.crid
+    (Array.map
+       (function Dl_plan.Cslot s -> regs.(s) | Dl_plan.Cconst c -> c)
+       a.cterms)
 
 (* ------------------------------------------------------------------ *)
 (* Disassembly.  Prints relation and constant *names* (never raw intern
@@ -508,7 +572,7 @@ let pp_program ppf (p : program) =
   done
 
 let pp_rule_prog ppf (rp : rule_prog) =
-  Fmt.pf ppf "-- naive --@.%a" pp_program rp.naive;
+  Fmt.pf ppf "-- naive --@.%a" pp_program (naive_program rp.source);
   Array.iteri
     (fun j prog -> Fmt.pf ppf "-- delta@%d --@.%a" j pp_program prog)
     rp.semi

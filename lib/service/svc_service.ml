@@ -8,8 +8,8 @@
    successful bodies are cached, so a timeout or error never poisons
    the cache.
 
-   [dispatch] serves one request under a regime that decides locking
-   and engine; [handle] and [handle_concurrent] are its two regimes.
+   [dispatch] serves one request under a regime that decides locking;
+   [handle] and [handle_concurrent] are its two regimes.
    [handle_batch] shares the steps up to the cache probe and keeps its
    own tail: it runs them for every request in order (so a load
    followed by an eval of the loaded name works within one batch),
@@ -135,8 +135,8 @@ let rpq_set_part defs =
     (List.map (fun (n, e) -> n ^ "=" ^ Rpq.fingerprint_hex e) defs)
 
 (* ------------------------------------------------------------------ *)
-(* Verb bodies.  Each takes the cancellation token and (where evaluation
-   strategy matters) an optional engine override used by the batch pool. *)
+(* Verb bodies.  Each takes the cancellation token and evaluates with
+   the process default engine. *)
 
 let format_tuples = function
   | [] -> "none"
@@ -147,50 +147,44 @@ let format_tuples = function
       |> List.sort_uniq compare
       |> String.concat ";"
 
-let eval_body ?strategy ~cancel q i =
+let eval_body ~cancel q i =
   if Datalog.goal_arity q = 0 then
-    if Dl_engine.holds_boolean ?strategy ~cancel q i then "true" else "false"
-  else format_tuples (Dl_engine.eval ?strategy ~cancel q i)
+    if Dl_engine.holds_boolean ~cancel q i then "true" else "false"
+  else format_tuples (Dl_engine.eval ~cancel q i)
 
-let holds_body ?strategy ~cancel q i tuple =
+let holds_body ~cancel q i tuple =
   let arity = Datalog.goal_arity q in
   if List.length tuple <> arity then
     reject "tuple has %d constants, goal arity is %d" (List.length tuple)
       arity;
   let tup = Array.of_list (List.map Const.named tuple) in
-  if Dl_engine.holds ?strategy ~cancel q i tup then "true" else "false"
+  if Dl_engine.holds ~cancel q i tup then "true" else "false"
 
 let format_pairs ps = format_tuples (List.map (fun (x, y) -> [| x; y |]) ps)
 let format_nodes ns = format_tuples (List.map (fun c -> [| c |]) ns)
 
 (* the optional tuple selects the mode: absent = all pairs, one constant
    = nodes reachable from that source, two = Boolean membership *)
-let rpq_eval_body ?strategy ~cancel e i tuple =
+let rpq_eval_body ~cancel e i tuple =
   match tuple with
-  | None -> format_pairs (Rpq_translate.eval ?strategy ~cancel e i)
+  | None -> format_pairs (Rpq_translate.eval ~cancel e i)
   | Some [ x ] ->
-      format_nodes
-        (Rpq_translate.eval_from ?strategy ~cancel e i (Const.named x))
+      format_nodes (Rpq_translate.eval_from ~cancel e i (Const.named x))
   | Some [ x; y ] ->
-      if
-        Rpq_translate.holds ?strategy ~cancel e i (Const.named x)
-          (Const.named y)
+      if Rpq_translate.holds ~cancel e i (Const.named x) (Const.named y)
       then "true"
       else "false"
   | Some l -> reject "rpq tuple has %d constants, expected 1 or 2"
                 (List.length l)
 
-let rpq_rewrite_body ?strategy ~cancel rw i tuple =
+let rpq_rewrite_body ~cancel rw i tuple =
   let answers =
     match tuple with
-    | None -> format_pairs (Rpq_views.certain ?strategy ~cancel rw i)
+    | None -> format_pairs (Rpq_views.certain ~cancel rw i)
     | Some [ x ] ->
-        format_nodes
-          (Rpq_views.certain_from ?strategy ~cancel rw i (Const.named x))
+        format_nodes (Rpq_views.certain_from ~cancel rw i (Const.named x))
     | Some [ x; y ] ->
-        if
-          Rpq_views.certain_holds ?strategy ~cancel rw i (Const.named x)
-            (Const.named y)
+        if Rpq_views.certain_holds ~cancel rw i (Const.named x) (Const.named y)
         then "true"
         else "false"
     | Some l ->
@@ -202,22 +196,21 @@ let rpq_rewrite_body ?strategy ~cancel rw i tuple =
       Printf.sprintf "lossless=false gap=%s %s" (Rpq_nfa.word_to_string w)
         answers
 
-let mondet_body ?strategy ~cancel q vs depth =
-  match Md_decide.decide ?max_depth:depth ?engine:strategy ~cancel q vs with
+let mondet_body ~cancel q vs depth =
+  match Md_decide.decide ?max_depth:depth ~cancel q vs with
   | Md_decide.Determined -> "determined"
   | Md_decide.Not_determined_cert _ -> "not-determined"
   | Md_decide.Bounded_no_failure n -> Printf.sprintf "no-failure-up-to %d" n
 
-let certain_body ?strategy ~cancel q vs i =
-  if Md_separator.certain_answers_cq_views ?engine:strategy ~cancel q vs i
-  then "true"
+let certain_body ~cancel q vs i =
+  if Md_separator.certain_answers_cq_views ~cancel q vs i then "true"
   else "false"
 
 (* fixed seed so rewrite-check is reproducible across runs and cache
    hits are honest *)
 let rewrite_seed = 20260806
 
-let rewrite_body ?strategy ~cancel q vs samples =
+let rewrite_body ~cancel q vs samples =
   if Datalog.goal_arity q <> 0 then
     reject "rewrite-check needs a Boolean goal";
   let n = Option.value samples ~default:8 in
@@ -229,8 +222,8 @@ let rewrite_body ?strategy ~cancel q vs samples =
     | inst :: rest ->
         Dl_cancel.check cancel;
         if
-          Dl_engine.holds_boolean ?strategy ~cancel q inst
-          = Dl_engine.holds_boolean ?strategy ~cancel r (View.image vs inst)
+          Dl_engine.holds_boolean ~cancel q inst
+          = Dl_engine.holds_boolean ~cancel r (View.image vs inst)
         then go (i + 1) rest
         else Printf.sprintf "failed sample=%d" i
   in
@@ -357,7 +350,7 @@ type plan = {
   pgroup : string;
       (* instance fingerprint: pool tasks sharing it stay serial *)
   pworker_safe : bool; (* eval/holds only: no fresh constants, no pool *)
-  pcompute : Dl_engine.strategy option -> string;
+  pcompute : unit -> string;
 }
 
 let plan ~use_mats s ~cancel req : plan =
@@ -374,23 +367,21 @@ let plan ~use_mats s ~cancel req : plan =
          to run anyway keeps paying off across future mutations.
          Boolean goals keep the early-stopping engine path and only read
          a mat when one already exists. *)
-      let pcompute strategy =
-        if not use_mats then eval_body ?strategy ~cancel q i
+      let pcompute () =
+        if not use_mats then eval_body ~cancel q i
         else if Datalog.goal_arity q = 0 then
           match valid_mat s instance q i with
           | Some m ->
               if Instance.tuples (Dl_incr.full m) q.Datalog.goal <> [] then
                 "true"
               else "false"
-          | None -> eval_body ?strategy ~cancel q i
+          | None -> eval_body ~cancel q i
         else
           let m =
             match valid_mat s instance q i with
             | Some m -> m
             | None ->
-                let m =
-                  Dl_incr.create ?strategy ~cancel q.Datalog.program i
-                in
+                let m = Dl_incr.create ~cancel q.Datalog.program i in
                 Svc_session.set_mat s instance (prog_mat_key q) m;
                 m
           in
@@ -407,7 +398,7 @@ let plan ~use_mats s ~cancel req : plan =
   | Holds { program; instance; tuple } ->
       let q = Svc_session.program s program in
       let i = Svc_session.instance s instance in
-      let pcompute strategy =
+      let pcompute () =
         match if use_mats then valid_mat s instance q i else None with
         | Some m ->
             if List.length tuple <> Datalog.goal_arity q then
@@ -419,7 +410,7 @@ let plan ~use_mats s ~cancel req : plan =
                 (Dl_incr.full m)
             then "true"
             else "false"
-        | None -> holds_body ?strategy ~cancel q i tuple
+        | None -> holds_body ~cancel q i tuple
       in
       {
         pkey =
@@ -440,7 +431,7 @@ let plan ~use_mats s ~cancel req : plan =
               opt_part depth ];
         pgroup = "";
         pworker_safe = false;
-        pcompute = (fun strategy -> mondet_body ?strategy ~cancel q vs depth);
+        pcompute = (fun () -> mondet_body ~cancel q vs depth);
       }
   | Certain_answers { program; views; instance } ->
       let q = Svc_session.program s program in
@@ -453,7 +444,7 @@ let plan ~use_mats s ~cancel req : plan =
               View.fingerprint_hex vs; Instance.fingerprint_hex i ];
         pgroup = "";
         pworker_safe = false;
-        pcompute = (fun strategy -> certain_body ?strategy ~cancel q vs i);
+        pcompute = (fun () -> certain_body ~cancel q vs i);
       }
   | Rewrite_check { program; views; samples } ->
       let q = Svc_session.program s program in
@@ -465,8 +456,7 @@ let plan ~use_mats s ~cancel req : plan =
               View.fingerprint_hex vs; opt_part samples ];
         pgroup = "";
         pworker_safe = false;
-        pcompute =
-          (fun strategy -> rewrite_body ?strategy ~cancel q vs samples);
+        pcompute = (fun () -> rewrite_body ~cancel q vs samples);
       }
   | Rpq_eval { rpq; instance; tuple } ->
       let e = Svc_session.rpq s rpq in
@@ -478,7 +468,7 @@ let plan ~use_mats s ~cancel req : plan =
               tuple_part tuple ];
         pgroup = Instance.fingerprint_hex i;
         pworker_safe = true;
-        pcompute = (fun strategy -> rpq_eval_body ?strategy ~cancel e i tuple);
+        pcompute = (fun () -> rpq_eval_body ~cancel e i tuple);
       }
   | Rpq_rewrite { rpq; views; instance; tuple } ->
       let e = Svc_session.rpq s rpq in
@@ -495,9 +485,8 @@ let plan ~use_mats s ~cancel req : plan =
            only shared structure it touches, and that is domain-safe), so
            it rides the worker thunk with the evaluation *)
         pcompute =
-          (fun strategy ->
-            rpq_rewrite_body ?strategy ~cancel (Rpq_views.rewrite ~views:vs e)
-              i tuple);
+          (fun () ->
+            rpq_rewrite_body ~cancel (Rpq_views.rewrite ~views:vs e) i tuple);
       }
   | Load _ | Rpq_load _ | Assert _ | Retract _ | Stats ->
       assert false (* run in place by [step] *)
@@ -546,27 +535,19 @@ let step ~use_mats t ~cancel (s, load) req =
      additionally hold [t.heavy]: their decision procedures lean on
      process-global memo tables that are not domain-safe, so at most one
      such computation runs at a time, whatever the session;
-   - the cache carries its own lock, and evaluation runs
-     [Dl_engine.pool_strategy ()] (the VM unless the process default is
-     [naive]), never [Magic], which caches its demand transformations
-     in a global table.
+   - the cache carries its own lock.  Evaluation runs the process
+     default engine, as on the coordinator: every engine's caches
+     (compiled programs, demand transformations) are mutex-guarded.
 
    Per-session quotas shed with [busy] under the session lock, after the
    deadline and before any planning work. *)
 
 type regime = Coordinator | Concurrent
 
-(* the engine a regime evaluates with; the batch pool's workers use the
-   concurrent one *)
-let strategy = function
-  | Coordinator -> None
-  | Concurrent -> Some (Dl_engine.pool_strategy ())
-
 let compute regime t p =
-  let run () = p.pcompute (strategy regime) in
   match regime with
-  | Concurrent when not p.pworker_safe -> Mutex.protect t.heavy run
-  | _ -> run ()
+  | Concurrent when not p.pworker_safe -> Mutex.protect t.heavy p.pcompute
+  | _ -> p.pcompute ()
 
 let admit t s =
   match t.quota with
@@ -617,9 +598,7 @@ type slot =
   | Done of Svc_proto.result
   | Wait of cell (* shared by every request in the batch with this key *)
 
-let run_cell regime c =
-  let compute () = c.cplan.pcompute (strategy regime) in
-  c.cout <- Some (result_of (exec ~cancel:c.ccancel compute))
+let run_cell c = c.cout <- Some (result_of (exec ~cancel:c.ccancel c.cplan.pcompute))
 
 let handle_batch t reqs : response list =
   let cells : (string, cell) Hashtbl.t = Hashtbl.create 16 in
@@ -660,15 +639,10 @@ let handle_batch t reqs : response list =
       | Some l -> l := c :: !l
       | None -> Hashtbl.add groups c.cplan.pgroup (ref [ c ]))
     pooled;
-  (* workers run the pool preference, as concurrent requests do: vm for
-     the indexed default and for Magic, whose transform cache is
-     unguarded; an explicit naive/vm default passes through *)
   Dl_parallel.run_tasks
-    (Hashtbl.fold
-       (fun _ l acc -> (fun () -> List.iter (run_cell Concurrent) !l) :: acc)
-       groups []);
-  (* remaining misses run on the coordinator with the default strategy *)
-  List.iter (run_cell Coordinator) sequential;
+    (Hashtbl.fold (fun _ l acc -> (fun () -> List.iter run_cell !l) :: acc) groups []);
+  (* remaining misses run on the coordinator after the barrier *)
+  List.iter run_cell sequential;
   (* store successes, count timeouts, emit responses in request order *)
   Hashtbl.iter
     (fun key c ->

@@ -18,10 +18,9 @@
       once — the TCP and Unix-socket connection workers do.  They
       serialize per session (whole-request session lock), serialize the
       non-worker-safe verbs globally (their decision procedures share
-      coordinator-only memo tables), evaluate with
-      {!Dl_engine.pool_strategy} (the VM unless the process default is
-      [naive]), and shed over-quota requests with [busy] before
-      planning.
+      coordinator-only memo tables), and shed over-quota requests with
+      [busy] before planning.  Both evaluate with the process default
+      engine ({!Dl_engine.default}).
 
     {2 Deadlines}
 

@@ -17,8 +17,7 @@
      writing one byte to the pipe, which wakes the worker's select;
    - requests go through {!Svc_service.handle_concurrent}, which
      carries the whole cross-domain safety discipline (per-session
-     serialization, the heavy-verb mutex, the cache's own lock, the
-     pool strategy [Dl_engine.pool_strategy ()]);
+     serialization, the heavy-verb mutex, the cache's own lock);
    - admission control sheds, never queues: when [max_conns]
      connections are active the accept loop answers the newcomer with
      one [- busy] line and closes it.  The client knows immediately and

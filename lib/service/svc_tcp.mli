@@ -7,7 +7,7 @@
     through the length-capped {!Svc_reader} and answering them with
     {!Svc_service.handle_concurrent} (which enforces the cross-domain
     safety discipline: per-session serialization, the heavy-verb mutex,
-    the locked cache, the {!Dl_engine.pool_strategy} engine).
+    the locked cache).
 
     {2 Admission contract}
 

@@ -332,5 +332,5 @@ let stratified_rewriting tp =
   fun j ->
     Instance.tuples j "VhC" <> []
     || Instance.tuples j "VhD" <> []
-    || Dl_eval.holds_boolean qv j
-    || (product_test j && Dl_eval.holds_boolean qs j)
+    || Dl_engine.holds_boolean qv j
+    || (product_test j && Dl_engine.holds_boolean qs j)

@@ -11,9 +11,12 @@
 #      bin/mondet.ml (catches docs of removed/renamed options);
 #   4. every mondet subcommand must appear in README.md;
 #   5. every wire verb must appear in the docs/GUIDE.md walkthroughs;
-#   6. the concurrent request path runs Dl_engine.pool_strategy: the
-#      service must still call it, and neither ARCHITECTURE.md nor the
-#      service/TCP sources may claim that path forces the Indexed engine;
+#   6. both service regimes evaluate with the process default engine:
+#      the removed Dl_engine.pool_strategy is named in no file under
+#      lib, bin, test, bench or docs, nor in README.md, DESIGN.md or
+#      ARCHITECTURE.md; lib/service passes no ?strategy/?engine
+#      override; and no doc or service/TCP source claims the concurrent
+#      path forces an engine;
 #   7. recursive strata are maintained by Backward/Forward deletion:
 #      lib/datalog/dl_incr.ml must still name it, and no maintenance doc
 #      may claim recursive strata run DRed / delete-and-rederive again;
@@ -30,6 +33,10 @@
 #  10. the sequential engines: the removed Parallel strategy is named —
 #      as `Dl_engine.Parallel`, `--engine parallel` or
 #      `MONDET_ENGINE=parallel` — in no file under lib, bin, test, bench
+#      or docs, nor in README.md, DESIGN.md or ARCHITECTURE.md;
+#  11. one semi-naive matcher: the removed Indexed strategy is named —
+#      as `Dl_engine.Indexed`, `--engine indexed` or
+#      `MONDET_ENGINE=indexed` — in no file under lib, bin, test, bench
 #      or docs, nor in README.md, DESIGN.md or ARCHITECTURE.md.
 #
 # Run from the repository root: scripts/check_docs.sh
@@ -90,17 +97,24 @@ for s in $subs; do
   grep -q "$s" README.md || err "subcommand '$s' not mentioned in README.md"
 done
 
-# 6. the concurrent path's engine.  The call is matched in its
-#    parenthesized code shape, which the comments naming it ([...]) do
-#    not have; claims wrap across lines, so each file is flattened to
-#    one line before matching.
+# 6. the concurrent path's engine is the process default.  An override
+#    is a labelled [?strategy]/[~strategy]/[?engine]/[~engine] argument
+#    in a service source; claims wrap across lines, so each file is
+#    flattened to one line before matching.  CHANGES.md, EXPERIMENTS.md
+#    and ROADMAP.md are history and keep the names.
 service_ml=lib/service/svc_service.ml
-grep -q '(Dl_engine\.pool_strategy ()' "$service_ml" ||
-  err "$service_ml no longer calls Dl_engine.pool_strategy (update rule 6 and the docs)"
+if grep -rlE 'pool_strategy' lib bin test bench docs README.md DESIGN.md \
+  ARCHITECTURE.md; then
+  err "the files above name the removed Dl_engine.pool_strategy"
+fi
+if grep -rnE '[?~](strategy|engine)\b' lib/service; then
+  err "lib/service overrides the engine above; both regimes run the process default"
+fi
 for f in ARCHITECTURE.md DESIGN.md README.md docs/GUIDE.md \
   lib/service/svc_service.mli "$service_ml" lib/service/svc_tcp.ml; do
-  if tr -s ' \n' '  ' <"$f" | grep -Eqi 'forc(e|es|ed|ing)( to)?( the)? [`[]?Indexed'; then
-    err "$f claims the concurrent path forces Indexed; it runs Dl_engine.pool_strategy"
+  if tr -s ' \n' '  ' <"$f" |
+    grep -Eqi 'forc(e|es|ed|ing)( to)?( the)? [`[]?(indexed|vm|magic|naive)'; then
+    err "$f claims the concurrent path forces an engine; it runs the process default"
   fi
 done
 
@@ -158,6 +172,13 @@ loops=$(grep -l 'Instance\.union old delta' lib/datalog/*.ml |
 if grep -rlE 'Dl_engine\.Parallel|--engine parallel|MONDET_ENGINE=parallel' \
   lib bin test bench docs README.md DESIGN.md ARCHITECTURE.md; then
   err "the files above name the removed Parallel strategy"
+fi
+
+# 11. the removed Indexed strategy (the interpreted slot matcher).
+#     History files keep the names, as in rule 10.
+if grep -rlE 'Dl_engine\.Indexed|--engine indexed|MONDET_ENGINE=indexed' \
+  lib bin test bench docs README.md DESIGN.md ARCHITECTURE.md; then
+  err "the files above name the removed Indexed strategy"
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -91,7 +91,7 @@ let test_forward_witness_is_approximation () =
   | Some w ->
       (* decoding a witness satisfies the query *)
       let i = Code.decode w in
-      check_bool "decoded satisfies query" true (Dl_eval.holds_boolean conn i)
+      check_bool "decoded satisfies query" true (Dl_engine.holds_boolean conn i)
 
 let test_forward_repeated_idb_args () =
   (* repeated variables in intensional atoms are specialized away *)
@@ -333,7 +333,7 @@ let test_backward_roundtrip () =
   List.iter
     (fun i ->
       check_bool "agrees" true
-        (Dl_eval.holds_boolean conn i = Dl_eval.holds_boolean qa i))
+        (Dl_engine.holds_boolean conn i = Dl_engine.holds_boolean qa i))
     insts
 
 let test_adom_rules () =
@@ -342,7 +342,7 @@ let test_adom_rules () =
   check_int "three rules" 3 (List.length rules);
   let q = Datalog.query rules "Adom" in
   let i = Parse.instance "R(a,b). U(d)." in
-  check_int "adom size" 3 (List.length (Dl_eval.eval q i))
+  check_int "adom size" 3 (List.length (Dl_engine.eval q i))
 
 let suite =
   [

@@ -172,8 +172,8 @@ let test_separator_brute_force () =
 (* --- Theorem 7 diamonds ---------------------------------------------- *)
 
 let test_diamonds_query_holds () =
-  check_bool "Q(I_0)" true (Dl_eval.holds_boolean Diamonds.query (Diamonds.chain 0));
-  check_bool "Q(I_3)" true (Dl_eval.holds_boolean Diamonds.query (Diamonds.chain 3))
+  check_bool "Q(I_0)" true (Dl_engine.holds_boolean Diamonds.query (Diamonds.chain 0));
+  check_bool "Q(I_3)" true (Dl_engine.holds_boolean Diamonds.query (Diamonds.chain 3))
 
 let test_diamonds_views_shape () =
   let jk = View.image Diamonds.views (Diamonds.chain 2) in
@@ -183,7 +183,7 @@ let test_diamonds_views_shape () =
 
 let test_diamonds_counterexample () =
   let i' = Diamonds.unravelled_counterexample ~k:2 ~depth:2 in
-  check_bool "Q false on I'" false (Dl_eval.holds_boolean Diamonds.query i');
+  check_bool "Q false on I'" false (Dl_engine.holds_boolean Diamonds.query i');
   let v_i = View.image Diamonds.views (Diamonds.chain 2) in
   let v_i' = View.image Diamonds.views i' in
   check_bool "(1,2) duplicator wins" true (Pebble.one_k_consistent ~k:2 v_i v_i')
@@ -253,7 +253,7 @@ let test_chase_separator_identity () =
   let any = Md_separator.chase_separator ~mode:Md_separator.Any q views j in
   let all = Md_separator.chase_separator ~mode:Md_separator.All q views j in
   check_bool "coincide" true (any = all);
-  check_bool "equal query" true (any = Dl_eval.holds_boolean q i)
+  check_bool "equal query" true (any = Dl_engine.holds_boolean q i)
 
 let suite =
   suite

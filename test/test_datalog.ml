@@ -5,6 +5,13 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let c = Const.named
 
+(* the two queries agree on every given instance *)
+let equivalent_on q1 q2 insts =
+  let norm ts = List.sort compare (List.map Array.to_list ts) in
+  List.for_all
+    (fun i -> norm (Dl_engine.eval q1 i) = norm (Dl_engine.eval q2 i))
+    insts
+
 (* transitive closure *)
 let tc =
   Parse.query ~goal:"T"
@@ -24,28 +31,28 @@ let chain n =
 
 let test_tc_chain () =
   let i = chain 4 in
-  let out = Dl_eval.eval tc i in
+  let out = Dl_engine.eval tc i in
   (* all pairs i<j: 5*4/2 = 10 *)
   check_int "pairs" 10 (List.length out);
-  check_bool "a0->a4" true (Dl_eval.holds tc i [| c "a0"; c "a4" |]);
-  check_bool "no back edge" false (Dl_eval.holds tc i [| c "a4"; c "a0" |])
+  check_bool "a0->a4" true (Dl_engine.holds tc i [| c "a0"; c "a4" |]);
+  check_bool "no back edge" false (Dl_engine.holds tc i [| c "a4"; c "a0" |])
 
 let test_tc_cycle () =
   let i =
     Parse.instance "E(a,b). E(b,c). E(c,a)."
   in
-  check_int "all 9 pairs" 9 (List.length (Dl_eval.eval tc i))
+  check_int "all 9 pairs" 9 (List.length (Dl_engine.eval tc i))
 
 let test_conn () =
   let i = Parse.instance "R(a,b). R(b,d). U(d). R(z,z)." in
-  check_bool "a connects" true (Dl_eval.holds conn i [| c "a" |]);
-  check_bool "d connects" true (Dl_eval.holds conn i [| c "d" |]);
-  check_bool "z does not" false (Dl_eval.holds conn i [| c "z" |]);
-  check_int "three answers" 3 (List.length (Dl_eval.eval conn i))
+  check_bool "a connects" true (Dl_engine.holds conn i [| c "a" |]);
+  check_bool "d connects" true (Dl_engine.holds conn i [| c "d" |]);
+  check_bool "z does not" false (Dl_engine.holds conn i [| c "z" |]);
+  check_int "three answers" 3 (List.length (Dl_engine.eval conn i))
 
 let test_fixpoint_idbs () =
   let i = chain 2 in
-  let fp = Dl_eval.fixpoint tc.Datalog.program i in
+  let fp = Dl_engine.fixpoint tc.Datalog.program i in
   check_bool "contains edb" true (Instance.subset i fp);
   check_int "T facts" 3 (List.length (Instance.tuples fp "T"))
 
@@ -53,9 +60,9 @@ let test_nullary_goal () =
   let q =
     Parse.query ~goal:"Goal" "Goal <- E(x,y), E(y,x)."
   in
-  check_bool "no 2-cycle" false (Dl_eval.holds_boolean q (chain 3));
+  check_bool "no 2-cycle" false (Dl_engine.holds_boolean q (chain 3));
   check_bool "2-cycle" true
-    (Dl_eval.holds_boolean q (Parse.instance "E(a,b). E(b,a)."))
+    (Dl_engine.holds_boolean q (Parse.instance "E(a,b). E(b,a)."))
 
 let test_example1 () =
   (* Example 1 of the paper: ternary T, binary B, unary U1, U2. *)
@@ -70,24 +77,24 @@ let test_example1 () =
     Parse.instance
       "U1(x0). T(x0,y0,z0). B(z0,w0). B(y0,w0). U2(w0)."
   in
-  check_bool "Q holds" true (Dl_eval.holds_boolean q yes);
+  check_bool "Q holds" true (Dl_engine.holds_boolean q yes);
   (* remove U1: fails *)
   let no = Parse.instance "T(x0,y0,z0). B(z0,w0). B(y0,w0). U2(w0)." in
-  check_bool "Q fails without U1" false (Dl_eval.holds_boolean q no);
+  check_bool "Q fails without U1" false (Dl_engine.holds_boolean q no);
   (* two-step chain *)
   let yes2 =
     Parse.instance
       "U1(x0). T(x0,y0,z0). B(z0,w0). B(y0,w0).
        T(w0,y1,z1). B(z1,w1). B(y1,w1). U2(w1)."
   in
-  check_bool "Q holds (2 steps)" true (Dl_eval.holds_boolean q yes2)
+  check_bool "Q holds (2 steps)" true (Dl_engine.holds_boolean q yes2)
 
 let test_monotone_under_delta () =
   (* semi-naive gives same result as evaluating on the union directly *)
   let i1 = chain 3 in
   let i2 = Parse.instance "E(a3,a0)." in
   let all = Instance.union i1 i2 in
-  let fp = Dl_eval.fixpoint tc.Datalog.program all in
+  let fp = Dl_engine.fixpoint tc.Datalog.program all in
   check_int "cycle closure" 16 (List.length (Instance.tuples fp "T"))
 
 (* --- static analysis ---------------------------------------------- *)
@@ -143,7 +150,7 @@ let test_to_ucq () =
       check_int "two disjuncts" 2 (List.length u.Ucq.disjuncts);
       let i = Parse.instance "A(a,b). V(b)." in
       check_bool "agree" true
-        (Ucq.holds u i [| c "a" |] = Dl_eval.holds q i [| c "a" |])
+        (Ucq.holds u i [| c "a" |] = Dl_engine.holds q i [| c "a" |])
 
 (* --- normalization ------------------------------------------------ *)
 
@@ -164,7 +171,7 @@ let test_normalize () =
       chain 3;
     ]
   in
-  check_bool "equivalent" true (Dl_eval.equivalent_on q nq insts)
+  check_bool "equivalent" true (equivalent_on q nq insts)
 
 let test_normalize_already () =
   check_bool "conn normalized" true (Dl_normalize.is_normalized conn.Datalog.program);
@@ -187,7 +194,7 @@ let test_approx_conn () =
   List.iter
     (fun q ->
       check_bool "approx sound: canondb satisfies conn" true
-        (Dl_eval.contained_cq_in q conn))
+        (Dl_engine.contained_cq_in q conn))
     approxs
 
 let test_approx_tc () =
@@ -195,13 +202,13 @@ let test_approx_tc () =
   (* paths of length 1,2,3 *)
   check_int "three approximations" 3 (List.length approxs);
   List.iter
-    (fun q -> check_bool "sound" true (Dl_eval.contained_cq_in q tc))
+    (fun q -> check_bool "sound" true (Dl_engine.contained_cq_in q tc))
     approxs
 
 let test_approx_prop1 () =
   (* Proposition 1: if I ⊨ Q(c) then some approximation witnesses it *)
   let i = chain 3 in
-  let out = Dl_eval.eval tc i in
+  let out = Dl_engine.eval tc i in
   let approxs = Dl_approx.approximations ~max_depth:4 tc in
   List.iter
     (fun t ->
@@ -244,7 +251,7 @@ let prop_datalog_monotone =
   QCheck.Test.make ~name:"Datalog evaluation is monotone" ~count:60
     (QCheck.pair instance_arb instance_arb) (fun (a, b) ->
       let big = Instance.union a b in
-      List.for_all (fun t -> Dl_eval.holds conn big t) (Dl_eval.eval conn a))
+      List.for_all (fun t -> Dl_engine.holds conn big t) (Dl_engine.eval conn a))
 
 let prop_approx_sound_complete =
   QCheck.Test.make ~name:"approximations bound the query from below" ~count:40
@@ -252,7 +259,7 @@ let prop_approx_sound_complete =
       let approxs = Dl_approx.approximations ~max_depth:3 conn in
       List.for_all
         (fun q ->
-          List.for_all (fun t -> Dl_eval.holds conn i t) (Cq.eval q i))
+          List.for_all (fun t -> Dl_engine.holds conn i t) (Cq.eval q i))
         approxs)
 
 let prop_normalize_semantics =
@@ -260,7 +267,7 @@ let prop_normalize_semantics =
     instance_arb (fun i ->
       let q = Parse.query ~goal:"P" "P(x) <- U(x). P(x) <- E(x,y), P(x)." in
       let nq = Dl_normalize.normalize q in
-      Dl_eval.equivalent_on q nq [ i ])
+      equivalent_on q nq [ i ])
 
 let qcheck =
   List.map QCheck_alcotest.to_alcotest
@@ -321,7 +328,7 @@ let test_specialize () =
       Parse.instance "E(a,b). E(b,c). E(c,a).";
     ]
   in
-  Alcotest.(check bool) "equivalent" true (Dl_eval.equivalent_on q sq insts)
+  Alcotest.(check bool) "equivalent" true (equivalent_on q sq insts)
 
 let suite = suite @ [ Alcotest.test_case "specialize repeats" `Quick test_specialize ]
 
@@ -341,7 +348,7 @@ let test_binarize () =
       Parse.instance "E(a,a).";
     ]
   in
-  check_bool "equivalent" true (Dl_eval.equivalent_on q bq insts)
+  check_bool "equivalent" true (equivalent_on q bq insts)
 
 let test_binarize_noop () =
   let q = Parse.query ~goal:"G" "G <- P(x), R(x). P(x) <- U(x). R(x) <- W(x)." in
@@ -356,7 +363,7 @@ let suite =
     ]
 
 (* ---------------------------------------------------------------- *)
-(* Differential tests: the indexed semi-naive engine against the
+(* Differential tests: the semi-naive engine against the
    scan-based naive reference, and against Hom-based CQ evaluation on
    the nonrecursive fragment, on random program/instance pairs. *)
 
@@ -408,9 +415,9 @@ let dg_pair_arb =
     QCheck.Gen.(pair dg_program dg_instance)
 
 let prop_fixpoint_differential =
-  QCheck.Test.make ~name:"indexed semi-naive = scan-based naive" ~count:120
+  QCheck.Test.make ~name:"semi-naive = scan-based naive" ~count:120
     dg_pair_arb (fun (p, i) ->
-      Instance.equal (Dl_eval.fixpoint p i) (Dl_eval.fixpoint_naive p i))
+      Instance.equal (Dl_engine.fixpoint p i) (Dl_eval.fixpoint_naive p i))
 
 let prop_holds_differential =
   (* holds_boolean takes the early-stop path; it must agree with the full
@@ -420,7 +427,7 @@ let prop_holds_differential =
       List.for_all
         (fun (goal, _) ->
           let q = Datalog.make p goal in
-          Dl_eval.holds_boolean q i
+          Dl_engine.holds_boolean q i
           = (Instance.tuples (Dl_eval.fixpoint_naive p i) goal <> []))
         dg_idbs)
 
@@ -441,7 +448,7 @@ let prop_cq_differential =
     dg_cq_pair_arb (fun (cq, i) ->
       let q = Datalog.of_cq ~goal:"DGGoal" cq in
       let norm ts = List.sort compare (List.map Array.to_list ts) in
-      norm (Dl_eval.eval q i) = norm (Cq.eval cq i))
+      norm (Dl_engine.eval q i) = norm (Cq.eval cq i))
 
 let test_arity_validation () =
   Alcotest.check_raises "rule-local clash"
@@ -463,7 +470,7 @@ let test_arity_validation () =
   let bad = Instance.of_list [ Fact.make "E" [ c "a" ] ] in
   check_bool "mismatch raises" true
     (try
-       ignore (Dl_eval.eval q bad);
+       ignore (Dl_engine.eval q bad);
        false
      with Invalid_argument _ -> true)
 

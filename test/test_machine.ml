@@ -59,17 +59,17 @@ let test_query_detects_accepting_run () =
   let m = Tm.zigzag in
   let q = Th9.query m in
   check_bool "accepting run" true
-    (Dl_eval.holds_boolean q (Encode.encode_run m "00"));
+    (Dl_engine.holds_boolean q (Encode.encode_run m "00"));
   check_bool "input only" false
-    (Dl_eval.holds_boolean q (Encode.encode_input "00"))
+    (Dl_engine.holds_boolean q (Encode.encode_input "00"))
 
 let test_query_rejecting_run () =
   let m = Tm.binary_counter_parity in
   let q = Th9.query m in
   check_bool "rejecting run: Q false" false
-    (Dl_eval.holds_boolean q (Encode.encode_run m "0"));
+    (Dl_engine.holds_boolean q (Encode.encode_run m "0"));
   check_bool "accepting run: Q true" true
-    (Dl_eval.holds_boolean q (Encode.encode_run m "00"))
+    (Dl_engine.holds_boolean q (Encode.encode_run m "00"))
 
 let test_views_and_decode () =
   let m = Tm.binary_counter in
@@ -90,13 +90,13 @@ let test_separator_agreement () =
     (fun w ->
       let i = Encode.encode_run m w in
       check_bool ("agree on " ^ w) true
-        (Dl_eval.holds_boolean q i
+        (Dl_engine.holds_boolean q i
         = Th9.simulating_separator m (View.image vs i)))
     [ "0"; "00"; "000" ];
   (* and on input-only instances *)
   let i = Encode.encode_input "00" in
   check_bool "input-only agree" true
-    (Dl_eval.holds_boolean (Th9.query m) i
+    (Dl_engine.holds_boolean (Th9.query m) i
     = Th9.simulating_separator m (View.image vs i))
 
 let suite =

@@ -1,7 +1,7 @@
 (* Tests for the magic-sets transformation (Dl_magic) and the strategy
    facade (Dl_engine): adornment generation on the paper's example
    programs, demand pruning, and differential agreement of the magic
-   engine with the indexed and naive evaluators on random
+   engine with the naive evaluator on random
    program/instance/goal triples. *)
 
 let check_bool = Alcotest.(check bool)
@@ -74,11 +74,11 @@ let test_demand_pruning () =
      reachable from a8 are derived — not the 78 of the full closure *)
   let m = Dl_magic.transform tc [| true; false |] in
   let i = Instance.add (Dl_magic.seed m [| c "a8"; c "a12" |]) (chain 12) in
-  let fp = Dl_eval.fixpoint m.Dl_magic.query.Datalog.program i in
+  let fp = Dl_engine.fixpoint m.Dl_magic.query.Datalog.program i in
   check_int "only demanded T#bf facts" 10
     (List.length (Instance.tuples fp "T#bf"));
   check_bool "goal tuple derived" true
-    (Dl_eval.holds m.Dl_magic.query i [| c "a8"; c "a12" |])
+    (Dl_engine.holds m.Dl_magic.query i [| c "a8"; c "a12" |])
 
 let test_idb_facts_survive () =
   (* instance facts of intensional predicates flow through the copy rule *)
@@ -104,7 +104,7 @@ let test_engine_strategies () =
       check_bool (name ^ " boolean") true
         (Dl_engine.holds_boolean ~strategy:s tc i))
     Dl_engine.all;
-  (* extensional goal: magic falls back to the indexed engine *)
+  (* extensional goal: magic falls back to the vm engine *)
   let edb = Datalog.make tc.Datalog.program "E" in
   check_bool "edb fallback" true
     (Dl_engine.holds ~strategy:Dl_engine.Magic edb i [| c "a0"; c "a1" |]);
@@ -115,8 +115,8 @@ let test_engine_strategies () =
   check_bool "of_string rejects junk" true (Dl_engine.of_string "fast" = None)
 
 (* differential properties: the magic engine agrees with the naive
-   scan-based evaluator (and hence with the indexed one, which has its own
-   differential suite in Test_datalog) on random program/instance/goal
+   scan-based evaluator (and hence with the vm one, which has its own
+   differential suites in Test_datalog and Test_vm) on random program/instance/goal
    triples *)
 
 let norm ts = List.sort compare (List.map Array.to_list ts)

@@ -65,7 +65,7 @@ let test_run_tasks () =
 let test_pool_resize () =
   (* shrink and regrow the persistent pool; every task evaluates its own
      instance, so no index cache is shared between domains *)
-  let expect = List.length (Dl_eval.eval tc (chain 12)) in
+  let expect = List.length (Dl_engine.eval tc (chain 12)) in
   List.iter
     (fun d ->
       with_domains d @@ fun () ->
@@ -73,7 +73,8 @@ let test_pool_resize () =
       let got = Array.make 8 0 in
       Dl_parallel.run_tasks
         (List.init 8 (fun k () ->
-             got.(k) <- List.length (Dl_vm.eval tc (chain 12))));
+             got.(k) <-
+               List.length (Dl_engine.eval ~strategy:Dl_engine.Vm tc (chain 12))));
       check_bool
         (Printf.sprintf "answers with a pool of %d" d)
         true
@@ -98,7 +99,7 @@ let prop_fixpoint_delta_differential =
       let agree (full, derived) =
         Instance.equal full want_full && Instance.equal derived want_derived
       in
-      agree (run Dl_engine.Indexed) && agree (run Dl_engine.Vm))
+      List.for_all (fun s -> agree (run s)) Dl_engine.all)
 
 let suite =
   [

@@ -3,7 +3,7 @@
    translation on small graphs, the view-rewriting constructions
    (lossless and lossy cases), and qcheck differentials — the Datalog
    translation against a naive product-construction reachability oracle
-   under the indexed, vm and parallel strategies, minimization against
+   under the magic and vm strategies, minimization against
    the trimmed NFA, Boolean membership against all-pairs evaluation,
    plus rewriting soundness/lossless-equality on random view sets. *)
 
@@ -362,7 +362,7 @@ let prop_strategy name strategy =
   QCheck.Test.make ~name ~count:120 rpq_pair_arb (fun (e, g) ->
       Rpq_translate.eval ~strategy e g = oracle_pairs e g)
 
-let prop_indexed = prop_strategy "rpq indexed = oracle" Dl_engine.Indexed
+let prop_magic = prop_strategy "rpq magic = oracle" Dl_engine.Magic
 let prop_vm = prop_strategy "rpq vm = oracle" Dl_engine.Vm
 
 let prop_anchored =
@@ -442,7 +442,7 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
-        prop_indexed;
+        prop_magic;
         prop_vm;
         prop_anchored;
         prop_minimize;

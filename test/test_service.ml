@@ -364,7 +364,7 @@ let tc_text = "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)."
 let hop_text = "H(x,y) <- E(x,z), E(z,y)."
 
 let format_tuples q i =
-  let q_tuples = Dl_engine.eval ~strategy:Dl_engine.Indexed q i in
+  let q_tuples = Dl_engine.eval ~strategy:Dl_engine.Naive q i in
   if Datalog.goal_arity q = 0 then if q_tuples <> [] then "true" else "false"
   else
     match q_tuples with
@@ -397,7 +397,7 @@ let test_mixed_workload () =
   let expected_holds pn iname tuple =
     let q = List.assoc pn oracle_q and i = List.assoc iname oracle_i in
     if
-      Dl_engine.holds ~strategy:Dl_engine.Indexed q i
+      Dl_engine.holds ~strategy:Dl_engine.Naive q i
         (Array.of_list (List.map Const.named tuple))
     then "true"
     else "false"

@@ -48,10 +48,10 @@ let test_qtp_is_mdl () =
 let test_axes_start () =
   (* I_ℓ satisfies Qstart (hence Q) *)
   let ax = Reduction.axes 2 in
-  check_bool "Q on axes" true (Dl_eval.holds_boolean q_tp ax);
+  check_bool "Q on axes" true (Dl_engine.holds_boolean q_tp ax);
   (* removing the D marks breaks the x-walk *)
   let no_d = Instance.restrict (fun r -> r <> "D") ax in
-  check_bool "no D: Q fails" false (Dl_eval.holds_boolean q_tp no_d)
+  check_bool "no D: Q fails" false (Dl_engine.holds_boolean q_tp no_d)
 
 let test_view_image_of_axes () =
   (* Figure 2(b): S = C × D on the view image of the axes *)
@@ -76,7 +76,7 @@ let test_ha_va () =
 let test_grid_test_verdicts () =
   (* a valid tiling makes Q false; an invalid initial tile makes Q true *)
   let ok = Reduction.grid_test tp ~tau:(fun _ _ -> "w") 2 2 in
-  check_bool "valid tiling: Q false" false (Dl_eval.holds_boolean q_tp ok);
+  check_bool "valid tiling: Q false" false (Dl_engine.holds_boolean q_tp ok);
   let tp2 =
     {
       Tiling.tiles = [ "w"; "x" ];
@@ -88,9 +88,9 @@ let test_grid_test_verdicts () =
   in
   let q2 = Reduction.query tp2 in
   let bad_init = Reduction.grid_test tp2 ~tau:(fun i j -> if i = 1 && j = 1 then "x" else "w") 2 2 in
-  check_bool "bad initial tile: Q true" true (Dl_eval.holds_boolean q2 bad_init);
+  check_bool "bad initial tile: Q true" true (Dl_engine.holds_boolean q2 bad_init);
   let bad_final = Reduction.grid_test tp2 ~tau:(fun i j -> if i = 2 && j = 2 then "x" else "w") 2 2 in
-  check_bool "bad final tile: Q true" true (Dl_eval.holds_boolean q2 bad_final)
+  check_bool "bad final tile: Q true" true (Dl_engine.holds_boolean q2 bad_final)
 
 let test_grid_test_hc_violation () =
   let tp3 =
@@ -105,7 +105,7 @@ let test_grid_test_hc_violation () =
   let q3 = Reduction.query tp3 in
   (* second column tiled x: horizontal w-x violation *)
   let bad = Reduction.grid_test tp3 ~tau:(fun i _ -> if i = 1 then "w" else "x") 2 2 in
-  check_bool "HC violation detected" true (Dl_eval.holds_boolean q3 bad)
+  check_bool "HC violation detected" true (Dl_engine.holds_boolean q3 bad)
 
 (* Prop. 10 via canonical tests: for a solvable problem the bounded search
    finds a failing test; grid tests of unsolvable problems all pass *)
@@ -115,7 +115,7 @@ let test_prop10_direction () =
      over the UCQ views is exercised in the benches) *)
   let failing = Reduction.grid_test tp ~tau:(fun _ _ -> "w") 1 1 in
   check_bool "failing test for solvable TP" false
-    (Dl_eval.holds_boolean q_tp failing);
+    (Dl_engine.holds_boolean q_tp failing);
   (* unsolvable: all tile assignments on small grids satisfy Q *)
   let tpu = Tiling.simple_unsolvable in
   let qu = Reduction.query tpu in
@@ -138,7 +138,7 @@ let test_prop10_direction () =
             let _, _, t = List.find (fun (i', j', _) -> i' = i && j' = j) asg in
             t
           in
-          if not (Dl_eval.holds_boolean qu (Reduction.grid_test tpu ~tau n m))
+          if not (Dl_engine.holds_boolean qu (Reduction.grid_test tpu ~tau n m))
           then all_pass := false)
         (assignments [] cells))
     [ (1, 1); (2, 1); (1, 2); (2, 2) ];
@@ -211,7 +211,7 @@ let test_stratified_rewriting () =
            (Reduction.schema_sigma tp)
     in
     List.for_all
-      (fun i -> Dl_eval.holds_boolean q i = r (View.image views i))
+      (fun i -> Dl_engine.holds_boolean q i = r (View.image views i))
       insts
   in
   check_bool "unsolvable TP" true (check Tiling.simple_unsolvable)
@@ -225,9 +225,9 @@ let test_stratified_not_for_solvable () =
   let r = Reduction.stratified_rewriting tp in
   let test = Reduction.grid_test tp ~tau:(fun _ _ -> "w") 1 1 in
   (* Q is false on the valid tiling but the views cannot tell *)
-  check_bool "Q false" false (Dl_eval.holds_boolean q test);
+  check_bool "Q false" false (Dl_engine.holds_boolean q test);
   check_bool "formula defined" true
-    (r (View.image views test) || not (Dl_eval.holds_boolean q test))
+    (r (View.image views test) || not (Dl_engine.holds_boolean q test))
 
 let suite =
   suite

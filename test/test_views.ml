@@ -32,7 +32,7 @@ let test_datalog_view () =
 let test_def_as_datalog () =
   let q = View.def_as_datalog path_view in
   check_bool "goal is view name" true (String.equal q.Datalog.goal "P2");
-  let out = Dl_eval.eval q inst in
+  let out = Dl_engine.eval q inst in
   check_int "same as direct eval" 3 (List.length out)
 
 let test_schemas () =
@@ -76,7 +76,7 @@ let test_inverse_identity_views () =
   (* views = identity copy: certain answers = the query itself *)
   let rw = Inverse_rules.rewrite tc_query [ atomic_e ] in
   let img = View.image [ atomic_e ] inst in
-  let out = Dl_eval.eval rw img in
+  let out = Dl_engine.eval rw img in
   check_int "tc of 3-cycle" 9 (List.length out)
 
 let test_inverse_path_views () =
@@ -86,7 +86,7 @@ let test_inverse_path_views () =
   let q = Parse.query ~goal:"G" "G(x,y) <- E(x,z), E(z,y)." in
   let rw = Inverse_rules.rewrite q [ path_view ] in
   let j = Instance.of_list [ Fact.make "P2" [ c "a"; c "b" ] ] in
-  let out = Dl_eval.eval rw j in
+  let out = Dl_engine.eval rw j in
   (* P2(a,b) certainly contains a 2-path from a to b *)
   check_bool "certain 2-path" true
     (List.exists (fun t -> Const.equal t.(0) (c "a") && Const.equal t.(1) (c "b")) out)
@@ -96,7 +96,7 @@ let test_inverse_skolem_no_leak () =
   let q = Parse.query ~goal:"G" "G(x) <- E(x,y)." in
   let rw = Inverse_rules.rewrite q [ path_view ] in
   let j = Instance.of_list [ Fact.make "P2" [ c "a"; c "b" ] ] in
-  let out = Dl_eval.eval rw j in
+  let out = Dl_engine.eval rw j in
   check_int "only a" 1 (List.length out);
   check_bool "is a" true (Const.equal (List.hd out).(0) (c "a"))
 
@@ -108,8 +108,8 @@ let test_inverse_guarded () =
   (* both compute the same certain answers *)
   let img = View.image [ atomic_e ] inst in
   check_bool "guarded = unguarded" true
-    (List.length (Dl_eval.eval rw img)
-    = List.length (Dl_eval.eval rw_unguarded img))
+    (List.length (Dl_engine.eval rw img)
+    = List.length (Dl_engine.eval rw_unguarded img))
 
 let test_inverse_unsupported () =
   let u = View.ucq "U" (Parse.ucq "v(x) <- E(x,y). v(x) <- E(y,x).") in

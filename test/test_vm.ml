@@ -1,10 +1,11 @@
-(* Tests for the bytecode VM (Dl_vm) and its strategy routing
-   (Dl_engine.Vm): unit checks on closure workloads and edge-shaped rules
-   (empty bodies, constants, repeated variables), golden disassemblies
-   pinning the compiled opcode layout, mid-round cancellation, concurrent
-   compilation from several domains, differential agreement with the
-   naive oracle on random program/instance pairs, and the parallel pool's
-   bytecode matcher. *)
+(* Tests for the bytecode VM (Dl_vm), the semi-naive loop over it
+   (Dl_semi) and its strategy routing (Dl_engine.Vm): unit checks on
+   closure workloads and edge-shaped rules (empty bodies, constants,
+   repeated variables), golden disassemblies pinning the compiled opcode
+   layout, mid-round cancellation, concurrent compilation from several
+   domains, the head- and body-seeded runs behind Dl_incr's
+   Backward/Forward search, and differential agreement with the naive
+   oracle on random program/instance pairs. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -30,19 +31,19 @@ let dense n =
 
 let test_tc_chain () =
   let i = chain 24 in
-  check_int "full closure" (24 * 25 / 2) (List.length (Dl_vm.eval tc i));
-  check_bool "holds" true (Dl_vm.holds tc i [| c "a0"; c "a24" |]);
-  check_bool "rejects" false (Dl_vm.holds tc i [| c "a24"; c "a0" |]);
-  check_bool "boolean" true (Dl_vm.holds_boolean tc i);
-  check_bool "boolean on empty" false (Dl_vm.holds_boolean tc Instance.empty);
-  check_bool "fixpoint = indexed fixpoint" true
-    (Instance.equal (Dl_vm.fixpoint tc.program i) (Dl_eval.fixpoint tc.program i))
+  check_int "full closure" (24 * 25 / 2) (List.length (Dl_semi.eval tc i));
+  check_bool "holds" true (Dl_semi.holds tc i [| c "a0"; c "a24" |]);
+  check_bool "rejects" false (Dl_semi.holds tc i [| c "a24"; c "a0" |]);
+  check_bool "boolean" true (Dl_semi.holds_boolean tc i);
+  check_bool "boolean on empty" false (Dl_semi.holds_boolean tc Instance.empty);
+  check_bool "fixpoint = naive fixpoint" true
+    (Instance.equal (Dl_semi.fixpoint tc.program i) (Dl_eval.fixpoint_naive tc.program i))
 
 let test_rule_shapes () =
   (* empty body: the zero-step program emits its head once and halts *)
   let p0 = [ Datalog.rule (Cq.atom "G" []) [] ] in
   check_bool "empty body derives" true
-    (Dl_vm.holds_boolean (Datalog.make p0 "G") Instance.empty);
+    (Dl_semi.holds_boolean (Datalog.make p0 "G") Instance.empty);
   (* ... under every strategy: the first round is not skipped for an
      empty input *)
   List.iter
@@ -56,12 +57,12 @@ let test_rule_shapes () =
   (* constants in the body: check-const and constant-keyed probes *)
   let qc = Parse.query ~goal:"P" "P(x) <- E(x,'a2')." in
   let i = chain 5 in
-  check_int "constant probe" 1 (List.length (Dl_vm.eval qc i));
-  check_bool "constant probe tuple" true (Dl_vm.holds qc i [| c "a1" |]);
+  check_int "constant probe" 1 (List.length (Dl_semi.eval qc i));
+  check_bool "constant probe tuple" true (Dl_semi.holds qc i [| c "a1" |]);
   (* repeated variable inside one atom: bind-then-check in the same step *)
   let ql = Parse.query ~goal:"L" "L(x) <- E(x,x)." in
-  check_int "no loops in a chain" 0 (List.length (Dl_vm.eval ql i));
-  check_int "loops in dense" 3 (List.length (Dl_vm.eval ql (dense 3)))
+  check_int "no loops in a chain" 0 (List.length (Dl_semi.eval ql i));
+  check_int "loops in dense" 3 (List.length (Dl_semi.eval ql (dense 3)))
 
 let test_engine_facade () =
   let i = chain 4 in
@@ -73,27 +74,11 @@ let test_engine_facade () =
   check_bool "of_string" true (Dl_engine.of_string "vm" = Some Dl_engine.Vm);
   check_bool "to_string" true
     (String.equal (Dl_engine.to_string Dl_engine.Vm) "vm");
-  check_bool "four strategies" true (List.length Dl_engine.all = 4);
-  check_bool "no parallel strategy" true (Dl_engine.of_string "parallel" = None);
-  (* pool preference: worker domains run vm unless the default is an
-     explicit naive/vm *)
-  let saved = Dl_engine.default () in
-  Fun.protect
-    ~finally:(fun () -> Dl_engine.set_default saved)
-    (fun () ->
-      List.iter
-        (fun (d, want) ->
-          Dl_engine.set_default d;
-          check_bool
-            ("pool strategy for " ^ Dl_engine.to_string d)
-            true
-            (Dl_engine.pool_strategy () = want))
-        [
-          (Dl_engine.Indexed, Dl_engine.Vm);
-          (Dl_engine.Magic, Dl_engine.Vm);
-          (Dl_engine.Vm, Dl_engine.Vm);
-          (Dl_engine.Naive, Dl_engine.Naive);
-        ])
+  check_bool "three strategies" true (List.length Dl_engine.all = 3);
+  check_bool "no parallel strategy" true
+    (List.for_all
+       (fun n -> Dl_engine.of_string n = None)
+       [ "parallel"; "indexed" ])
 
 (* --- golden disassemblies ------------------------------------------- *)
 (* One grid-shaped and one diamond-shaped rule, pinning the plan (atom
@@ -185,13 +170,13 @@ let test_golden_disassembly () =
   let dp = List.hd (Dl_vm.compile diamond_rule) in
   Alcotest.(check string)
     "grid naive" grid_naive_golden
-    (disasm gp.Dl_vm.naive);
+    (disasm (Dl_vm.naive_program gp.source));
   Alcotest.(check string)
     "grid delta on D" grid_semi2_golden
     (disasm gp.Dl_vm.semi.(2));
   Alcotest.(check string)
     "diamond naive" diamond_naive_golden
-    (disasm dp.Dl_vm.naive)
+    (disasm (Dl_vm.naive_program dp.source))
 
 (* --- cancellation ---------------------------------------------------- *)
 
@@ -203,7 +188,7 @@ let test_cancel_mid_enumeration () =
      a strict prefix of the enumeration — proving the probe sits inside
      the cursor loops, not at the boundaries *)
   let i = dense 20 in
-  let prog = (List.hd (Dl_vm.compile join3.program)).Dl_vm.naive in
+  let prog = Dl_vm.naive_program (List.hd (Dl_vm.compile join3.program)).source in
   List.iter (fun r -> ignore (Instance.index_id i r)) [ Symtab.intern "E" ];
   let total = ref 0 in
   Dl_vm.exec prog ~full:i (fun _ ->
@@ -231,7 +216,7 @@ let test_cancel_fixpoint_deadline () =
   let cancel = Dl_cancel.with_deadline_ms 1 in
   let raised =
     try
-      ignore (Dl_vm.fixpoint ~cancel join3.program i);
+      ignore (Dl_semi.fixpoint ~cancel join3.program i);
       false
     with Dl_cancel.Cancelled -> true
   in
@@ -240,33 +225,138 @@ let test_cancel_fixpoint_deadline () =
 (* --- concurrent compilation ------------------------------------------ *)
 
 let test_concurrent_compile () =
-  (* several domains re-entering the mutex-guarded compile caches on the
-     same (structurally equal) program must all succeed and agree *)
+  (* several domains re-entering the mutex-guarded compile cache on the
+     same (structurally equal) program must all succeed and agree; a
+     second compile of the same value returns the cached bytecode *)
   let mk () =
     Parse.program "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)."
   in
   let i = chain 8 in
-  let expect = List.length (Dl_vm.eval tc i) in
+  let expect = List.length (Dl_semi.eval tc i) in
   let doms =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
             let p = mk () in
-            let nprogs = List.length (Dl_vm.compile p) in
-            let nslots = List.length (Dl_eval.compile p) in
-            let nans = List.length (Dl_vm.eval (Datalog.make p "T") i) in
-            (nprogs, nslots, nans)))
+            let rps = Dl_vm.compile p in
+            let cached = Dl_vm.compile p == rps in
+            let nans = List.length (Dl_semi.eval (Datalog.make p "T") i) in
+            (List.length rps, cached, nans)))
   in
   List.iter
     (fun d ->
-      let nprogs, nslots, nans = Domain.join d in
+      let nprogs, cached, nans = Domain.join d in
       check_int "bytecode programs" 2 nprogs;
-      check_int "slot rules" 2 nslots;
+      check_bool "second compile hits the cache" true cached;
       check_int "answers agree" expect nans)
     doms
 
+let test_compile_cache () =
+  (* a structurally equal program built afresh shares the compilation
+     of the first one (the fingerprint lookup behind the physical one) *)
+  let text = "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)." in
+  let first = Dl_vm.compile (Parse.program text) in
+  check_bool "fresh equal program shares the bytecode" true
+    (Dl_vm.compile (Parse.program text) == first);
+  check_bool "a different program does not" true
+    (Dl_vm.compile (Parse.program "T(x,y) <- E(y,x).") != first)
+
+(* --- seeded runs ------------------------------------------------------ *)
+(* A match is identified by its instantiated body: every variable occurs
+   in the body, so the body facts fix the whole binding. *)
+
+let vm_matches run =
+  let out = ref [] in
+  run (fun (cr : Dl_plan.crule) regs ->
+      let body = Array.map (fun a -> Dl_vm.atom_fact a regs) cr.cbody in
+      out := Array.to_list body :: !out;
+      true);
+  List.sort (List.compare Fact.compare) !out
+
+let run_head (r : Datalog.rule) (f : Fact.t) i k =
+  let rp = List.hd (Dl_vm.compile [ r ]) in
+  Dl_vm.run_head (Dl_vm.head_program rp.source) f.args i (k rp.source)
+
+let run_body (r : Datalog.rule) j (f : Fact.t) i k =
+  let rp = List.hd (Dl_vm.compile [ r ]) in
+  Dl_vm.run_body rp j f.args i (k rp.source)
+
+(* The naive oracle's unseeded matches: every binding of the body's
+   variables, as the goal tuples of [M(vars) <- body], each paired with
+   its instantiated head and body. *)
+let oracle_matches (r : Datalog.rule) i =
+  let vars =
+    List.sort_uniq String.compare
+      (List.concat_map
+         (fun (a : Cq.atom) ->
+           List.filter_map (function Cq.Var v -> Some v | Cq.Cst _ -> None) a.args)
+         r.body)
+  in
+  let m = Cq.atom "M%" (List.map (fun v -> Cq.Var v) vars) in
+  let inst tup (a : Cq.atom) =
+    let env = List.combine vars (Array.to_list tup) in
+    Fact.make a.rel
+      (List.map (function Cq.Cst c -> c | Cq.Var v -> List.assoc v env) a.args)
+  in
+  List.map
+    (fun tup -> (inst tup r.head, List.map (inst tup) r.body))
+    (Dl_eval.eval_naive (Datalog.make [ Datalog.rule m r.body ] "M%") i)
+
+let sorted_bodies ms = List.sort (List.compare Fact.compare) (List.map snd ms)
+
+let seeded_arb =
+  QCheck.make
+    ~print:(fun (r, i, f) ->
+      Fmt.str "%a@.on %a@.seed %a" Datalog.pp_rule r Instance.pp i Fact.pp f)
+    QCheck.Gen.(
+      triple Test_datalog.dg_rule Test_datalog.dg_instance Test_datalog.dg_fact)
+
+let prop_seeded_runs =
+  QCheck.Test.make ~name:"seeded runs = naive matches" ~count:120 seeded_arb
+    (fun (r, i, f) ->
+      (* the random fact joins the instance, so a body seed of its
+         relation always has something to meet *)
+      let i = Instance.add f i in
+      let all = oracle_matches r i in
+      let head_ok h =
+        vm_matches (run_head r h i)
+        = sorted_bodies (List.filter (fun (h', _) -> Fact.equal h h') all)
+      in
+      let heads =
+        (if String.equal f.rel r.head.rel then [ f ] else []) @ List.map fst all
+      in
+      let body_ok j (a : Cq.atom) =
+        List.for_all
+          (fun t ->
+            let t = Fact.make a.rel (Array.to_list t) in
+            vm_matches (run_body r j t i)
+            = sorted_bodies
+                (List.filter (fun (_, b) -> Fact.equal (List.nth b j) t) all))
+          (Instance.tuples i a.rel)
+      in
+      List.for_all head_ok heads
+      && List.for_all Fun.id (List.mapi body_ok r.body))
+
+let test_seed_clash () =
+  let i = Parse.instance "E(a,b). E(a,c). E(b,b)." in
+  let count run = List.length (vm_matches run) in
+  let fact rel args = Fact.make rel (List.map c args) in
+  (* a repeated head variable the seed gives two values *)
+  let r = Parse.rule "R(x,x) <- E(x,y)" in
+  let head args = count (run_head r (fact "R" args) i) in
+  check_int "head clash: repeated variable" 0 (head [ "a"; "b" ]);
+  check_int "head seed without clash" 2 (head [ "a"; "a" ]);
+  (* a body seed contradicting a constant or a repeated variable of its
+     atom (head constants are rejected by Datalog.rule) *)
+  let body rule args = count (run_body (Parse.rule rule) 0 (fact "E" args) i) in
+  let rc = "S(x) <- E(x,'c'), E(x,y)" and rl = "L(x) <- E(x,x)" in
+  check_int "body clash: constant" 0 (body rc [ "a"; "b" ]);
+  check_int "body seed on the constant" 2 (body rc [ "a"; "c" ]);
+  check_int "body clash: repeated variable" 0 (body rl [ "a"; "b" ]);
+  check_int "body seed on a loop" 1 (body rl [ "b"; "b" ])
+
 (* --- differential properties ----------------------------------------- *)
 (* vm = naive on the shared random program/instance generator, one suite
-   per facade entry point, mirroring the indexed/magic/parallel suites *)
+   per facade entry point, mirroring the magic suites *)
 
 let norm ts = List.sort compare (List.map Array.to_list ts)
 
@@ -322,12 +412,15 @@ let suite =
     Alcotest.test_case "cancel fixpoint deadline" `Quick
       test_cancel_fixpoint_deadline;
     Alcotest.test_case "concurrent compile" `Quick test_concurrent_compile;
+    Alcotest.test_case "compile cache" `Quick test_compile_cache;
+    Alcotest.test_case "seed clash" `Quick test_seed_clash;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_vm_eval_differential;
         prop_vm_boolean_differential;
         prop_vm_holds_differential;
+        prop_seeded_runs;
       ]
   @ [
       Alcotest.test_case "pool shutdown" `Quick (fun () ->
