@@ -395,9 +395,19 @@ let incr_tests =
    translation on chain/grid/scale-free graphs, the view-rewriting
    automaton construction alone (pure automata work, no evaluation),
    and certain answers through a lossless rewriting — the direct vs
-   rewritten trajectory at graph scale lives in E21.                   *)
+   rewritten trajectory at graph scale lives in E21.  Built on demand:
+   picking the churn row's source evaluates the query from every node. *)
 
-let rpq_tests =
+(* The source with the most answers to [q] on [g]. *)
+let heaviest_source q g =
+  fst
+    (Const.Set.fold
+       (fun s ((_, n) as best) ->
+         let k = List.length (Rpq_translate.eval_from q g s) in
+         if k > n then (s, k) else best)
+       (Db.adom g) (Rpq_graph.node 0, -1))
+
+let rpq_tests () =
   let star = Rpq.parse "e*" in
   let grid_q = Rpq.parse "(r|d)*" in
   let sf_q = Rpq.parse "(a|b)+" in
@@ -415,6 +425,15 @@ let rpq_tests =
          (List.init 32 (fun i ->
               Fact.make "f" [ Rpq_graph.node i; Rpq_graph.node (i + 128) ])))
   in
+  (* mondetbench serve-churn's graph shape and one of its two RPQs, from
+     the source that reaches the most of it: the anchored evaluation
+     behind that workload's RPQ misses *)
+  let churn =
+    Rpq_graph.scale_free ~seed:7919 ~labels:[ "knows"; "follows" ] ~nodes:1536
+      ~edges:2000 ()
+  in
+  let churn_q = Rpq.parse "(knows|follows)*.follows" in
+  let churn_src = heaviest_source churn_q churn in
   Test.make_grouped ~name:"rpq"
     [
       Test.make ~name:"chain-256-star"
@@ -426,6 +445,10 @@ let rpq_tests =
       Test.make ~name:"scale-free-2k-anchored"
         (Staged.stage (fun () ->
              ignore (Rpq_translate.eval_from sf_q sf (Rpq_graph.node 0))));
+      Test.make ~name:"churn-anchored-1536"
+        (Staged.stage (fun () ->
+             ignore
+               (Rpq_translate.eval_from churn_q churn churn_src)));
       Test.make ~name:"rewrite-construct"
         (Staged.stage (fun () ->
              ignore (Rpq_views.rewrite ~views ksf_q)));
@@ -532,7 +555,7 @@ let json ?(path = "BENCH_eval.json") () =
   let engine_rows = run engine_tests in
   let service_rows = run service_tests in
   let incr_rows = run incr_tests in
-  let rpq_rows = run rpq_tests in
+  let rpq_rows = run (rpq_tests ()) in
   let vm_rows = run vm_tests in
   let rows =
     base_rows @ scale_rows @ engine_rows @ service_rows @ incr_rows

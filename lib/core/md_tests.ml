@@ -5,7 +5,7 @@ type verdict = Not_determined of test | No_failure_up_to of int
 (* instantiate a CQ approximation [q] of a view definition so that its head
    maps onto the arguments of the view fact [f]; existential variables get
    fresh nulls.  None if the head pattern conflicts with the fact. *)
-let instantiate (q : Cq.t) (f : Fact.t) : Instance.t option =
+let instantiate (q : Cq.t) (f : Fact.t) : Fact.t list option =
   let ok = ref true in
   let sub = Hashtbl.create 8 in
   List.iteri
@@ -26,12 +26,10 @@ let instantiate (q : Cq.t) (f : Fact.t) : Instance.t option =
               Hashtbl.add sub v c;
               c)
     in
-    let facts =
-      List.map
-        (fun (a : Cq.atom) -> Fact.make a.Cq.rel (List.map elem a.Cq.args))
-        q.Cq.body
-    in
-    Some (Instance.of_list facts)
+    Some
+      (List.map
+         (fun (a : Cq.atom) -> Fact.make a.Cq.rel (List.map elem a.Cq.args))
+         q.Cq.body)
   end
 
 let take n seq = Seq.take n seq
@@ -73,8 +71,8 @@ let chases ?(view_depth = 3) ?(max_choices_per_fact = 4)
   in
   if List.exists (fun c -> c = []) choices then Seq.empty
   else
-    product choices
-    |> Seq.map (fun parts -> List.fold_left Instance.union Instance.empty parts)
+    (* one bulk build per test over all its parts' facts *)
+    product choices |> Seq.map (fun parts -> Instance.of_list (List.concat parts))
 
 let tests ?(max_depth = 4) ?(view_depth = 3) ?(max_choices_per_fact = 4)
     ?(max_tests_per_approx = 256) (q : Datalog.query) (views : View.collection)

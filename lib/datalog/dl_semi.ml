@@ -3,10 +3,21 @@
    Exactly-once argument: in a round, a match using delta facts is found
    by the unit whose delta position is its leftmost atom matched to a
    delta fact — atoms left of that position read [old = full \ delta],
-   so no other unit claims it.  [old] is the previous round's [full], so
-   [full = old ∪ delta] needs no set difference; the emit callback only
-   keeps facts absent from [full], so the next delta needs no
-   deduplication either. *)
+   so no other unit claims it.  A fact may still be derived by several
+   matches of a round: the emit callback keeps it once, if absent from
+   [full] and from a per-round hash set of the facts already kept.  So
+   the next delta is disjoint from [full], and [old] is the previous
+   round's [full]: every union of the loop joins disjoint operands and
+   takes [Instance.union_disjoint], with no subset or difference work.
+   The kept facts are consed onto a list and the next delta is built
+   from it in bulk ([Instance.of_list]) once per round. *)
+
+module FH = Hashtbl.Make (struct
+  type t = Fact.t
+
+  let equal = Fact.equal
+  let hash = Fact.hash
+end)
 
 (* Loops rather than iterators: this runs for every rule in every round.
    A goal check that stops early must not pay for the rules it no longer
@@ -46,13 +57,16 @@ let rounds ~stop ~cancel ~derived p ~old ~delta =
   let rules = Dl_vm.compile p in
   let rec loop old delta acc =
     Dl_cancel.check cancel;
-    let full = Instance.union old delta in
+    let full = Instance.union_disjoint old delta in
     if Instance.is_empty delta then (full, acc)
     else begin
-      let fresh = ref Instance.empty and stopped = ref false in
+      let seen = FH.create (Instance.size delta)
+      and fresh = ref []
+      and stopped = ref false in
       let emit f =
-        if not (Instance.mem f full) then begin
-          fresh := Instance.add f !fresh;
+        if not (Instance.mem f full || FH.mem seen f) then begin
+          FH.add seen f ();
+          fresh := f :: !fresh;
           if stop f then stopped := true
         end;
         not !stopped
@@ -60,9 +74,11 @@ let rounds ~stop ~cancel ~derived p ~old ~delta =
       iter_units rules ~old ~delta (fun (rp : Dl_vm.rule_prog) pos ->
           Dl_vm.exec rp.semi.(pos) ~full ~old ~delta ~cancel emit;
           not !stopped);
-      if !stopped then (Instance.union full !fresh, acc)
+      let fresh = Instance.of_list !fresh in
+      if !stopped then (Instance.union_disjoint full fresh, acc)
       else
-        loop full !fresh (if derived then Instance.union acc !fresh else acc)
+        loop full fresh
+          (if derived then Instance.union_disjoint acc fresh else acc)
     end
   in
   loop old delta Instance.empty

@@ -9,11 +9,13 @@
     of it read [old] (the facts before the round), atoms right of it
     read [full = old ∪ delta], so each derivation using a delta fact is
     found exactly once per round.  A unit runs its rule's delta-position
-    program ([rp.semi.(pos)]).  The facts absent from [full] are the
-    next round's delta.  The loop probes cancellation at every round
-    boundary (and the VM inside rounds), and stops on an empty delta or
-    once a [stop] predicate accepts a derived fact.  The units of a
-    round run in rule order on the calling thread. *)
+    program ([rp.semi.(pos)]).  The facts absent from [full], each kept
+    once, are the next round's delta, built in bulk at the round's end;
+    it is disjoint from [full], so the loop's unions are
+    {!Instance.union_disjoint}.  The loop probes cancellation at every
+    round boundary (and the VM inside rounds), and stops on an empty
+    delta or once a [stop] predicate accepts a derived fact.  The units
+    of a round run in rule order on the calling thread. *)
 
 val iter_units :
   Dl_vm.rule_prog list ->

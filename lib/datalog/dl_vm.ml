@@ -61,6 +61,7 @@ type program = {
   rels : Symtab.sym array; (* per step: interned relation id *)
   rel_names : string array; (* per step: relation name, for errors/pp *)
   srcs : int array; (* per step: instance source (full/old/delta) *)
+  scans : bool array; (* per step: opens with a scan (no probed position) *)
   nregs : int;
   nsteps : int;
   head_rid : Symtab.sym;
@@ -215,6 +216,7 @@ let lower (pl : Dl_plan.t) : program =
     rel_names =
       Array.map (fun (st : Dl_plan.step) -> cr.cbody.(st.satom).crel) pl.steps;
     srcs = Array.map (fun (st : Dl_plan.step) -> src_of st.satom) pl.steps;
+    scans = Array.map (fun ps -> ps = []) step_probes;
     nregs = cr.nvars;
     nsteps;
     head_rid = cr.chead.crid;
@@ -323,14 +325,25 @@ let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
   | None -> ());
   let running = ref true in
   let inst_of s = if s = src_full then full else if s = src_old then old else delta in
-  (* each step's (relation, source) pair is static, so its index is
-     loop-invariant: resolve once here instead of one cache lookup per
-     probe/scan execution (this is also where a cold index gets built —
-     before the loop, on the calling thread) *)
+  (* each step's (relation, source) pair is static, so its candidates
+     are loop-invariant: resolved once here instead of once per
+     probe/scan execution.  A probed step resolves its index (this is
+     also where a cold index gets built — before the loop, on the
+     calling thread); a scanned step only fetches its tuple list, so a
+     relation that is only ever scanned, like a round's delta, never
+     gets an index. *)
+  let opened k = k < prog.nsteps && not (k = 0 && seed <> None) in
   let idxs =
     Array.init (max prog.nsteps 1) (fun k ->
-        if k >= prog.nsteps || (k = 0 && seed <> None) then None
-        else Instance.index_id (inst_of prog.srcs.(k)) prog.rels.(k))
+        if opened k && not prog.scans.(k) then
+          Instance.index_id (inst_of prog.srcs.(k)) prog.rels.(k)
+        else None)
+  in
+  let lists =
+    Array.init (max prog.nsteps 1) (fun k ->
+        if opened k && prog.scans.(k) then
+          Instance.scan_id (inst_of prog.srcs.(k)) prog.rels.(k)
+        else [])
   in
   (* all unsafe accesses below are bounds-safe by construction: [code]
      offsets come from the codegen, [pos < arity] is enforced by the next
@@ -425,10 +438,7 @@ let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
     end
     else if op = op_scan then begin
       let step = Array.unsafe_get code (base + 1) in
-      Array.unsafe_set cursors step
-        (match Array.unsafe_get idxs step with
-        | None -> []
-        | Some idx -> Index.all idx);
+      Array.unsafe_set cursors step (Array.unsafe_get lists step);
       pc := base + 3
     end
     else (* op_halt *)

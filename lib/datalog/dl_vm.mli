@@ -8,7 +8,11 @@
     [cancel-probe] on every advance path — executed by a tight dispatch
     loop over a preallocated [Const.t array] register file.  Because a
     static plan gives every slot exactly one binding site, the register
-    file is untagged and backtracking needs no trail.
+    file is untagged and backtracking needs no trail.  A step with no
+    bound position opens with [scan] and reads its relation's tuple list
+    ({!Instance.scan_id}), fetched once per run, so it opens no index;
+    only [index-probe] steps resolve their relation's index, building it
+    on first use.
 
     Each rule is compiled once into one semi-naive variant per body
     position (that atom reads the delta, atoms left of it the old facts,
@@ -27,8 +31,9 @@
     concurrently (structurally equal programs share one compilation).
     {!exec} and the seeded entries are reentrant — all mutable state is
     per-call — provided no other domain builds the same instances'
-    relation indexes meanwhile (see {!Instance.index}): the service's
-    batch pool groups its tasks by instance for this.
+    relation indexes meanwhile (see {!Instance.index}; only probed
+    relations are indexed): the service's batch pool groups its tasks by
+    instance for this.
 
     {2 Cancellation}
 
@@ -42,6 +47,7 @@ type program = private {
   rels : Symtab.sym array;  (** per step: interned relation id *)
   rel_names : string array;  (** per step: relation name *)
   srcs : int array;  (** per step: instance source (0 full, 1 old, 2 delta) *)
+  scans : bool array;  (** per step: opens with [scan], not [index-probe] *)
   nregs : int;
   nsteps : int;
   head_rid : Symtab.sym;

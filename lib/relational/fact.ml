@@ -17,11 +17,11 @@ type t = {
 let tuple_hash rid (args : Const.t array) =
   let h1 = ref (Fp.mix (Fp.seed1 lxor rid))
   and h2 = ref (Fp.mix (Fp.seed2 lxor rid)) in
-  Array.iter
-    (fun c ->
-      h1 := Fp.step !h1 (Const.hash c);
-      h2 := Fp.step !h2 (Const.hash2 c))
-    args;
+  for i = 0 to Array.length args - 1 do
+    let c = Array.unsafe_get args i in
+    h1 := Fp.step !h1 (Const.hash c);
+    h2 := Fp.step !h2 (Const.hash2 c)
+  done;
   (!h1, !h2)
 
 let of_interned rid args =
@@ -38,21 +38,21 @@ let of_array rel args =
 let make_arr = of_array
 let make rel args = of_array rel (Array.of_list args)
 
+(* Top-level loops, not a local closure: tuple comparison runs in every
+   set probe of a fixpoint round and must allocate nothing. *)
+let rec compare_from (a : Const.t array) b i n =
+  if i = n then 0
+  else
+    let c = Const.compare (Array.unsafe_get a i) (Array.unsafe_get b i) in
+    if c <> 0 then c else compare_from a b (i + 1) n
+
+let compare_args (a : Const.t array) b =
+  let la = Array.length a and lb = Array.length b in
+  if la <> lb then Int.compare la lb else compare_from a b 0 la
+
 let compare a b =
   let c = Int.compare a.rid b.rid in
-  if c <> 0 then c
-  else
-    let la = Array.length a.args and lb = Array.length b.args in
-    let c = Int.compare la lb in
-    if c <> 0 then c
-    else
-      let rec go i =
-        if i = la then 0
-        else
-          let c = Const.compare a.args.(i) b.args.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
+  if c <> 0 then c else compare_args a.args b.args
 
 (* the cached hash rejects unequal facts without looking at the arrays *)
 let equal a b = a.h1 = b.h1 && a.h2 = b.h2 && compare a b = 0

@@ -31,7 +31,13 @@ val tuple_hash : Symtab.sym -> Const.t array -> int * int
 (** The structural hash pair of the fact [rid(args)], without building
     the fact — {!Instance} fingerprints raw tuples with this. *)
 
+val compare_args : Const.t array -> Const.t array -> int
+(** The tuple order: by length, then position by position in
+    {!Const.compare} order.  Allocates nothing. *)
+
 val compare : t -> t -> int
+(** By relation id, then {!compare_args} on the arguments. *)
+
 val equal : t -> t -> bool
 val hash : t -> int
 val hash_pair : t -> int * int

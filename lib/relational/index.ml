@@ -79,13 +79,25 @@ let extend idx tuples =
         tables;
       }
 
+(* Tuple-keyed tables, hashed and compared by top-level loops that
+   allocate nothing. *)
+let rec tuple_equal_from (a : Const.t array) b i n =
+  i = n
+  || Const.equal (Array.unsafe_get a i) (Array.unsafe_get b i)
+     && tuple_equal_from a b (i + 1) n
+
+let rec tuple_hash_from (t : Const.t array) h i n =
+  if i = n then h
+  else tuple_hash_from t ((h * 31) + Const.hash (Array.unsafe_get t i)) (i + 1) n
+
 module TH = Hashtbl.Make (struct
   type t = Const.t array
 
   let equal a b =
-    Array.length a = Array.length b && Array.for_all2 Const.equal a b
+    let n = Array.length a in
+    n = Array.length b && tuple_equal_from a b 0 n
 
-  let hash (t : t) = Array.fold_left (fun h c -> (h * 31) + Const.hash c) 0 t
+  let hash (t : t) = tuple_hash_from t 0 0 (Array.length t)
 end)
 
 (* Drop the [r] tuples of [l] that are in [gone], sharing the tail after

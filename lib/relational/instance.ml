@@ -1,18 +1,7 @@
 module Tuple = struct
   type t = Const.t array
 
-  let compare (a : t) (b : t) =
-    let la = Array.length a and lb = Array.length b in
-    let c = Int.compare la lb in
-    if c <> 0 then c
-    else
-      let rec go i =
-        if i = la then 0
-        else
-          let c = Const.compare a.(i) b.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
+  let compare = Fact.compare_args
 end
 
 module TS = Set.Make (Tuple)
@@ -24,22 +13,34 @@ module M = Map.Make (Int)
    schema, restriction by predicate).
 
    Each relation carries its tuple set, the running fingerprint sums of
-   that set, and a lazily-built secondary index.  The index is derived
-   data over the immutable [ts], so the mutable cache is sound: any
-   operation producing a different tuple set allocates a new [rel] with an
-   empty cache, while unchanged relations keep sharing theirs.
+   that set, and a cache filled on demand: the set's elements as a
+   list, which is all a scan reads, or a secondary index, which a probe
+   needs and whose [Index.all] is that list.  The cache is derived data
+   over the immutable [ts], so the mutable field is sound: any operation
+   producing a different tuple set allocates a new [rel] with its own
+   cache, while unchanged relations keep sharing theirs.
 
    Invariant: every [rel] stored in the map has a non-empty tuple set, so
    [M.is_empty] ⇔ no facts and [M.bindings] lists exactly the non-empty
    relations. *)
-type rel = {
+
+(* [Grown (base, added)] is the cache of [union_disjoint]'s result:
+   nothing is cached yet, but its index is [base]'s extended by
+   [added]'s tuples if [base] is indexed by the time it is asked for. *)
+type cache =
+  | Cold
+  | Listed of Const.t array list
+  | Indexed of Index.t
+  | Grown of rel * rel
+
+and rel = {
   ts : TS.t;
   n : int; (* cached [TS.cardinal ts] — [Set.cardinal] walks the whole
               tree, and the per-round unions of a delta fixpoint were
               paying that O(n) walk just to pick the bigger operand *)
   s1 : int; (* sum over tuples of Fact.tuple_hash, first stream *)
   s2 : int; (* second stream; native addition wraps, order-independent *)
-  mutable idx : Index.t option;
+  mutable cache : cache;
 }
 
 (* The instance-level fingerprint [f1]/[f2] is the sum of the relation
@@ -49,15 +50,18 @@ type rel = {
 type t = { rels : rel M.t; f1 : int; f2 : int }
 
 let sums_of rid ts =
-  TS.fold
-    (fun tup (s1, s2) ->
+  let s1 = ref 0 and s2 = ref 0 in
+  TS.iter
+    (fun tup ->
       let h1, h2 = Fact.tuple_hash rid tup in
-      (s1 + h1, s2 + h2))
-    ts (0, 0)
+      s1 := !s1 + h1;
+      s2 := !s2 + h2)
+    ts;
+  (!s1, !s2)
 
 let mk rid ts =
   let s1, s2 = sums_of rid ts in
-  { ts; n = TS.cardinal ts; s1; s2; idx = None }
+  { ts; n = TS.cardinal ts; s1; s2; cache = Cold }
 
 (* recompute the instance sums from the relation sums: O(#relations) *)
 let wrap rels =
@@ -66,12 +70,26 @@ let wrap rels =
   in
   { rels; f1; f2 }
 
+let elements r =
+  match r.cache with
+  | Indexed i -> Index.all i
+  | Listed l -> l
+  | Grown _ -> TS.elements r.ts (* the pending extension stays *)
+  | Cold ->
+      let l = TS.elements r.ts in
+      r.cache <- Listed l;
+      l
+
 let index_of r =
-  match r.idx with
-  | Some i -> i
-  | None ->
-      let i = Index.build (TS.elements r.ts) in
-      r.idx <- Some i;
+  match r.cache with
+  | Indexed i -> i
+  | Grown ({ cache = Indexed base; _ }, added) ->
+      let i = Index.extend base (elements added) in
+      r.cache <- Indexed i;
+      i
+  | Grown _ | Listed _ | Cold ->
+      let i = Index.build (elements r) in
+      r.cache <- Indexed i;
       i
 
 let empty = { rels = M.empty; f1 = 0; f2 = 0 }
@@ -82,7 +100,7 @@ let add (f : Fact.t) t =
       {
         rels =
           M.add f.rid
-            { ts = TS.singleton f.args; n = 1; s1 = f.h1; s2 = f.h2; idx = None }
+            { ts = TS.singleton f.args; n = 1; s1 = f.h1; s2 = f.h2; cache = Cold }
             t.rels;
         f1 = t.f1 + f.h1;
         f2 = t.f2 + f.h2;
@@ -98,7 +116,7 @@ let add (f : Fact.t) t =
                 n = r.n + 1;
                 s1 = r.s1 + f.h1;
                 s2 = r.s2 + f.h2;
-                idx = None;
+                cache = Cold;
               }
               t.rels;
           f1 = t.f1 + f.h1;
@@ -116,13 +134,47 @@ let remove (f : Fact.t) t =
           if TS.is_empty ts then M.remove f.rid t.rels
           else
             M.add f.rid
-              { ts; n = r.n - 1; s1 = r.s1 - f.h1; s2 = r.s2 - f.h2; idx = None }
+              { ts; n = r.n - 1; s1 = r.s1 - f.h1; s2 = r.s2 - f.h2; cache = Cold }
               t.rels
         in
         { rels; f1 = t.f1 - f.h1; f2 = t.f2 - f.h2 }
 
-let of_list fs = List.fold_left (fun t f -> add f t) empty fs
-let of_facts fs = Fact.Set.fold add fs empty
+(* The bulk constructor: one pass groups the facts by relation id,
+   summing their cached hashes, then each relation is built with one
+   [TS.of_list].  Only a relation whose list held duplicates (its set is
+   smaller than the facts grouped) re-sums over the set. *)
+type group = {
+  mutable tups : Const.t array list;
+  mutable k : int;
+  mutable g1 : int;
+  mutable g2 : int;
+}
+
+let of_list fs =
+  let groups =
+    List.fold_left
+      (fun gs (f : Fact.t) ->
+        match M.find f.rid gs with
+        | g ->
+            g.tups <- f.args :: g.tups;
+            g.k <- g.k + 1;
+            g.g1 <- g.g1 + f.h1;
+            g.g2 <- g.g2 + f.h2;
+            gs
+        | exception Not_found ->
+            M.add f.rid { tups = [ f.args ]; k = 1; g1 = f.h1; g2 = f.h2 } gs)
+      M.empty fs
+  in
+  wrap
+    (M.mapi
+       (fun rid g ->
+         let ts = TS.of_list g.tups in
+         let n = TS.cardinal ts in
+         if n = g.k then { ts; n; s1 = g.g1; s2 = g.g2; cache = Cold }
+         else mk rid ts)
+       groups)
+
+let of_facts fs = of_list (Fact.Set.elements fs)
 let singleton f = add f empty
 
 (* iteration in relation-name order (as before interning), so [facts] and
@@ -158,8 +210,8 @@ let is_empty t = M.is_empty t.rels
    Otherwise the result reuses the larger operand's record extended with
    the smaller side's novel tuples: the cached index grows by
    [Index.extend] and the fingerprint sums by the novel tuples' hashes,
-   so the fixpoint's big accumulator keeps warm buckets and an
-   up-to-date fingerprint instead of rebuilding either per round. *)
+   so a growing instance keeps warm buckets and an up-to-date
+   fingerprint instead of rebuilding either. *)
 let union a b =
   wrap
     (M.union
@@ -182,14 +234,53 @@ let union a b =
                n = big.n + List.length novel;
                s1;
                s2;
-               idx = None;
+               cache = Cold;
              }
            in
-           (match big.idx with
-           | Some idx -> r.idx <- Some (Index.extend idx novel)
-           | None -> ());
+           (match big.cache with
+           | Indexed idx -> r.cache <- Indexed (Index.extend idx novel)
+           | Grown _ | Listed _ | Cold -> ());
            Some r)
        a.rels b.rels)
+
+(* [union] without the subset and difference work: the caller
+   guarantees that no fact is in both operands, so sizes and sums add
+   up.  A grown relation extends the larger side's index by the smaller
+   side's tuples: at once if that index exists, else on its own first
+   probe if the larger side is indexed by then.  That case is the
+   semi-naive round's: [full = old ∪ delta] is built before the round's
+   units first probe [old], and the next round probes that [full] as its
+   [old].  A pending extension is resolved at the next union if its base
+   got indexed, and dropped otherwise, so a relation never keeps more
+   than the version before it alive. *)
+let union_disjoint a b =
+  if is_empty b then a
+  else if is_empty a then b
+  else
+    {
+      rels =
+        M.union
+          (fun _ x y ->
+            let big, small = if x.n >= y.n then (x, y) else (y, x) in
+            let cache =
+              match big.cache with
+              | Indexed _ | Grown ({ cache = Indexed _; _ }, _) ->
+                  Indexed (Index.extend (index_of big) (elements small))
+              | Grown _ -> Cold
+              | Listed _ | Cold -> Grown (big, small)
+            in
+            Some
+              {
+                ts = TS.union big.ts small.ts;
+                n = x.n + y.n;
+                s1 = x.s1 + y.s1;
+                s2 = x.s2 + y.s2;
+                cache;
+              })
+          a.rels b.rels;
+      f1 = a.f1 + b.f1;
+      f2 = a.f2 + b.f2;
+    }
 
 (* Decremental difference, the dual of [union]: a relation that loses
    tuples subtracts their hashes from its fingerprint sums, and a cached
@@ -216,13 +307,13 @@ let diff a b =
                in
                if k = x.n then None
                else
-                 let idx =
-                   match x.idx with
-                   | Some idx when 4 * k <= x.n ->
-                       Some (Index.shrink idx (TS.elements gone))
-                   | _ -> None
+                 let cache =
+                   match x.cache with
+                   | Indexed idx when 4 * k <= x.n ->
+                       Indexed (Index.shrink idx (TS.elements gone))
+                   | _ -> Cold
                  in
-                 Some { ts = TS.diff x.ts gone; n = x.n - k; s1; s2; idx })
+                 Some { ts = TS.diff x.ts gone; n = x.n - k; s1; s2; cache })
        a.rels b.rels)
 
 let inter a b =
@@ -276,6 +367,9 @@ let cardinal t rel =
 
 let index_id t rid =
   match M.find_opt rid t.rels with None -> None | Some r -> Some (index_of r)
+
+let scan_id t rid =
+  match M.find_opt rid t.rels with None -> [] | Some r -> elements r
 
 let index t rel =
   match find_rel t rel with None -> None | Some r -> Some (index_of r)

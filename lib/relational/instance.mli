@@ -5,7 +5,8 @@
 
     Internally relations are keyed by interned {!Symtab} ids and every
     instance carries an order-independent 126-bit structural fingerprint,
-    maintained incrementally by {!add}, {!remove}, {!union} and {!diff}
+    maintained incrementally by {!add}, {!remove}, {!union},
+    {!union_disjoint} and {!diff}
     (including their warm index-extending and index-shrinking paths) and
     recomputed per affected relation by the other set operations.
     Structurally equal instances always have equal fingerprints, however
@@ -19,6 +20,12 @@ val empty : t
 val add : Fact.t -> t -> t
 val remove : Fact.t -> t -> t
 val of_list : Fact.t list -> t
+(** The instance of a fact list, duplicates allowed.  Built in bulk:
+    the facts are grouped by relation and each relation's tuple set is
+    made at once, its fingerprint summed from the facts' cached hashes —
+    the way to build an instance from many facts, where folding {!add}
+    would rebuild a set path and re-sum per fact. *)
+
 val of_facts : Fact.Set.t -> t
 val singleton : Fact.t -> t
 val facts : t -> Fact.t list
@@ -35,6 +42,19 @@ val union : t -> t -> t
     from, and a relation that grows reuses the larger operand's cached
     index extended with the smaller side's novel tuples
     (see {!Index.extend}) instead of rebuilding it on next use. *)
+
+val union_disjoint : t -> t -> t
+(** [union_disjoint a b] is [union a b] provided no fact is in both [a]
+    and [b]; the result is unspecified otherwise (its {!size},
+    {!cardinal} and {!fingerprint} would count the shared facts twice).
+    Skips {!union}'s subset and difference work: sizes and fingerprint
+    sums add up.  A relation in both operands extends the larger side's
+    index (see {!Index.extend}) by the smaller side's tuples: at once if
+    that index exists, else on the relation's first probe if the larger
+    side has been indexed since.  The semi-naive round loop ([Dl_semi])
+    joins its disjoint [old] and [delta] with it: a round builds
+    [full = old ∪ delta] before its units probe [old], and the next
+    round probes that [full] as its [old]. *)
 
 val diff : t -> t -> t
 (** Set difference.  The decremental dual of {!union}: a relation losing
@@ -98,6 +118,12 @@ val estimate_with : t -> string -> (int * Const.t) list -> int
 val cardinal_id : t -> Symtab.sym -> int
 val mem_tuple_id : t -> Symtab.sym -> Const.t array -> bool
 val index_id : t -> Symtab.sym -> Index.t option
+
+val scan_id : t -> Symtab.sym -> Const.t array list
+(** All tuples of the relation, in no particular order, without
+    building an index: the cached index's {!Index.all} when one exists,
+    else the tuple set's elements, cached for the next scan. *)
+
 val tuples_with_id : t -> Symtab.sym -> (int * Const.t) list -> Const.t array list
 val estimate_with_id : t -> Symtab.sym -> (int * Const.t) list -> int
 

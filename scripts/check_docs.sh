@@ -27,9 +27,8 @@
 #      Svc_server must not grow a socket server of its own again;
 #   9. one semi-naive round loop: Dl_parallel has no worker-matcher option
 #      (MONDET_PAR_MATCHER / set_matcher appear in no source, test or
-#      doc), and the round step `Instance.union old delta` is written in
-#      exactly one lib/datalog file besides dl_engine.ml, whose Naive arm
-#      recomputes from that union;
+#      doc), and the disjoint round union `Instance.union_disjoint old
+#      delta` is written in exactly one lib/datalog file;
 #  10. the sequential engines: the removed Parallel strategy is named —
 #      as `Dl_engine.Parallel`, `--engine parallel` or
 #      `MONDET_ENGINE=parallel` — in no file under lib, bin, test, bench
@@ -162,8 +161,7 @@ if grep -rlE 'MONDET_PAR_MATCHER|set_matcher' lib bin test docs \
   README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md ROADMAP.md; then
   err "the files above name the removed Dl_parallel matcher option"
 fi
-loops=$(grep -l 'Instance\.union old delta' lib/datalog/*.ml |
-  grep -v '/dl_engine\.ml$' || true)
+loops=$(grep -l 'Instance\.union_disjoint old delta' lib/datalog/*.ml || true)
 [ "$(echo "$loops" | grep -c .)" -eq 1 ] ||
   err "the semi-naive round loop must be written in exactly one lib/datalog file, found: $(echo $loops)"
 

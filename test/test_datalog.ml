@@ -431,6 +431,31 @@ let prop_holds_differential =
           = (Instance.tuples (Dl_eval.fixpoint_naive p i) goal <> []))
         dg_idbs)
 
+let prop_round_counts =
+  (* every union of the round loop assumes disjoint operands; a broken
+     assumption would double-count facts in the sizes and fingerprints
+     that cache keys are made of, with the fact sets still right *)
+  let consistent r =
+    let cold = Instance.of_list (Instance.facts r) in
+    Instance.size r = Instance.size cold
+    && Instance.fingerprint r = Instance.fingerprint cold
+  in
+  QCheck.Test.make ~name:"round loop keeps sizes and fingerprints" ~count:120
+    (QCheck.make
+       ~print:(fun (p, i, d) ->
+         Fmt.str "%a@.on %a@.plus %a" Datalog.pp_program p Instance.pp i
+           Instance.pp d)
+       QCheck.Gen.(triple dg_program dg_instance dg_instance))
+    (fun (p, i, d) ->
+      let old = Dl_semi.fixpoint p i in
+      (* [d] may repeat facts of [old]: the delta entry must cope *)
+      let full, derived = Dl_semi.fixpoint_delta p ~old ~delta:d in
+      let stopped =
+        Dl_semi.fixpoint ~stop:(fun (f : Fact.t) -> f.rel = "T") p i
+      in
+      consistent old && consistent full && consistent derived
+      && consistent stopped)
+
 let dg_cq =
   QCheck.Gen.(
     let* body = list_size (int_range 1 3) (dg_atom [ ("E", 2); ("U", 1) ]) in
@@ -482,4 +507,5 @@ let suite =
         prop_fixpoint_differential;
         prop_holds_differential;
         prop_cq_differential;
+        prop_round_counts;
       ]

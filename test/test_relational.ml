@@ -387,6 +387,141 @@ let prop_fp_add_remove =
       && (Instance.mem fct a
          || Instance.fingerprint added <> fp))
 
+(* ---------------------------------------------------------------- *)
+(* The primitives of the semi-naive round: the disjoint union, the bulk
+   constructor and the allocation-free tuple order                      *)
+
+let norm_tups ts = List.sort compare (List.map Array.to_list ts)
+
+(* an index's contents as seen through its lookups *)
+let same_index i j =
+  Index.size i = Index.size j
+  && norm_tups (Index.all i) = norm_tups (Index.all j)
+  && List.for_all
+       (fun p ->
+         List.for_all
+           (fun k ->
+             let cc = c ("e" ^ string_of_int k) in
+             Index.count i p cc = Index.count j p cc
+             && norm_tups (Index.lookup i p cc) = norm_tups (Index.lookup j p cc))
+           [ 0; 1; 2; 3; 4; 5 ])
+       [ 0; 1 ]
+
+(* everything a counted or cached consumer reads off an instance *)
+let same_counts a b =
+  Instance.equal a b
+  && Instance.facts a = Instance.facts b
+  && Instance.size a = Instance.size b
+  && Instance.fingerprint a = Instance.fingerprint b
+  && List.for_all
+       (fun rel ->
+         let rid = Symtab.intern rel in
+         Instance.cardinal_id a rid = Instance.cardinal_id b rid)
+       [ "R"; "S"; "U" ]
+
+let prop_union_disjoint =
+  (* on disjoint operands the cheap union is [union]: same facts, counts
+     and fingerprint; and the index it extends lazily from an operand's,
+     across a chain of two unions whose operands are indexed before the
+     union, after it or never, answers like a cold build.  The mask's
+     bits pick the indexing points and the operand order. *)
+  QCheck.Test.make ~name:"union_disjoint = union on disjoint operands"
+    ~count:200
+    (QCheck.quad instance_arb instance_arb instance_arb (QCheck.int_bound 63))
+    (fun (a, b, c, mask) ->
+      let b = Instance.diff b a in
+      let c = Instance.diff (Instance.diff c a) b in
+      let warm bit i =
+        if mask land (1 lsl bit) <> 0 then
+          List.iter (fun r -> ignore (Instance.index i r)) (Instance.relations i)
+      in
+      warm 0 a;
+      warm 1 b;
+      let x, y = if mask land 4 <> 0 then (b, a) else (a, b) in
+      let u1 = Instance.union_disjoint x y in
+      warm 3 a;
+      warm 4 u1;
+      let u2 = Instance.union_disjoint u1 c in
+      warm 5 u1;
+      let agrees u v =
+        let cold = Instance.of_list (Instance.facts v) in
+        same_counts u v
+        && List.for_all
+             (fun rel ->
+               same_index
+                 (Option.get (Instance.index u rel))
+                 (Option.get (Instance.index cold rel)))
+             (Instance.relations u)
+      in
+      agrees u2 (Instance.union (Instance.union x y) c)
+      && agrees u1 (Instance.union x y))
+
+let prop_of_list_bulk =
+  (* the bulk constructor against one [add] per fact, on lists that
+     repeat facts *)
+  QCheck.Test.make ~name:"bulk of_list = folded add, with duplicates"
+    ~count:150
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list ~sep:comma Fact.pp))
+       QCheck.Gen.(list_size (int_bound 30) fact_gen))
+    (fun facts ->
+      let l = facts @ List.filteri (fun i _ -> i mod 3 = 0) facts in
+      same_counts (Instance.of_list l)
+        (List.fold_left (fun i f -> Instance.add f i) Instance.empty l))
+
+(* The closure-based definitions the allocation-free loops replaced,
+   kept as oracles: sets, iteration order, fingerprints and goldens all
+   rest on them. *)
+let old_compare_args (a : Const.t array) (b : Const.t array) =
+  let la = Array.length a and lb = Array.length b in
+  let c = Int.compare la lb in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i = la then 0
+      else
+        let c = Const.compare a.(i) b.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
+let old_fact_compare (a : Fact.t) (b : Fact.t) =
+  let c = Int.compare a.rid b.rid in
+  if c <> 0 then c else old_compare_args a.args b.args
+
+let old_tuple_hash rid (args : Const.t array) =
+  let h1 = ref (Fp.mix (Fp.seed1 lxor rid))
+  and h2 = ref (Fp.mix (Fp.seed2 lxor rid)) in
+  Array.iter
+    (fun c ->
+      h1 := Fp.step !h1 (Const.hash c);
+      h2 := Fp.step !h2 (Const.hash2 c))
+    args;
+  (!h1, !h2)
+
+let prop_order_pinned =
+  (* facts of mixed lengths under one relation name, so the length
+     comparison is exercised as well as the positionwise one *)
+  let ragged =
+    QCheck.Gen.(
+      let* rel = oneofl [ "R"; "S" ] in
+      let* args = list_size (int_bound 3) const_gen in
+      return (Fact.make rel args))
+  in
+  let sign x = Int.compare x 0 in
+  QCheck.Test.make ~name:"tuple order and hash = closure definitions"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (x, y) -> Fmt.str "%a / %a" Fact.pp x Fact.pp y)
+       QCheck.Gen.(pair ragged ragged))
+    (fun (x, y) ->
+      sign (Fact.compare x y) = sign (old_fact_compare x y)
+      && sign (Fact.compare_args x.args y.args)
+         = sign (old_compare_args x.args y.args)
+      && Fact.compare x x = 0
+      && Fact.tuple_hash x.rid x.args = old_tuple_hash x.rid x.args
+      && Fact.hash_pair x = old_tuple_hash x.rid x.args)
+
 let test_fingerprint_hex () =
   let a = i_of [ f "R" [ "a"; "b" ]; f "U" [ "a" ] ] in
   Alcotest.(check int) "hex width" 32 (String.length (Instance.fingerprint_hex a));
@@ -456,4 +591,7 @@ let suite =
         prop_fp_union_order;
         prop_fp_warm_union;
         prop_fp_add_remove;
+        prop_union_disjoint;
+        prop_of_list_bulk;
+        prop_order_pinned;
       ]
