@@ -8,7 +8,9 @@
    benchmark delta and exits nonzero when any benchmark common to both
    files regressed by more than the threshold (percent, default 25).
    Benchmarks present on only one side are reported but never fail the
-   run — the trajectory is expected to grow. *)
+   run — the trajectory is expected to grow — unless no benchmark is
+   common to both files: then nothing was compared, and the tool exits 2
+   rather than report "no regression". *)
 
 let parse_file path =
   let ic =
@@ -52,6 +54,10 @@ let () =
     exit 2);
   if fresh = [] then (
     Printf.eprintf "bench_diff: no benchmarks parsed from %s\n" fresh_path;
+    exit 2);
+  if not (List.exists (fun (n, _) -> List.mem_assoc n fresh) baseline) then (
+    Printf.eprintf "bench_diff: no benchmark is common to %s and %s\n"
+      baseline_path fresh_path;
     exit 2);
   let regressions = ref [] in
   Printf.printf "  %-34s %14s %14s %9s\n" "benchmark" "baseline" "fresh"

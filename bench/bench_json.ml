@@ -196,46 +196,66 @@ let scale_tests =
     @ [ hom; join_vm; tc_vm ])
 
 (* ------------------------------------------------------------------ *)
-(* Engine ablation probes: the same workload under the magic-sets and
-   the plain bytecode-VM strategy, so the trajectory records what
-   goal-directed evaluation buys (or costs) on the paper pipelines.     *)
+(* Engine probes on both sides of the planner's rule: point goals whose
+   binding reaches every recursive predicate (the magic arm), and
+   all-free Boolean goals and anchored RPQ goals (the VM).             *)
 
 let engine_tests =
-  let strategies = [ ("magic", Dl_engine.Magic); ("vm", Dl_engine.Vm) ] in
-  let per_strategy name mk =
-    List.map
-      (fun (sname, s) ->
-        Test.make ~name:(name ^ "-" ^ sname) (Staged.stage (mk s)))
-      strategies
-  in
+  let row name f = Test.make ~name (Staged.stage f) in
   let e6 =
     (* the Theorem 6 canonical-test search: every test is a Boolean
-       holds_boolean, the magic engine's best case *)
+       holds_boolean *)
     let tp = Tiling.simple_unsolvable in
     let q = Reduction.query tp and views = Reduction.views tp in
-    per_strategy "e6-decide" (fun s () ->
-        ignore (Md_tests.decide_bounded ~max_depth:3 ~engine:s q views))
+    row "e6-decide" (fun () ->
+        ignore (Md_tests.decide_bounded ~max_depth:3 q views))
   in
   let grid =
     let tp = Tiling.simple_solvable in
     let q = Reduction.query tp in
     let t = Reduction.grid_test tp ~tau:(fun _ _ -> "w") 3 3 in
-    per_strategy "grid3x3" (fun s () ->
-        ignore (Dl_engine.holds_boolean ~strategy:s q t))
+    row "grid3x3" (fun () -> ignore (Dl_engine.holds_boolean q t))
   in
   let diamond =
     let i = Diamonds.chain 5 in
-    per_strategy "diamond5" (fun s () ->
-        ignore (Dl_engine.holds_boolean ~strategy:s Diamonds.query i))
+    row "diamond5" (fun () ->
+        ignore (Dl_engine.holds_boolean Diamonds.query i))
   in
   let tc_point =
     (* point query on a 256-node graph: demand from the bound goal tuple
-       keeps the magic fixpoint to a suffix of the chain, where the
-       undirected engines compute the full closure *)
+       keeps the magic fixpoint to a suffix of the chain, where the plain
+       VM computes the full closure *)
     let g = chain_graph 256 in
     let q = Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)." in
-    per_strategy "tc256-point" (fun s () ->
-        ignore (Dl_engine.holds ~strategy:s q g [| node 250; node 255 |]))
+    row "tc256-point" (fun () ->
+        ignore (Dl_engine.holds q g [| node 250; node 255 |]))
+  in
+  let sg_point =
+    (* same-generation of two leaves of a 255-node binary tree: the
+       binding reaches S#bb and S#bf, so the planner runs magic *)
+    let tree =
+      Db.of_list
+        (List.init 254 (fun k -> Fact.make "E" [ node (k / 2); node (k + 1) ]))
+    in
+    let q =
+      Parse.query ~goal:"S"
+        "S(x,y) <- E(p,x), E(p,y). S(x,y) <- E(p,x), S(p,q), E(q,y)."
+    in
+    row "sg-tree-point" (fun () ->
+        ignore (Dl_engine.holds q tree [| node 127; node 254 |]))
+  in
+  let rpq_holds =
+    (* mondetbench serve-churn's graph and RPQ, one (x, y) membership:
+       each call builds a fresh anchored program, so the planner finds
+       its transform by fingerprint, never physically; an all-free state
+       relation sends the goal to the VM *)
+    let churn =
+      Rpq_graph.scale_free ~seed:7919 ~labels:[ "knows"; "follows" ]
+        ~nodes:1536 ~edges:2000 ()
+    in
+    let q = Rpq.parse "(knows|follows)*.follows" in
+    row "rpq-holds-churn" (fun () ->
+        ignore (Rpq_translate.holds q churn (node 700) (node 3)))
   in
   let thm9 =
     (* the Theorem 9 query on a full run encoding: separator work is
@@ -243,8 +263,7 @@ let engine_tests =
     let m = Tm.binary_counter_parity in
     let q = Th9.query m in
     let i = Encode.encode_run m "000" in
-    per_strategy "thm9-separator" (fun s () ->
-        ignore (Dl_engine.holds_boolean ~strategy:s q i))
+    row "thm9-separator" (fun () -> ignore (Dl_engine.holds_boolean q i))
   in
   let chase_replay =
     (* Any + All on the same image: the second traversal must hit the
@@ -262,7 +281,7 @@ let engine_tests =
                  ~max_chases:32 Diamonds.query views j)))
   in
   Test.make_grouped ~name:"engine"
-    (e6 @ grid @ diamond @ tc_point @ thm9 @ [ chase_replay ])
+    [ e6; grid; diamond; tc_point; sg_point; rpq_holds; thm9; chase_replay ]
 
 (* ------------------------------------------------------------------ *)
 (* Decision-service probes: the request path through Svc_service with a

@@ -25,21 +25,6 @@ let query_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"QUERY")
 let data_pos n = Arg.(required & pos n (some file) None & info [] ~docv:"DATA")
 let views_pos n = Arg.(required & pos n (some file) None & info [] ~docv:"VIEWS")
 
-let engine_arg =
-  let engine_conv =
-    Arg.enum (List.map (fun s -> (Dl_engine.to_string s, s)) Dl_engine.all)
-  in
-  Arg.(
-    value
-    & opt engine_conv (Dl_engine.default ())
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Datalog evaluation strategy: $(b,naive) (scan-based naive \
-           iteration, the test oracle), $(b,vm) (semi-naive rounds over \
-           static join plans lowered to register bytecode, with mid-round \
-           cancellation; the default) or $(b,magic) (magic-sets demand \
-           transformation over the vm engine).")
-
 let domains_arg =
   Arg.(
     value
@@ -52,19 +37,12 @@ let domains_arg =
            recommended domain count; clamped to [1, 64].")
 
 let verbose_arg =
-  Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Report evaluation details.")
-
-(* the engine choice is a process-wide setting so that it also reaches the
-   call sites with no [?engine] parameter in scope (view evaluation inside
-   images, rewriting verification, ...) *)
-let set_engine verbose e =
-  Dl_engine.set_default e;
-  if verbose then
-    Format.eprintf "engine: %s@." (Dl_engine.to_string (Dl_engine.default ()))
+  Arg.(
+    value & flag
+    & info [ "verbose"; "v" ] ~doc:"Report the domain pool size on stderr.")
 
 let eval_cmd =
-  let run qf goal df engine verbose =
-    set_engine verbose engine;
+  let run qf goal df =
     let q = query_of ~goal qf in
     let i = instance_of df in
     let out = Dl_engine.eval q i in
@@ -80,16 +58,13 @@ let eval_cmd =
     `Ok ()
   in
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate a Datalog query on an instance.")
-    Term.(
-      ret (const run $ query_file $ goal_arg $ data_pos 1 $ engine_arg
-           $ verbose_arg))
+    Term.(ret (const run $ query_file $ goal_arg $ data_pos 1))
 
 let md_cmd =
   let depth =
     Arg.(value & opt int 4 & info [ "depth" ] ~doc:"Approximation depth bound.")
   in
-  let run qf goal vf depth engine verbose =
-    set_engine verbose engine;
+  let run qf goal vf depth =
     let q = query_of ~goal qf in
     let views = views_of_file vf in
     let verdict = Md_decide.decide ~max_depth:depth q views in
@@ -101,9 +76,7 @@ let md_cmd =
        ~doc:
          "Check monotonic determinacy of a Boolean query over views (exact \
           for CQ/UCQ queries, bounded canonical-test search otherwise).")
-    Term.(
-      ret (const run $ query_file $ goal_arg $ views_pos 1 $ depth $ engine_arg
-           $ verbose_arg))
+    Term.(ret (const run $ query_file $ goal_arg $ views_pos 1 $ depth))
 
 let rewrite_cmd =
   let meth =
@@ -240,8 +213,7 @@ let rpq_cmd =
           ~edges:(int_part e) ()
     | _ -> failwith (Printf.sprintf "bad graph spec %S" s)
   in
-  let run regex data graph from_ to_ views engine verbose =
-    set_engine verbose engine;
+  let run regex data graph from_ to_ views =
     try
       let e = Rpq.parse regex in
       let i =
@@ -296,7 +268,7 @@ let rpq_cmd =
     Term.(
       ret
         (const run $ rpq_pos $ data_opt $ graph_arg $ from_arg $ to_arg
-       $ views_arg $ engine_arg $ verbose_arg))
+       $ views_arg))
 
 (* ------------------------------------------------------------------ *)
 (* The decision service (lib/service): [serve] runs the long-lived
@@ -462,8 +434,7 @@ let script_arg =
 
 let serve_cmd =
   let run socket tcp cache workers max_conns max_line quota quota_window
-      cache_file engine verbose =
-    set_engine verbose engine;
+      cache_file =
     let service =
       Svc_service.create ~cache_capacity:cache ?quota ~quota_window ()
     in
@@ -511,12 +482,11 @@ let serve_cmd =
       ret
         (const run $ socket_arg $ tcp_arg $ cache_arg $ workers_arg
        $ max_conns_arg $ max_line_arg $ quota_arg $ quota_window_arg
-       $ cache_file_arg $ engine_arg $ verbose_arg))
+       $ cache_file_arg))
 
 let batch_cmd =
-  let run script cache sequential cache_file engine domains verbose =
+  let run script cache sequential cache_file domains verbose =
     Option.iter Dl_parallel.set_domains domains;
-    set_engine verbose engine;
     if verbose then Format.eprintf "domains: %d@." (Dl_parallel.domains ());
     let service =
       Svc_service.create ~cache_capacity:cache ~parallel:(not sequential) ()
@@ -541,7 +511,7 @@ let batch_cmd =
     Term.(
       ret
         (const run $ script_arg $ cache_arg $ sequential_arg $ cache_file_arg
-       $ engine_arg $ domains_arg $ verbose_arg))
+       $ domains_arg $ verbose_arg))
 
 let client_cmd =
   let strict =

@@ -1,4 +1,4 @@
-let find (nta : Nta.t) (dta : Dta.t) =
+let find ?(cancel = Dl_cancel.none) (nta : Nta.t) (dta : Dta.t) =
   let module D = (val dta : Dta.S) in
   (* entries per NTA state: (dstate, witness code); grown semi-naively —
      each round only combines tuples containing at least one entry
@@ -47,6 +47,9 @@ let find (nta : Nta.t) (dta : Dta.t) =
         add tr.Nta.target d { Code.label = tr.Nta.sym.Nta.label; children = [] })
     nta.Nta.transitions;
   while !fresh <> [] && !found = None do
+    (* one probe per round, between steps: a cancelled search leaves the
+       DTA's memo tables as complete as after any earlier round *)
+    Dl_cancel.check cancel;
     let delta = !fresh in
     fresh := [];
     (* old table = current table minus this delta, per state *)
@@ -93,4 +96,4 @@ let find (nta : Nta.t) (dta : Dta.t) =
   done;
   !found
 
-let check_empty nta dta = Option.is_none (find nta dta)
+let check_empty ?cancel nta dta = Option.is_none (find ?cancel nta dta)

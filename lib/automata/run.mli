@@ -7,11 +7,13 @@
     (e.g. (non-)satisfaction of a CQ), and we search for a code accepted by
     both.  Complementation never needs to be materialized. *)
 
-val find :
-  Nta.t -> Dta.t -> Code.t option
+val find : ?cancel:Dl_cancel.t -> Nta.t -> Dta.t -> Code.t option
 (** A code accepted by the NTA on which the DTA accepts, or [None].
     Terminates because the DTA has finitely many states reachable from the
-    NTA's symbols. *)
+    NTA's symbols.  The search runs in semi-naive rounds and probes
+    [cancel] once at the start of each; a late round can take seconds,
+    so the overshoot past a deadline is at most one round.
+    @raise Dl_cancel.Cancelled when a probe finds [cancel] cancelled. *)
 
-val check_empty : Nta.t -> Dta.t -> bool
+val check_empty : ?cancel:Dl_cancel.t -> Nta.t -> Dta.t -> bool
 (** No such code exists. *)

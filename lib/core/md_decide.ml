@@ -25,28 +25,28 @@ let compose_with_views (q : Datalog.query) (views : View.collection) =
   in
   Datalog.query (view_programs @ goal_rules) "Goal''"
 
-let datalog_contained_in_cq (p : Datalog.query) (q : Cq.t) =
+let datalog_contained_in_cq ?cancel (p : Datalog.query) (q : Cq.t) =
   let nta, _k = Forward.approximations_nta p in
-  Run.check_empty nta (Cq_dta.make ~negate:true q)
+  Run.check_empty ?cancel nta (Cq_dta.make ~negate:true q)
 
-let datalog_contained_in_ucq (p : Datalog.query) (u : Ucq.t) =
+let datalog_contained_in_ucq ?cancel (p : Datalog.query) (u : Ucq.t) =
   let nta, _k = Forward.approximations_nta p in
   (* a counterexample expansion must avoid every disjunct *)
   let all_fail =
     Dta.conj_list
       (List.map (fun d -> Cq_dta.make ~negate:true d) u.Ucq.disjuncts)
   in
-  Run.check_empty nta all_fail
+  Run.check_empty ?cancel nta all_fail
 
-let cq_query (q : Cq.t) views =
+let cq_query ?cancel (q : Cq.t) views =
   if Cq.arity q <> 0 then Unsupported.fail "cq_query: Boolean queries only";
   let q'' = compose_with_views (Datalog.of_cq ~goal:"G0" q) views in
-  datalog_contained_in_cq q'' q
+  datalog_contained_in_cq ?cancel q'' q
 
-let ucq_query (u : Ucq.t) views =
+let ucq_query ?cancel (u : Ucq.t) views =
   if Ucq.arity u <> 0 then Unsupported.fail "ucq_query: Boolean queries only";
   let q'' = compose_with_views (Datalog.of_ucq ~goal:"G0" u) views in
-  datalog_contained_in_ucq q'' u
+  datalog_contained_in_ucq ?cancel q'' u
 
 type verdict =
   | Determined
@@ -58,7 +58,8 @@ let decide ?max_depth ?view_depth ?engine ?cancel (q : Datalog.query) views =
   | Dl_fragment.CQ | Dl_fragment.UCQ -> (
       match Dl_fragment.to_ucq q with
       | Some u ->
-          if ucq_query u views then Determined else Not_determined_cert None
+          if ucq_query ?cancel u views then Determined
+          else Not_determined_cert None
       | None -> Unsupported.fail "decide: could not unfold the query")
   | _ -> (
       match

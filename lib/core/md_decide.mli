@@ -18,16 +18,20 @@ val compose_with_views : Datalog.query -> View.collection -> Datalog.query
     single CQ or UCQ goal over the base schema (the paper's [V(Q)]
     construction, Prop. 8). *)
 
-val datalog_contained_in_cq : Datalog.query -> Cq.t -> bool
-(** [P ⊆ Q] for Boolean [Q]: every expansion of [P] satisfies [Q]. *)
+val datalog_contained_in_cq :
+  ?cancel:Dl_cancel.t -> Datalog.query -> Cq.t -> bool
+(** [P ⊆ Q] for Boolean [Q]: every expansion of [P] satisfies [Q].
+    [cancel] is probed once per round of the emptiness search
+    ({!Run.find}). *)
 
-val datalog_contained_in_ucq : Datalog.query -> Ucq.t -> bool
+val datalog_contained_in_ucq :
+  ?cancel:Dl_cancel.t -> Datalog.query -> Ucq.t -> bool
 
-val cq_query : Cq.t -> View.collection -> bool
+val cq_query : ?cancel:Dl_cancel.t -> Cq.t -> View.collection -> bool
 (** Theorem 5: monotonic determinacy of a Boolean CQ over Datalog views.
     Exact. *)
 
-val ucq_query : Ucq.t -> View.collection -> bool
+val ucq_query : ?cancel:Dl_cancel.t -> Ucq.t -> View.collection -> bool
 (** The UCQ extension of Theorem 5.  Exact. *)
 
 type verdict =
@@ -49,8 +53,9 @@ val decide :
 (** Dispatcher: uses the exact procedure when the query is a CQ/UCQ
     (classified by {!Dl_fragment.classify}); otherwise the bounded test
     search, whose per-test evaluation uses [engine] (default: the
-    process-wide {!Dl_engine} strategy).  [cancel] reaches the bounded
-    search only — the exact automata path is short and not
-    cancellation-aware. *)
+    engine, {!Dl_engine.Vm}; [Naive] selects the oracle).  [cancel]
+    reaches both paths: the bounded search's evaluations, and the exact
+    path's emptiness search, probed once per round.
+    @raise Dl_cancel.Cancelled when a probe finds [cancel] cancelled. *)
 
 val pp_verdict : verdict Fmt.t

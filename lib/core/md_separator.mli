@@ -14,7 +14,7 @@ val of_rewriting :
   Instance.t ->
   bool
 (** The separator induced by a Boolean Datalog rewriting.  [engine]
-    overrides the process-wide {!Dl_engine} default; [cancel] is the
+    [Naive] selects the oracle instead of the engine; [cancel] is the
     cooperative cancellation token threaded into evaluation (likewise
     below). *)
 

@@ -45,7 +45,7 @@ val tests :
 val succeeds :
   ?engine:Dl_engine.strategy -> ?cancel:Dl_cancel.t -> Datalog.query -> test -> bool
 (** Does [D' ⊨ Q] (the query is Boolean: goal non-emptiness)?  [engine]
-    overrides the process-wide {!Dl_engine} default for this check. *)
+    [Naive] selects the oracle instead of the engine for this check. *)
 
 type verdict =
   | Not_determined of test  (** a checked counterexample *)

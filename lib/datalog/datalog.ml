@@ -233,9 +233,10 @@ let fingerprint_hex q =
   Fp.hex h1 h2
 
 (* Goal-less fingerprint of a bare program, for caches keyed on the rule
-   set alone.  Unmemoized, so pure and safe from any domain: its one
-   caller, Dl_vm.compile, looks a program up by physical equality first
-   and fingerprints it only on a miss (a program built afresh). *)
+   set alone.  Unmemoized, so pure and safe from any domain: its callers,
+   Dl_vm.compile and Dl_magic.transform, look a program up by physical
+   equality first and fingerprint it only on a miss (a program built
+   afresh). *)
 let program_fingerprint (p : program) =
   ( fp_stream_program Fp.seed1 Const.hash p,
     fp_stream_program Fp.seed2 Const.hash2 p )

@@ -2,9 +2,9 @@
     naive-iteration evaluator.
 
     Nothing here is fast, and nothing is meant to be: it is the
-    reference every semi-naive strategy of {!Dl_engine} is tested
-    against, and the [Naive] strategy itself.  Evaluation goes through
-    {!Dl_engine}. *)
+    reference the engine of {!Dl_engine} — both arms of its planner — is
+    tested against, and the [Naive] strategy itself.  Evaluation goes
+    through {!Dl_engine}. *)
 
 val fixpoint_naive : ?cancel:Dl_cancel.t -> Datalog.program -> Instance.t -> Instance.t
 (** Least fixpoint by scan-based matching in textual atom order and

@@ -41,7 +41,8 @@
       again, and a fact whose only support is a cycle through itself is
       still deleted.  Insertions (lower-strata additions and asserted
       seeds) then run a delta fixpoint — {!Dl_engine.fixpoint_delta}, so
-      every strategy serves maintenance fixpoints, reusing the warm
+      the engine and the naive oracle both serve maintenance fixpoints,
+      reusing the warm
       {!Instance.union} and {!Instance.diff} paths and incremental
       fingerprints.  The counting passes and the Backward/Forward
       search run {!Dl_vm} programs: the delta-position variants, and
@@ -82,8 +83,9 @@ val create :
 (** Materialize the fixpoint of the program over the instance and set up
     the maintenance bookkeeping (stratification, derivation counts).
     [strategy] selects the {!Dl_engine} strategy used for recursive
-    strata now and for every later maintenance fixpoint; default is the
-    process default.  Cost is comparable to one cold
+    strata now and for every later maintenance fixpoint: the engine
+    ([Vm], the default) or the naive oracle.  Cost is comparable to one
+    cold
     {!Dl_engine.fixpoint}. *)
 
 val program : t -> Datalog.program

@@ -25,13 +25,16 @@
    body atom is adorned free (rule heads cannot carry constants), which
    loses a little pruning but no correctness — the adorned atom still
    filters on the constant.  The goal's own bound positions are an
-   exception: their constants live in the seed *fact*, not in a rule. *)
+   exception: their constants live in the seed *fact*, not in a rule.
+
+   [prunes] records whether every adorned predicate of positive arity
+   keeps a bound position; {!Dl_engine.holds} runs the rewrite only
+   then. *)
 
 module SS = Set.Make (String)
 
 type pattern = bool array
 
-let all_free n = Array.make n false
 let all_bound n = Array.make n true
 
 let pattern_string a =
@@ -47,6 +50,7 @@ type t = {
   source_goal : string;  (** the original query's goal predicate *)
   pattern : pattern;
   magic_goal : string;  (** name of the goal's magic predicate *)
+  prunes : bool;  (** no adorned predicate of positive arity is all-free *)
 }
 
 let bound_args a terms = List.filteri (fun i _ -> a.(i)) terms
@@ -55,12 +59,6 @@ let seed m (tup : Const.t array) =
   if Array.length tup <> Array.length m.pattern then
     invalid_arg "Dl_magic.seed: tuple arity does not match the goal pattern";
   Fact.make m.magic_goal (bound_args m.pattern (Array.to_list tup))
-
-(* seed for a pattern with no bound position (Boolean / all-free goals) *)
-let seed_free m =
-  if Array.exists Fun.id m.pattern then
-    invalid_arg "Dl_magic.seed_free: the goal pattern has bound positions";
-  Fact.make m.magic_goal []
 
 let add_vars terms s =
   List.fold_left
@@ -78,10 +76,12 @@ let transform_uncached (q : Datalog.query) (pattern : pattern) : t =
   let out = ref [] in
   let seen = Hashtbl.create 16 in
   let queue = Queue.create () in
+  let prunes = ref true in
   let demand rel a =
     let key = adorned_name rel a in
     if not (Hashtbl.mem seen key) then begin
       Hashtbl.add seen key ();
+      if Array.length a > 0 && not (Array.exists Fun.id a) then prunes := false;
       Queue.push (rel, a) queue
     end
   in
@@ -135,31 +135,67 @@ let transform_uncached (q : Datalog.query) (pattern : pattern) : t =
     source_goal = q.Datalog.goal;
     pattern;
     magic_goal = magic_name q.Datalog.goal pattern;
+    prunes = !prunes;
   }
 
-(* Transformed queries are cached under physical equality of the source
-   program (the constructors upstream memoize their programs), so repeated
-   goal checks over the same query transform — and hence compile — once.
-   The cache is mutex-guarded, so any domain may transform; the
-   transformation itself runs outside the lock. *)
+(* Transformed queries are cached per (program, goal, pattern).  A
+   lookup is by physical equality of the program first: the constructors
+   upstream memoize their programs, so repeated goal checks over the same
+   query transform — and compile — once.  On a miss the program is
+   fingerprinted and looked up again, as {!Dl_vm.compile} does, so a
+   structurally equal program built afresh (an anchored RPQ translation
+   per request) costs a fingerprint, not a transform, and its entry is
+   re-pointed at the new value.  The cache is mutex-guarded, so any
+   domain may transform; the fingerprint and the transformation run
+   outside the lock. *)
+type entry = {
+  mutable prog : Datalog.program;
+  fp : int * int;
+  goal : string;
+  key : string;
+  m : t;
+}
+
 let cache_mutex = Mutex.create ()
-let cache : (Datalog.program * string * string * t) list ref = ref []
+let cache : entry list ref = ref []
 
 let transform q pattern =
+  let p = q.Datalog.program and goal = q.Datalog.goal in
   let key = pattern_string pattern in
-  let hit (p, g, k, _) =
-    p == q.Datalog.program && String.equal g q.Datalog.goal && String.equal k key
+  (* under the lock: the transform of the entry [hit] accepts for this
+     goal and pattern, its entry re-pointed at [p] *)
+  let find hit =
+    Mutex.protect cache_mutex (fun () ->
+        match
+          List.find_opt
+            (fun e -> hit e && String.equal e.goal goal && String.equal e.key key)
+            !cache
+        with
+        | Some e ->
+            e.prog <- p;
+            Some e.m
+        | None -> None)
   in
-  match Mutex.protect cache_mutex (fun () -> List.find_opt hit !cache) with
-  | Some (_, _, _, t) -> t
-  | None ->
-      let t = transform_uncached q pattern in
-      Mutex.protect cache_mutex (fun () ->
-          let keep = if List.length !cache >= 32 then [] else !cache in
-          cache := (q.Datalog.program, q.Datalog.goal, key, t) :: keep);
-      t
+  match find (fun e -> e.prog == p) with
+  | Some m -> m
+  | None -> (
+      let fp = Datalog.program_fingerprint p in
+      match find (fun e -> e.fp = fp) with
+      | Some m -> m
+      | None ->
+          let m = transform_uncached q pattern in
+          Mutex.protect cache_mutex (fun () ->
+              let keep = if List.length !cache >= 32 then [] else !cache in
+              cache := { prog = p; fp; goal; key; m } :: keep);
+          m)
 
 let applicable (q : Datalog.query) = Datalog.is_idb q.Datalog.program q.Datalog.goal
+
+(* the magic arm: seed the demand for the whole tuple, then run the
+   transformed program until the adorned goal fact appears *)
+let holds ?cancel q inst tup =
+  let m = transform q (all_bound (Array.length tup)) in
+  Dl_semi.holds ?cancel m.query (Instance.add (seed m tup) inst) tup
 
 (* every head of the transformed program is [rel#pat] (2 parts) or
    [m#rel#pat] (3 parts); source relation names cannot contain '#' *)

@@ -10,12 +10,11 @@
     visible.  Evaluating [t.query] on [inst] extended with the magic seed
     fact agrees with evaluating [q] on [inst], restricted to goal facts
     matching the seed — while the fixpoint derives only facts demanded by
-    the goal. *)
+    the goal.  {!Dl_engine.holds} applies the rewrite per goal. *)
 
 type pattern = bool array
 (** One flag per goal position: [true] = bound at call time. *)
 
-val all_free : int -> pattern
 val all_bound : int -> pattern
 
 val pattern_string : pattern -> string
@@ -32,10 +31,14 @@ type t = {
   source_goal : string;  (** the original query's goal predicate *)
   pattern : pattern;
   magic_goal : string;  (** name of the goal's magic predicate *)
+  prunes : bool;
+      (** No adorned predicate of positive arity is all-free ([P#ff…]);
+          an all-free one is derived in full plus its magic rules. *)
 }
 
 val transform : Datalog.query -> pattern -> t
-(** Cached under physical equality of the source program; the cache is
+(** Cached per goal and pattern under physical equality of the source
+    program, then under its {!Datalog.program_fingerprint}; the cache is
     mutex-guarded, so any domain may call [transform].
     @raise Invalid_argument if the pattern length differs from the goal
     arity or the goal has no rules (see {!applicable}). *)
@@ -48,8 +51,13 @@ val seed : t -> Const.t array -> Fact.t
 (** [seed m tup] is the magic seed fact for the full goal tuple [tup]
     (only bound positions of [tup] are used). *)
 
-val seed_free : t -> Fact.t
-(** The (nullary) seed for a pattern with no bound position. *)
+val holds :
+  ?cancel:Dl_cancel.t -> Datalog.query -> Instance.t -> Const.t array -> bool
+(** The magic arm of {!Dl_engine.holds}, forced: [tup]'s seed added to
+    [inst], the all-bound transform of [q] runs ({!Dl_semi.holds}) until
+    the adorned goal fact appears.  Membership of [tup] in the least
+    fixpoint, whether or not the transform [prunes].
+    @raise Invalid_argument unless {!applicable}. *)
 
 val adornments : t -> (string * string) list
 (** The (relation, adornment) pairs reachable from the goal demand —

@@ -12,7 +12,7 @@
     rules read one edge from a start-state transition, closure rules
     extend a state relation by one edge, and the goal [PREFIXans]
     collects the final states — a {e linear} program (every rule body
-    has at most one IDB), which every engine strategy evaluates
+    has at most one IDB), which the engine evaluates
     round-per-path-length.
 
     Boolean [(x, y)] membership ({!holds}) runs the source-anchored
@@ -96,4 +96,7 @@ val holds_nfa :
   bool
 (** Whether a nonempty path [x → y] spells a word of the NFA: the
     anchored program seeded with [x], with goal [y] and the engine's
-    early-stop goal check — one source's fixpoint, not all pairs. *)
+    early-stop goal check — one source's fixpoint, not all pairs.  A
+    recursive state relation is demanded all-free as well as bound
+    ([r(y) <- r(x), E(x,y)] binds [y] only), so the planner runs such
+    programs on the plain VM rather than through magic sets. *)

@@ -19,8 +19,8 @@
       serialize per session (whole-request session lock), serialize the
       non-worker-safe verbs globally (their decision procedures share
       coordinator-only memo tables), and shed over-quota requests with
-      [busy] before planning.  Both evaluate with the process default
-      engine ({!Dl_engine.default}).
+      [busy] before planning.  Both evaluate with the one engine
+      ({!Dl_engine}); its planner picks magic sets per goal.
 
     {2 Deadlines}
 

@@ -11,7 +11,8 @@
 #      bin/mondet.ml (catches docs of removed/renamed options);
 #   4. every mondet subcommand must appear in README.md;
 #   5. every wire verb must appear in the docs/GUIDE.md walkthroughs;
-#   6. both service regimes evaluate with the process default engine:
+#   6. both service regimes evaluate with the one engine, whose planner
+#      picks magic sets per goal:
 #      the removed Dl_engine.pool_strategy is named in no file under
 #      lib, bin, test, bench or docs, nor in README.md, DESIGN.md or
 #      ARCHITECTURE.md; lib/service passes no ?strategy/?engine
@@ -29,14 +30,11 @@
 #      (MONDET_PAR_MATCHER / set_matcher appear in no source, test or
 #      doc), and the disjoint round union `Instance.union_disjoint old
 #      delta` is written in exactly one lib/datalog file;
-#  10. the sequential engines: the removed Parallel strategy is named —
-#      as `Dl_engine.Parallel`, `--engine parallel` or
-#      `MONDET_ENGINE=parallel` — in no file under lib, bin, test, bench
-#      or docs, nor in README.md, DESIGN.md or ARCHITECTURE.md;
-#  11. one semi-naive matcher: the removed Indexed strategy is named —
-#      as `Dl_engine.Indexed`, `--engine indexed` or
-#      `MONDET_ENGINE=indexed` — in no file under lib, bin, test, bench
-#      or docs, nor in README.md, DESIGN.md or ARCHITECTURE.md.
+#  10. one engine, no knob: no process-wide engine switch and no removed
+#      strategy is named — `--engine`, `MONDET_ENGINE`, `set_default`,
+#      `Dl_engine.Magic`, `Dl_engine.Parallel` or `Dl_engine.Indexed` —
+#      in any file under lib, bin, test, bench, docs, .github or
+#      .claude, nor in README.md, DESIGN.md or ARCHITECTURE.md.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -96,7 +94,7 @@ for s in $subs; do
   grep -q "$s" README.md || err "subcommand '$s' not mentioned in README.md"
 done
 
-# 6. the concurrent path's engine is the process default.  An override
+# 6. the concurrent path's engine is the planner's.  An override
 #    is a labelled [?strategy]/[~strategy]/[?engine]/[~engine] argument
 #    in a service source; claims wrap across lines, so each file is
 #    flattened to one line before matching.  CHANGES.md, EXPERIMENTS.md
@@ -107,13 +105,13 @@ if grep -rlE 'pool_strategy' lib bin test bench docs README.md DESIGN.md \
   err "the files above name the removed Dl_engine.pool_strategy"
 fi
 if grep -rnE '[?~](strategy|engine)\b' lib/service; then
-  err "lib/service overrides the engine above; both regimes run the process default"
+  err "lib/service overrides the engine above; both regimes run the planner"
 fi
 for f in ARCHITECTURE.md DESIGN.md README.md docs/GUIDE.md \
   lib/service/svc_service.mli "$service_ml" lib/service/svc_tcp.ml; do
   if tr -s ' \n' '  ' <"$f" |
     grep -Eqi 'forc(e|es|ed|ing)( to)?( the)? [`[]?(indexed|vm|magic|naive)'; then
-    err "$f claims the concurrent path forces an engine; it runs the process default"
+    err "$f claims the concurrent path forces an engine; it runs the planner"
   fi
 done
 
@@ -165,18 +163,12 @@ loops=$(grep -l 'Instance\.union_disjoint old delta' lib/datalog/*.ml || true)
 [ "$(echo "$loops" | grep -c .)" -eq 1 ] ||
   err "the semi-naive round loop must be written in exactly one lib/datalog file, found: $(echo $loops)"
 
-# 10. the removed Parallel strategy.  CHANGES.md, EXPERIMENTS.md and
-#     ROADMAP.md are history and keep the names.
-if grep -rlE 'Dl_engine\.Parallel|--engine parallel|MONDET_ENGINE=parallel' \
-  lib bin test bench docs README.md DESIGN.md ARCHITECTURE.md; then
-  err "the files above name the removed Parallel strategy"
-fi
-
-# 11. the removed Indexed strategy (the interpreted slot matcher).
-#     History files keep the names, as in rule 10.
-if grep -rlE 'Dl_engine\.Indexed|--engine indexed|MONDET_ENGINE=indexed' \
-  lib bin test bench docs README.md DESIGN.md ARCHITECTURE.md; then
-  err "the files above name the removed Indexed strategy"
+# 10. one engine, no knob.  CHANGES.md, EXPERIMENTS.md and ROADMAP.md
+#     are history and keep the names.
+if grep -rlE -e '--engine|MONDET_ENGINE|set_default|Dl_engine\.(Magic|Parallel|Indexed)' \
+  lib bin test bench docs .github .claude README.md DESIGN.md \
+  ARCHITECTURE.md; then
+  err "the files above name an engine switch or a removed strategy"
 fi
 
 if [ "$fail" -eq 0 ]; then

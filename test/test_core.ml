@@ -94,6 +94,65 @@ let test_thm5_ucq () =
   check_bool "ucq atomic" true (Md_decide.ucq_query u [ vu; vw ]);
   check_bool "ucq missing view" false (Md_decide.ucq_query u [ vu ])
 
+(* The exact path honours deadlines.  Over the tc view, the 4-cycle ∪
+   4-star UCQ runs Run.find for about 19 rounds and several seconds (two
+   late rounds take over a second each); a 100 ms deadline must stop it
+   at the next round boundary. *)
+let tc_datalog_view =
+  View.datalog "VT"
+    (Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).")
+
+let test_thm5_deadline () =
+  let q =
+    Parse.query ~goal:"G"
+      "G() <- E(x,y), E(y,z), E(z,w), E(w,x).
+       G() <- E(c,x1), E(c,x2), E(c,x3), E(c,x4)."
+  in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Md_decide.decide ~cancel:(Dl_cancel.with_deadline_ms 100) q
+       [ tc_datalog_view ]
+   with
+  | _ -> Alcotest.fail "expected Cancelled"
+  | exception Dl_cancel.Cancelled -> ());
+  let elapsed = Unix.gettimeofday () -. t0 in
+  check_bool
+    (Printf.sprintf "cancelled within 1 s (took %.3f s)" elapsed)
+    true (elapsed < 1.0)
+
+(* A search cancelled between rounds leaves the DTA's memo tables as an
+   earlier round left them: the same automaton, searched again, gives the
+   verdict of a fresh one.  The wrapper cancels the token from inside
+   [step], so the next round's probe raises mid-search, deterministically. *)
+let test_thm5_cancel_rerun () =
+  let q = Parse.cq "q() <- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f)" in
+  let q'' =
+    Md_decide.compose_with_views (Datalog.of_cq ~goal:"G0" q)
+      [ tc_datalog_view ]
+  in
+  let nta, _ = Forward.approximations_nta q'' in
+  let dta = Cq_dta.make ~negate:true q in
+  let tok = Dl_cancel.token () in
+  let cancelling : Dta.t =
+    let module D = (val dta) in
+    let steps = ref 0 in
+    (module struct
+      include D
+
+      let step ds sym =
+        incr steps;
+        if !steps = 50 then Dl_cancel.cancel tok;
+        D.step ds sym
+    end)
+  in
+  (match Run.check_empty ~cancel:tok nta cancelling with
+  | _ -> Alcotest.fail "expected Cancelled"
+  | exception Dl_cancel.Cancelled -> ());
+  check_bool "rerun on the cancelled automaton" true (Run.check_empty nta dta);
+  check_bool "fresh automaton agrees" true
+    (Run.check_empty nta (Cq_dta.make ~negate:true q));
+  check_bool "the decision agrees" true (Md_decide.cq_query q [ tc_datalog_view ])
+
 let test_decide_dispatch () =
   (match Md_decide.decide edge_q [ atomic_e ] with
   | Md_decide.Determined -> ()
@@ -209,6 +268,9 @@ let suite =
     Alcotest.test_case "thm5 datalog views" `Quick test_thm5_datalog_views;
     Alcotest.test_case "thm5 ucq" `Quick test_thm5_ucq;
     Alcotest.test_case "decide dispatch" `Quick test_decide_dispatch;
+    Alcotest.test_case "thm5 deadline" `Quick test_thm5_deadline;
+    Alcotest.test_case "thm5 cancelled search reruns" `Quick
+      test_thm5_cancel_rerun;
     Alcotest.test_case "prop8 cq" `Quick test_prop8;
     Alcotest.test_case "prop8 ucq" `Quick test_prop8_ucq;
     Alcotest.test_case "fwd-bwd atomic" `Quick test_forward_backward_atomic;
