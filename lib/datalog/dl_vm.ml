@@ -61,6 +61,7 @@ type program = {
   rels : Symtab.sym array; (* per step: interned relation id *)
   rel_names : string array; (* per step: relation name, for errors/pp *)
   srcs : int array; (* per step: instance source (full/old/delta) *)
+  nums : int array; (* per step: the relation's number in the program *)
   scans : bool array; (* per step: opens with a scan (no probed position) *)
   nregs : int;
   nsteps : int;
@@ -72,6 +73,13 @@ type program = {
 type rule_prog = {
   source : Dl_plan.crule;
   semi : program array; (* one delta-position variant per body atom *)
+  body_nums : int array; (* per body atom: its relation's number *)
+  head_num : int;
+}
+
+type compiled = {
+  rules : rule_prog list;
+  rids : Symtab.sym array; (* relation number -> interned id *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -81,7 +89,7 @@ let src_full = 0
 let src_old = 1
 let src_delta = 2
 
-let lower (pl : Dl_plan.t) : program =
+let lower ~body_nums (pl : Dl_plan.t) : program =
   let cr = pl.prule in
   let nsteps = Array.length pl.steps in
   (* constant pool, deduplicated *)
@@ -216,6 +224,7 @@ let lower (pl : Dl_plan.t) : program =
     rel_names =
       Array.map (fun (st : Dl_plan.step) -> cr.cbody.(st.satom).crel) pl.steps;
     srcs = Array.map (fun (st : Dl_plan.step) -> src_of st.satom) pl.steps;
+    nums = Array.map (fun (st : Dl_plan.step) -> body_nums.(st.satom)) pl.steps;
     scans = Array.map (fun ps -> ps = []) step_probes;
     nregs = cr.nvars;
     nsteps;
@@ -224,14 +233,46 @@ let lower (pl : Dl_plan.t) : program =
     head_regs;
   }
 
-let compile_rule (cr : Dl_plan.crule) =
+(* Relations numbered densely in order of first occurrence, heads
+   first within a rule, so the store of a run indexes an array. *)
+let number (crs : Dl_plan.crule list) =
+  let tbl = Hashtbl.create 16 and rids = ref [] and k = ref 0 in
+  let see (a : Dl_plan.catom) =
+    if not (Hashtbl.mem tbl a.crid) then begin
+      Hashtbl.add tbl a.crid !k;
+      rids := a.crid :: !rids;
+      incr k
+    end
+  in
+  List.iter
+    (fun (cr : Dl_plan.crule) ->
+      see cr.chead;
+      Array.iter see cr.cbody)
+    crs;
+  (Hashtbl.find tbl, Array.of_list (List.rev !rids))
+
+let compile_rule ~num (cr : Dl_plan.crule) =
   let nb = Array.length cr.cbody in
+  let body_nums = Array.map (fun (a : Dl_plan.catom) -> num a.crid) cr.cbody in
   {
     source = cr;
-    semi = Array.init nb (fun j -> lower (Dl_plan.plan cr ~delta:(Some j)));
+    semi =
+      Array.init nb (fun j ->
+          lower ~body_nums (Dl_plan.plan cr ~delta:(Some j)));
+    body_nums;
+    head_num = num cr.chead.crid;
   }
 
-let naive_program cr = lower (Dl_plan.plan cr ~delta:None)
+(* a rule lowered on its own numbers its own relations *)
+let lower_alone (cr : Dl_plan.crule) pl =
+  let num = fst (number [ cr ]) in
+  lower ~body_nums:(Array.map (fun (a : Dl_plan.catom) -> num a.crid) cr.cbody) pl
+let naive_program cr = lower_alone cr (Dl_plan.plan cr ~delta:None)
+
+let compile_program p =
+  let crs = List.map Dl_plan.compile_rule p in
+  let num, rids = number crs in
+  { rules = List.map (compile_rule ~num) crs; rids }
 
 (* One cache for every compiled program.  A lookup is by physical
    equality first: the constructors upstream memoize their programs, so
@@ -251,7 +292,7 @@ let naive_program cr = lower (Dl_plan.plan cr ~delta:None)
 type entry = {
   mutable prog : Datalog.program;
   key : int * int;
-  rps : rule_prog list;
+  comp : compiled;
 }
 
 let cache_mutex = Mutex.create ()
@@ -266,24 +307,24 @@ let lookup hit =
       Some e
   | found -> found
 
-let compile (p : Datalog.program) =
+let compiled (p : Datalog.program) =
   match Mutex.protect cache_mutex (fun () -> lookup (fun e -> e.prog == p)) with
-  | Some e -> e.rps
+  | Some e -> e.comp
   | None ->
       let key = Datalog.program_fingerprint p in
       Mutex.protect cache_mutex (fun () ->
           match lookup (fun e -> e.key = key) with
           | Some e ->
               e.prog <- p;
-              e.rps
+              e.comp
           | None ->
-              let rps =
-                List.map (fun r -> compile_rule (Dl_plan.compile_rule r)) p
-              in
+              let comp = compile_program p in
               cache :=
-                { prog = p; key; rps }
+                { prog = p; key; comp }
                 :: List.filteri (fun i _ -> i < cache_size - 1) !cache;
-              rps)
+              comp)
+
+let compile p = (compiled p).rules
 
 (* ------------------------------------------------------------------ *)
 (* The dispatch loop. *)
@@ -302,6 +343,96 @@ let arity_error name tup arity =
     (Printf.sprintf "Dl_vm: %s has a fact of arity %d but an atom of arity %d"
        name (Array.length tup) arity)
 
+(* What a step reads, resolved once per run: a relation's candidates
+   depend only on the step, so no probe or scan asks an instance or the
+   store for them again.  An instance relation is probed through its
+   index; a store tail through its buckets and then, as the cursor's
+   continuation, the base relation's index.  A scanned step's tuples
+   are fetched up front the same way, tail and base as two lists. *)
+type probe =
+  | Absent
+  | Idx of Index.t
+  | Tail of Dl_store.rel * Dl_store.part * Index.t option
+
+type sources = {
+  probes : probe array; (* per probed step *)
+  lists : Const.t array list array; (* per scanned step: its tuples... *)
+  mores : Const.t array list array;
+      (* ...and the base's after a tail's; empty when no step reads a
+         tail *)
+}
+
+(* Steps the run opens itself: a seed is step 0's whole cursor. *)
+let opened (prog : program) ~seeded k = k < prog.nsteps && not (k = 0 && seeded)
+
+let no_sources ?(tails = false) (prog : program) =
+  let n = max prog.nsteps 1 in
+  {
+    probes = Array.make n Absent;
+    lists = Array.make n [];
+    mores = (if tails then Array.make n [] else [||]);
+  }
+
+(* Read step [k] from an instance.  A probed step resolves its index
+   (this is also where a cold index gets built — before the loop, on the
+   calling thread); a scanned step only fetches its tuple list, so a
+   relation that is only ever scanned, like a round's delta, never gets
+   an index. *)
+let from_instance (prog : program) s k inst =
+  if prog.scans.(k) then s.lists.(k) <- Instance.scan_id inst prog.rels.(k)
+  else
+    match Instance.index_id inst prog.rels.(k) with
+    | Some idx -> s.probes.(k) <- Idx idx
+    | None -> ()
+
+let instance_sources (prog : program) ~seeded ~full ~old ~delta =
+  let s = no_sources prog in
+  for k = 0 to prog.nsteps - 1 do
+    if opened prog ~seeded k then
+      from_instance prog s k
+        (let src = prog.srcs.(k) in
+         if src = src_full then full else if src = src_old then old else delta)
+  done;
+  s
+
+let part_of src =
+  if src = src_full then Dl_store.Full
+  else if src = src_old then Dl_store.Old
+  else Dl_store.Delta
+
+(* The store hook: the first round reads instances; later rounds read a
+   head's tail and the base, a relation without a tail the base alone
+   (and nothing as a delta). *)
+let store_sources (prog : program) st =
+  match Dl_store.first st with
+  | Some (old, delta) ->
+      instance_sources prog ~seeded:false ~full:(Dl_store.base st) ~old ~delta
+  | None ->
+      let s = no_sources ~tails:true prog and base = Dl_store.base st in
+      for k = 0 to prog.nsteps - 1 do
+        let part = part_of prog.srcs.(k) in
+        match Dl_store.tail st prog.nums.(k) with
+        | None -> if part <> Dl_store.Delta then from_instance prog s k base
+        | Some tl ->
+            let behind = part <> Dl_store.Delta in
+            if prog.scans.(k) then begin
+              s.lists.(k) <- Dl_store.rows tl part;
+              if behind then s.mores.(k) <- Instance.scan_id base prog.rels.(k)
+            end
+            else
+              let under =
+                if behind then Instance.index_id base prog.rels.(k) else None
+              in
+              s.probes.(k) <- Tail (tl, part, under)
+      done;
+      s
+
+(* The constant a probe triple at [o] names: a pool entry or a register. *)
+let triple_value code pool regs o =
+  if Array.unsafe_get code (o + 1) = 0 then
+    Array.unsafe_get pool (Array.unsafe_get code (o + 2))
+  else Array.unsafe_get regs (Array.unsafe_get code (o + 2))
+
 (* The pc just past step 0's cursor-opening opcode: where a run whose
    step-0 cursor is given (a body seed) starts. *)
 let after_open0 code =
@@ -311,11 +442,17 @@ let after_open0 code =
    head-seeded entry); [seed], when given, is step 0's whole cursor, so
    that step opens no index.  [on_match] receives the register file of
    every match and returns [false] to stop. *)
-let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
+let run (prog : program) (s : sources) ~cancel ~regs ~seed on_match =
   let code = prog.code in
   let pool = prog.pool in
   let cur = Array.make (max prog.nsteps 1) [||] in
   let cursors : Const.t array list array = Array.make (max prog.nsteps 1) [] in
+  (* a cursor's continuation: the base tuples behind a tail's, when the
+     run reads a store *)
+  let more : Const.t array list array =
+    if Array.length s.mores = 0 then [||]
+    else Array.make (max prog.nsteps 1) []
+  in
   let fuel = ref cancel_interval in
   let pc = ref 0 in
   (match seed with
@@ -324,27 +461,7 @@ let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
       pc := after_open0 code
   | None -> ());
   let running = ref true in
-  let inst_of s = if s = src_full then full else if s = src_old then old else delta in
-  (* each step's (relation, source) pair is static, so its candidates
-     are loop-invariant: resolved once here instead of once per
-     probe/scan execution.  A probed step resolves its index (this is
-     also where a cold index gets built — before the loop, on the
-     calling thread); a scanned step only fetches its tuple list, so a
-     relation that is only ever scanned, like a round's delta, never
-     gets an index. *)
-  let opened k = k < prog.nsteps && not (k = 0 && seed <> None) in
-  let idxs =
-    Array.init (max prog.nsteps 1) (fun k ->
-        if opened k && not prog.scans.(k) then
-          Instance.index_id (inst_of prog.srcs.(k)) prog.rels.(k)
-        else None)
-  in
-  let lists =
-    Array.init (max prog.nsteps 1) (fun k ->
-        if opened k && prog.scans.(k) then
-          Instance.scan_id (inst_of prog.srcs.(k)) prog.rels.(k)
-        else [])
-  in
+  let probes = s.probes and lists = s.lists and mores = s.mores in
   (* all unsafe accesses below are bounds-safe by construction: [code]
      offsets come from the codegen, [pos < arity] is enforced by the next
      opcode's arity check before any pattern opcode touches the tuple *)
@@ -354,7 +471,13 @@ let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
     if op = op_next then begin
       let step = Array.unsafe_get code (base + 1) in
       match Array.unsafe_get cursors step with
-      | [] -> pc := Array.unsafe_get code (base + 3)
+      | [] -> (
+          match if Array.length more = 0 then [] else Array.unsafe_get more step with
+          | [] -> pc := Array.unsafe_get code (base + 3)
+          | rest ->
+              (* run [next] again on the continuation *)
+              Array.unsafe_set cursors step rest;
+              Array.unsafe_set more step [])
       | tup :: rest ->
           Array.unsafe_set cursors step rest;
           let arity = Array.unsafe_get code (base + 2) in
@@ -404,27 +527,20 @@ let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
     else if op = op_probe then begin
       let step = Array.unsafe_get code (base + 1) in
       let n = Array.unsafe_get code (base + 3) in
-      (match Array.unsafe_get idxs step with
-      | None -> Array.unsafe_set cursors step []
-      | Some idx when n = 1 ->
+      (match Array.unsafe_get probes step with
+      | Absent -> Array.unsafe_set cursors step []
+      | Idx idx when n = 1 ->
           (* one bound position: probe it directly, no count pass *)
-          let pos = Array.unsafe_get code (base + 4) in
-          let c =
-            if Array.unsafe_get code (base + 5) = 0 then
-              Array.unsafe_get pool (Array.unsafe_get code (base + 6))
-            else Array.unsafe_get regs (Array.unsafe_get code (base + 6))
-          in
-          Array.unsafe_set cursors step (Index.lookup idx pos c)
-      | Some idx ->
+          Array.unsafe_set cursors step
+            (Index.lookup idx
+               (Array.unsafe_get code (base + 4))
+               (triple_value code pool regs (base + 4)))
+      | Idx idx ->
           let best = ref max_int and best_p = ref 0 and best_c = ref reg_init in
           for t = 0 to n - 1 do
             let o = base + 4 + (3 * t) in
             let pos = Array.unsafe_get code o in
-            let c =
-              if Array.unsafe_get code (o + 1) = 0 then
-                Array.unsafe_get pool (Array.unsafe_get code (o + 2))
-              else Array.unsafe_get regs (Array.unsafe_get code (o + 2))
-            in
+            let c = triple_value code pool regs o in
             let cnt = Index.count idx pos c in
             if cnt < !best then begin
               best := cnt;
@@ -433,12 +549,40 @@ let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
             end
           done;
           Array.unsafe_set cursors step
-            (if !best = 0 then [] else Index.lookup idx !best_p !best_c));
+            (if !best = 0 then [] else Index.lookup idx !best_p !best_c)
+      | Tail (tl, part, under) ->
+          let best = ref max_int and best_p = ref 0 and best_c = ref reg_init in
+          for t = 0 to n - 1 do
+            let o = base + 4 + (3 * t) in
+            let pos = Array.unsafe_get code o in
+            let c = triple_value code pool regs o in
+            let cnt =
+              if n = 1 then 1
+              else
+                Dl_store.count tl part pos c
+                + match under with None -> 0 | Some i -> Index.count i pos c
+            in
+            if cnt < !best then begin
+              best := cnt;
+              best_p := pos;
+              best_c := c
+            end
+          done;
+          if !best > 0 then begin
+            Array.unsafe_set cursors step
+              (Dl_store.lookup tl part !best_p !best_c);
+            match under with
+            | None -> ()
+            | Some i -> Array.unsafe_set more step (Index.lookup i !best_p !best_c)
+          end
+          else Array.unsafe_set cursors step []);
       pc := base + 4 + (3 * n)
     end
     else if op = op_scan then begin
       let step = Array.unsafe_get code (base + 1) in
       Array.unsafe_set cursors step (Array.unsafe_get lists step);
+      if Array.length more > 0 then
+        Array.unsafe_set more step (Array.unsafe_get mores step);
       pc := base + 3
     end
     else (* op_halt *)
@@ -447,19 +591,25 @@ let run (prog : program) ~full ~old ~delta ~cancel ~regs ~seed on_match =
 
 let new_regs (prog : program) = Array.make (max prog.nregs 1) reg_init
 
-let head_fact (prog : program) regs =
+let head_tuple (prog : program) regs =
   let nh = Array.length prog.head_regs in
   let args = Array.make nh reg_init in
   for i = 0 to nh - 1 do
     Array.unsafe_set args i
       (Array.unsafe_get regs (Array.unsafe_get prog.head_regs i))
   done;
-  Fact.of_interned prog.head_rid args
+  args
 
 let exec (prog : program) ~full ?(old = Instance.empty)
     ?(delta = Instance.empty) ?(cancel = Dl_cancel.none) emit =
-  run prog ~full ~old ~delta ~cancel ~regs:(new_regs prog) ~seed:None
-    (fun regs -> emit (head_fact prog regs))
+  run prog
+    (instance_sources prog ~seeded:false ~full ~old ~delta)
+    ~cancel ~regs:(new_regs prog) ~seed:None
+    (fun regs -> emit (Fact.of_interned prog.head_rid (head_tuple prog regs)))
+
+let exec_store (prog : program) st ?(cancel = Dl_cancel.none) emit =
+  run prog (store_sources prog st) ~cancel ~regs:(new_regs prog) ~seed:None
+    (fun regs -> emit (head_tuple prog regs))
 
 (* ------------------------------------------------------------------ *)
 (* Seeded entries, for Dl_incr's Backward/Forward search. *)
@@ -470,7 +620,7 @@ let head_program (cr : Dl_plan.crule) =
       (fun acc -> function Dl_plan.Cslot s -> s :: acc | Dl_plan.Cconst _ -> acc)
       [] cr.chead.cterms
   in
-  lower (Dl_plan.plan ~seeded cr ~delta:None)
+  lower_alone cr (Dl_plan.plan ~seeded cr ~delta:None)
 
 (* Preload the head registers from the fact, then read them back: a
    repeated head variable the fact gives two values keeps only one, so
@@ -482,13 +632,16 @@ let run_head ?(cancel = Dl_cancel.none) (prog : program) tup src on_match =
   let regs = new_regs prog in
   Array.iteri (fun i r -> regs.(r) <- tup.(i)) hr;
   if Array.for_all2 (fun r c -> Const.equal regs.(r) c) hr tup then
-    run prog ~full:src ~old:src ~delta:Instance.empty ~cancel ~regs ~seed:None
-      on_match
+    run prog
+      (instance_sources prog ~seeded:false ~full:src ~old:src
+         ~delta:Instance.empty)
+      ~cancel ~regs ~seed:None on_match
 
 let run_body ?(cancel = Dl_cancel.none) (rp : rule_prog) j tup src on_match =
   let prog = rp.semi.(j) in
-  run prog ~full:src ~old:src ~delta:Instance.empty ~cancel
-    ~regs:(new_regs prog) ~seed:(Some tup) on_match
+  run prog
+    (instance_sources prog ~seeded:true ~full:src ~old:src ~delta:Instance.empty)
+    ~cancel ~regs:(new_regs prog) ~seed:(Some tup) on_match
 
 let atom_fact (a : Dl_plan.catom) regs =
   Fact.of_interned a.crid

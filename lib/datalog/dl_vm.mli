@@ -12,12 +12,16 @@
     bound position opens with [scan] and reads its relation's tuple list
     ({!Instance.scan_id}), fetched once per run, so it opens no index;
     only [index-probe] steps resolve their relation's index, building it
-    on first use.
+    on first use.  What a step reads is resolved once per run into a
+    plain value (an index, a tuple list, or a store tail with the base
+    index behind it), so the dispatch loop calls no closure to find
+    candidates.
 
     Each rule is compiled once into one semi-naive variant per body
     position (that atom reads the delta, atoms left of it the old facts,
     the rest the full instance).  The variants are the units of the
-    {!Dl_semi} round loop.  The first round runs too on the
+    {!Dl_semi} round loop, which runs them over its store of derived
+    tuples ({!exec_store}).  The first round runs too on the
     delta-position variants, with the whole input as the delta.  A naive
     variant (all atoms read the full instance) is lowered on request
     ({!naive_program}).  Two seeded entries serve
@@ -27,9 +31,9 @@
 
     {2 Thread safety}
 
-    {!compile}'s cache is mutex-guarded: any domain may compile
+    {!compiled}'s cache is mutex-guarded: any domain may compile
     concurrently (structurally equal programs share one compilation).
-    {!exec} and the seeded entries are reentrant — all mutable state is
+    {!exec}, {!exec_store} and the seeded entries are reentrant — all mutable state is
     per-call — provided no other domain builds the same instances'
     relation indexes meanwhile (see {!Instance.index}; only probed
     relations are indexed): the service's batch pool groups its tasks by
@@ -47,6 +51,7 @@ type program = private {
   rels : Symtab.sym array;  (** per step: interned relation id *)
   rel_names : string array;  (** per step: relation name *)
   srcs : int array;  (** per step: instance source (0 full, 1 old, 2 delta) *)
+  nums : int array;  (** per step: the relation's number ({!compiled}) *)
   scans : bool array;  (** per step: opens with [scan], not [index-probe] *)
   nregs : int;
   nsteps : int;
@@ -58,15 +63,27 @@ type program = private {
 type rule_prog = private {
   source : Dl_plan.crule;
   semi : program array;  (** one delta-position variant per body atom *)
+  body_nums : int array;  (** per body atom: its relation's number *)
+  head_num : int;  (** the head relation's number *)
 }
 
+type compiled = private {
+  rules : rule_prog list;
+  rids : Symtab.sym array;
+      (** relation number to interned id: the program's relations are
+          numbered densely, in order of first occurrence *)
+}
+
+val compiled : Datalog.program -> compiled
+(** Lower every rule of the program to its delta-position variants and
+    number its relations.  Cached: a program is looked up by physical
+    equality first and fingerprinted ({!Datalog.program_fingerprint})
+    only on a miss, so a fresh program structurally equal to a cached
+    one shares its compilation.  The cache keeps the 16 most recently
+    used programs and is mutex-guarded; safe from any domain. *)
+
 val compile : Datalog.program -> rule_prog list
-(** Lower every rule of the program to its delta-position variants.
-    Cached: a program is looked up by physical equality first and
-    fingerprinted ({!Datalog.program_fingerprint}) only on a miss, so a
-    fresh program structurally equal to a cached one shares its
-    compilation.  The cache keeps the 16 most recently used programs
-    and is mutex-guarded; safe from any domain. *)
+(** [(compiled p).rules]. *)
 
 val naive_program : Dl_plan.crule -> program
 (** The rule's naive variant: every body atom reads [full].  Uncached. *)
@@ -85,6 +102,15 @@ val exec :
     semi-naive variants (default empty).  Raises {!Dl_cancel.Cancelled}
     if [cancel] fires, and [Invalid_argument] on an arity mismatch
     between a stored fact and its atom. *)
+
+val exec_store :
+  program -> Dl_store.t -> ?cancel:Dl_cancel.t -> (Const.t array -> bool) -> unit
+(** [exec_store prog st emit] runs a delta-position variant of a
+    {!compiled} program over the store of a {!Dl_semi} evaluation,
+    calling [emit] with the head tuple of every match (a fresh array).
+    The store's first round reads its instances, as {!exec} does; later
+    rounds read each head relation's tail ({!Dl_store.tail}) and then
+    its base facts, and every other relation from the base. *)
 
 (** {2 Seeded runs}
 

@@ -16,10 +16,10 @@ type bucket = { mutable n : int; mutable tups : Const.t array list }
    pointer write of an immutable list, so racing domains at worst both
    compute it. *)
 type t = {
-  size : int;
+  mutable size : int;
   mutable all : Const.t array list option;
-  nullary : bool; (* the empty tuple is indexed *)
-  tables : bucket H.t array; (* one table per position *)
+  mutable nullary : bool; (* the empty tuple is indexed *)
+  mutable tables : bucket H.t array; (* one table per position *)
 }
 
 let add_tuples tables size tuples =
@@ -78,6 +78,26 @@ let extend idx tuples =
         nullary = idx.nullary || List.exists (fun t -> Array.length t = 0) tuples;
         tables;
       }
+
+(* In place: only the index's owner may hold it (an index reached
+   through an [Instance] is shared).  Each new tuple is consed onto the
+   front of its buckets, so the newest tuples lead every bucket. *)
+let append idx tuples =
+  match tuples with
+  | [] -> ()
+  | _ ->
+      let arity =
+        List.fold_left (fun m t -> max m (Array.length t)) 0 tuples
+      in
+      let k = Array.length idx.tables in
+      if arity > k then
+        idx.tables <-
+          Array.init arity (fun p ->
+              if p < k then idx.tables.(p) else H.create 16);
+      idx.size <- add_tuples idx.tables idx.size tuples;
+      idx.all <- None;
+      if List.exists (fun t -> Array.length t = 0) tuples then
+        idx.nullary <- true
 
 (* Tuple-keyed tables, hashed and compared by top-level loops that
    allocate nothing. *)

@@ -24,14 +24,7 @@ module M = Map.Make (Int)
    [M.is_empty] ⇔ no facts and [M.bindings] lists exactly the non-empty
    relations. *)
 
-(* [Grown (base, added)] is the cache of [union_disjoint]'s result:
-   nothing is cached yet, but its index is [base]'s extended by
-   [added]'s tuples if [base] is indexed by the time it is asked for. *)
-type cache =
-  | Cold
-  | Listed of Const.t array list
-  | Indexed of Index.t
-  | Grown of rel * rel
+type cache = Cold | Listed of Const.t array list | Indexed of Index.t
 
 and rel = {
   ts : TS.t;
@@ -74,7 +67,6 @@ let elements r =
   match r.cache with
   | Indexed i -> Index.all i
   | Listed l -> l
-  | Grown _ -> TS.elements r.ts (* the pending extension stays *)
   | Cold ->
       let l = TS.elements r.ts in
       r.cache <- Listed l;
@@ -83,11 +75,7 @@ let elements r =
 let index_of r =
   match r.cache with
   | Indexed i -> i
-  | Grown ({ cache = Indexed base; _ }, added) ->
-      let i = Index.extend base (elements added) in
-      r.cache <- Indexed i;
-      i
-  | Grown _ | Listed _ | Cold ->
+  | Listed _ | Cold ->
       let i = Index.build (elements r) in
       r.cache <- Indexed i;
       i
@@ -174,6 +162,13 @@ let of_list fs =
          else mk rid ts)
        groups)
 
+let of_tuples rels =
+  wrap
+    (List.fold_left
+       (fun m (rid, tups) ->
+         if tups = [] then m else M.add rid (mk rid (TS.of_list tups)) m)
+       M.empty rels)
+
 let of_facts fs = of_list (Fact.Set.elements fs)
 let singleton f = add f empty
 
@@ -239,20 +234,14 @@ let union a b =
            in
            (match big.cache with
            | Indexed idx -> r.cache <- Indexed (Index.extend idx novel)
-           | Grown _ | Listed _ | Cold -> ());
+           | Listed _ | Cold -> ());
            Some r)
        a.rels b.rels)
 
 (* [union] without the subset and difference work: the caller
    guarantees that no fact is in both operands, so sizes and sums add
    up.  A grown relation extends the larger side's index by the smaller
-   side's tuples: at once if that index exists, else on its own first
-   probe if the larger side is indexed by then.  That case is the
-   semi-naive round's: [full = old ∪ delta] is built before the round's
-   units first probe [old], and the next round probes that [full] as its
-   [old].  A pending extension is resolved at the next union if its base
-   got indexed, and dropped otherwise, so a relation never keeps more
-   than the version before it alive. *)
+   side's tuples if that index exists, and is left cold otherwise. *)
 let union_disjoint a b =
   if is_empty b then a
   else if is_empty a then b
@@ -264,10 +253,8 @@ let union_disjoint a b =
             let big, small = if x.n >= y.n then (x, y) else (y, x) in
             let cache =
               match big.cache with
-              | Indexed _ | Grown ({ cache = Indexed _; _ }, _) ->
-                  Indexed (Index.extend (index_of big) (elements small))
-              | Grown _ -> Cold
-              | Listed _ | Cold -> Grown (big, small)
+              | Indexed idx -> Indexed (Index.extend idx (elements small))
+              | Listed _ | Cold -> Cold
             in
             Some
               {

@@ -26,6 +26,11 @@ val of_list : Fact.t list -> t
     the way to build an instance from many facts, where folding {!add}
     would rebuild a set path and re-sum per fact. *)
 
+val of_tuples : (Symtab.sym * Const.t array list) list -> t
+(** [of_tuples [(rid, tups); ...]] holds the tuples [tups] in the
+    relation with interned id [rid], for each pair, in bulk as
+    {!of_list} does.  Each relation id appears at most once. *)
+
 val of_facts : Fact.Set.t -> t
 val singleton : Fact.t -> t
 val facts : t -> Fact.t list
@@ -49,12 +54,8 @@ val union_disjoint : t -> t -> t
     {!cardinal} and {!fingerprint} would count the shared facts twice).
     Skips {!union}'s subset and difference work: sizes and fingerprint
     sums add up.  A relation in both operands extends the larger side's
-    index (see {!Index.extend}) by the smaller side's tuples: at once if
-    that index exists, else on the relation's first probe if the larger
-    side has been indexed since.  The semi-naive round loop ([Dl_semi])
-    joins its disjoint [old] and [delta] with it: a round builds
-    [full = old ∪ delta] before its units probe [old], and the next
-    round probes that [full] as its [old]. *)
+    index (see {!Index.extend}) by the smaller side's tuples if that
+    index exists, and is left unindexed otherwise. *)
 
 val diff : t -> t -> t
 (** Set difference.  The decremental dual of {!union}: a relation losing

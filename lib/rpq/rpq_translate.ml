@@ -38,9 +38,11 @@ let v s = Cq.Var s
 let edge_atom (l : Rpq_nfa.letter) x y =
   if l.back then Cq.atom l.rel [ v y; v x ] else Cq.atom l.rel [ v x; v y ]
 
-let pairs_of_nfa ?(prefix = default_prefix) (a : Rpq_nfa.t) =
-  check_alphabet prefix (List.map (fun l -> l.Rpq_nfa.rel) (Rpq_nfa.letters a));
-  let a = Rpq_nfa.minimize a in
+let check_nfa prefix a =
+  check_alphabet prefix (List.map (fun l -> l.Rpq_nfa.rel) (Rpq_nfa.letters a))
+
+(* the programs of an automaton already minimized *)
+let pairs_of_min prefix (a : Rpq_nfa.t) =
   let ans = ans_rel ~prefix () in
   let seed =
     List.concat_map
@@ -76,9 +78,7 @@ let pairs_of_nfa ?(prefix = default_prefix) (a : Rpq_nfa.t) =
   in
   Datalog.make (seed @ step @ goal) ans
 
-let anchored_of_nfa ?(prefix = default_prefix) (a : Rpq_nfa.t) =
-  check_alphabet prefix (List.map (fun l -> l.Rpq_nfa.rel) (Rpq_nfa.letters a));
-  let a = Rpq_nfa.minimize a in
+let anchored_of_min prefix (a : Rpq_nfa.t) =
   let ans = ans_rel ~prefix () and src = src_rel ~prefix () in
   let seed =
     List.concat_map
@@ -112,6 +112,14 @@ let anchored_of_nfa ?(prefix = default_prefix) (a : Rpq_nfa.t) =
   in
   Datalog.make (seed @ step @ goal) ans
 
+let pairs_of_nfa ?(prefix = default_prefix) a =
+  check_nfa prefix a;
+  pairs_of_min prefix (Rpq_nfa.minimize a)
+
+let anchored_of_nfa ?(prefix = default_prefix) a =
+  check_nfa prefix a;
+  anchored_of_min prefix (Rpq_nfa.minimize a)
+
 (* diagonal rules for the empty word: (x, x) for every node of the
    sub-instance restricted to the expression's alphabet *)
 let diagonal_rules prefix rels =
@@ -123,34 +131,82 @@ let diagonal_rules prefix rels =
       ])
     rels
 
-let pairs ?(prefix = default_prefix) e =
-  let q = pairs_of_nfa ~prefix (Rpq_nfa.of_regex e) in
+(* The empty word's additions: the diagonal rules to the all-pairs
+   program, the source itself to the anchored one. *)
+let with_diagonal prefix e (q : Datalog.query) =
   if Rpq.nullable e then
-    Datalog.make (q.Datalog.program @ diagonal_rules prefix (Rpq.rels e)) q.Datalog.goal
+    Datalog.make (q.program @ diagonal_rules prefix (Rpq.rels e)) q.goal
   else q
 
-let anchored ?(prefix = default_prefix) e =
-  let q = anchored_of_nfa ~prefix (Rpq_nfa.of_regex e) in
+let with_source prefix e (q : Datalog.query) =
   if Rpq.nullable e then
     let keep =
       Datalog.rule
         (Cq.atom (ans_rel ~prefix ()) [ v "x" ])
         [ Cq.atom (src_rel ~prefix ()) [ v "x" ] ]
     in
-    Datalog.make (keep :: q.Datalog.program) q.Datalog.goal
+    Datalog.make (keep :: q.program) q.goal
   else q
 
-let eval ?strategy ?cancel e inst =
-  let tuples = Dl_engine.eval ?strategy ?cancel (pairs e) inst in
+let pairs ?(prefix = default_prefix) e =
+  with_diagonal prefix e (pairs_of_nfa ~prefix (Rpq_nfa.of_regex e))
+
+let anchored ?(prefix = default_prefix) e =
+  with_source prefix e (anchored_of_nfa ~prefix (Rpq_nfa.of_regex e))
+
+(* One minimization serves the three programs. *)
+type programs = {
+  all_pairs : Datalog.query;  (* [pairs e] *)
+  from_source : Datalog.query;  (* [anchored e] *)
+  nonempty_from : Datalog.query;  (* [anchored e] without the empty word *)
+}
+
+type t = { expr : Rpq.t; programs : programs option }
+
+let programs_of e =
+  let a = Rpq_nfa.of_regex e in
+  check_nfa default_prefix a;
+  let a = Rpq_nfa.minimize a in
+  let nonempty_from = anchored_of_min default_prefix a in
+  {
+    all_pairs = with_diagonal default_prefix e (pairs_of_min default_prefix a);
+    from_source = with_source default_prefix e nonempty_from;
+    nonempty_from;
+  }
+
+(* An expression the translation rejects keeps no programs: each use
+   translates it again, and raises as the untranslated entry points do. *)
+let translate e =
+  {
+    expr = e;
+    programs = (try Some (programs_of e) with Invalid_argument _ -> None);
+  }
+
+let expr t = t.expr
+
+let programs t =
+  match t.programs with Some ps -> ps | None -> programs_of t.expr
+
+let pairs_answers ?strategy ?cancel q inst =
+  let tuples = Dl_engine.eval ?strategy ?cancel q inst in
   List.sort_uniq compare (List.map (fun t -> (t.(0), t.(1))) tuples)
+
+let eval ?strategy ?cancel e inst = pairs_answers ?strategy ?cancel (pairs e) inst
+
+let eval_translated ?strategy ?cancel t inst =
+  pairs_answers ?strategy ?cancel (programs t).all_pairs inst
 
 let seeded src inst = Instance.add (Fact.make (src_rel ()) [ src ]) inst
 
-let eval_from ?strategy ?cancel e inst src =
-  let tuples =
-    Dl_engine.eval ?strategy ?cancel (anchored e) (seeded src inst)
-  in
+let source_answers ?strategy ?cancel q inst src =
+  let tuples = Dl_engine.eval ?strategy ?cancel q (seeded src inst) in
   List.sort_uniq Const.compare (List.map (fun t -> t.(0)) tuples)
+
+let eval_from ?strategy ?cancel e inst src =
+  source_answers ?strategy ?cancel (anchored e) inst src
+
+let eval_from_translated ?strategy ?cancel t inst src =
+  source_answers ?strategy ?cancel (programs t).from_source inst src
 
 let diagonal e inst =
   if not (Rpq.nullable e) then Const.Set.empty
@@ -159,10 +215,16 @@ let diagonal e inst =
     Instance.adom (Instance.restrict (fun r -> List.mem r rels) inst)
 
 (* the anchored program seeded with [x], stopped as soon as [y] appears *)
+let holds_anchored ?strategy ?cancel q inst x y =
+  Dl_engine.holds ?strategy ?cancel q (seeded x inst) [| y |]
+
 let holds_nfa ?strategy ?cancel a inst x y =
-  Dl_engine.holds ?strategy ?cancel (anchored_of_nfa a) (seeded x inst)
-    [| y |]
+  holds_anchored ?strategy ?cancel (anchored_of_nfa a) inst x y
 
 let holds ?strategy ?cancel e inst x y =
   (Const.equal x y && Const.Set.mem x (diagonal e inst))
   || holds_nfa ?strategy ?cancel (Rpq_nfa.of_regex e) inst x y
+
+let holds_translated ?strategy ?cancel t inst x y =
+  (Const.equal x y && Const.Set.mem x (diagonal t.expr inst))
+  || holds_anchored ?strategy ?cancel (programs t).nonempty_from inst x y

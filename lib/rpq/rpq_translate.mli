@@ -82,6 +82,53 @@ val holds :
 (** [(x, y)] membership: [x = y] on the empty word's {!diagonal}, or
     {!holds_nfa} on the expression's NFA. *)
 
+(** {2 Translated once}
+
+    A service that evaluates one expression over many requests
+    translates it once: {!translate} builds the three programs the
+    entry points above build per call, from one minimization, and the
+    [_translated] entry points run them.  Programs are immutable, so a
+    translation may serve any domain, and the same program value keeps
+    hitting the engine's compile caches physically. *)
+
+type t
+
+val translate : Rpq.t -> t
+(** The expression's all-pairs, anchored and nonempty-anchored
+    programs.  An expression whose translation raises
+    [Invalid_argument] (an edge relation with the reserved prefix)
+    keeps no programs: each use translates it again and raises as the
+    entry points above do. *)
+
+val expr : t -> Rpq.t
+
+val eval_translated :
+  ?strategy:Dl_engine.strategy ->
+  ?cancel:Dl_cancel.t ->
+  t ->
+  Instance.t ->
+  (Const.t * Const.t) list
+(** {!eval} of the translated expression. *)
+
+val eval_from_translated :
+  ?strategy:Dl_engine.strategy ->
+  ?cancel:Dl_cancel.t ->
+  t ->
+  Instance.t ->
+  Const.t ->
+  Const.t list
+(** {!eval_from} of the translated expression. *)
+
+val holds_translated :
+  ?strategy:Dl_engine.strategy ->
+  ?cancel:Dl_cancel.t ->
+  t ->
+  Instance.t ->
+  Const.t ->
+  Const.t ->
+  bool
+(** {!holds} of the translated expression. *)
+
 val diagonal : Rpq.t -> Instance.t -> Const.Set.t
 (** The empty word's diagonal: the nodes of the sub-instance over the
     expression's alphabet if [ε ∈ L(e)], and none otherwise. *)

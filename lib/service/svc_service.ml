@@ -165,13 +165,16 @@ let format_nodes ns = format_tuples (List.map (fun c -> [| c |]) ns)
 
 (* the optional tuple selects the mode: absent = all pairs, one constant
    = nodes reachable from that source, two = Boolean membership *)
-let rpq_eval_body ~cancel e i tuple =
+let rpq_eval_body ~cancel tr i tuple =
   match tuple with
-  | None -> format_pairs (Rpq_translate.eval ~cancel e i)
+  | None -> format_pairs (Rpq_translate.eval_translated ~cancel tr i)
   | Some [ x ] ->
-      format_nodes (Rpq_translate.eval_from ~cancel e i (Const.named x))
+      format_nodes
+        (Rpq_translate.eval_from_translated ~cancel tr i (Const.named x))
   | Some [ x; y ] ->
-      if Rpq_translate.holds ~cancel e i (Const.named x) (Const.named y)
+      if
+        Rpq_translate.holds_translated ~cancel tr i (Const.named x)
+          (Const.named y)
       then "true"
       else "false"
   | Some l -> reject "rpq tuple has %d constants, expected 1 or 2"
@@ -459,19 +462,19 @@ let plan ~use_mats s ~cancel req : plan =
         pcompute = (fun () -> rewrite_body ~cancel q vs samples);
       }
   | Rpq_eval { rpq; instance; tuple } ->
-      let e = Svc_session.rpq s rpq in
+      let tr = Svc_session.rpq s rpq in
       let i = Svc_session.instance s instance in
       {
         pkey =
           cache_key
-            [ "rpq-eval"; Rpq.fingerprint_hex e; Instance.fingerprint_hex i;
-              tuple_part tuple ];
+            [ "rpq-eval"; Rpq.fingerprint_hex (Rpq_translate.expr tr);
+              Instance.fingerprint_hex i; tuple_part tuple ];
         pgroup = Instance.fingerprint_hex i;
         pworker_safe = true;
-        pcompute = (fun () -> rpq_eval_body ~cancel e i tuple);
+        pcompute = (fun () -> rpq_eval_body ~cancel tr i tuple);
       }
   | Rpq_rewrite { rpq; views; instance; tuple } ->
-      let e = Svc_session.rpq s rpq in
+      let e = Rpq_translate.expr (Svc_session.rpq s rpq) in
       let vs = Svc_session.rpq_set s views in
       let i = Svc_session.instance s instance in
       {

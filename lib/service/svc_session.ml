@@ -16,7 +16,8 @@ type t = {
   programs : (string, Datalog.query) Hashtbl.t;
   views : (string, View.collection) Hashtbl.t;
   instances : (string, Instance.t) Hashtbl.t;
-  rpqs : (string, Rpq.t) Hashtbl.t;
+  rpqs : (string, Rpq_translate.t) Hashtbl.t;
+  (* each definition translated once, at load *)
   (* the ordered definition lists as loaded, so a load's NAME doubles as
      a view set for [rpq-rewrite] *)
   rpq_sets : (string, (string * Rpq.t) list) Hashtbl.t;
@@ -120,7 +121,10 @@ let instance t n =
    RPQ (when the list is a singleton it shadows nothing) and as the view
    set of [rpq-rewrite]. *)
 let set_rpqs t n defs =
-  List.iter (fun (dn, e) -> Hashtbl.replace t.rpqs dn e) defs;
+  let translated =
+    List.map (fun (dn, e) -> (dn, Rpq_translate.translate e)) defs
+  in
+  List.iter (fun (dn, tr) -> Hashtbl.replace t.rpqs dn tr) translated;
   Hashtbl.replace t.rpq_sets n defs
 
 let rpq t n =

@@ -52,11 +52,12 @@ val instance : t -> string -> Instance.t
 
 val set_rpqs : t -> string -> (string * Rpq.t) list -> unit
 (** Register an [rpq-load]'s parsed definitions: each definition
-    individually (usable wherever a verb takes an RPQ name) and the
-    ordered list as a whole under the load's own name (usable as the
-    view set of [rpq-rewrite]). *)
+    individually (usable wherever a verb takes an RPQ name), translated
+    to its Datalog programs once, here ({!Rpq_translate.translate}), and
+    the ordered list as a whole under the load's own name (usable as
+    the view set of [rpq-rewrite]). *)
 
-val rpq : t -> string -> Rpq.t
+val rpq : t -> string -> Rpq_translate.t
 val rpq_set : t -> string -> (string * Rpq.t) list
 
 (** {2 Materialized fixpoints}

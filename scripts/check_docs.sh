@@ -28,8 +28,9 @@
 #      Svc_server must not grow a socket server of its own again;
 #   9. one semi-naive round loop: Dl_parallel has no worker-matcher option
 #      (MONDET_PAR_MATCHER / set_matcher appear in no source, test or
-#      doc), and the disjoint round union `Instance.union_disjoint old
-#      delta` is written in exactly one lib/datalog file;
+#      doc), and the round boundary `Dl_store.commit` (the one way a
+#      round's derived tuples become the next delta) is called in exactly
+#      one lib/datalog file;
 #  10. one engine, no knob: no process-wide engine switch and no removed
 #      strategy is named — `--engine`, `MONDET_ENGINE`, `set_default`,
 #      `Dl_engine.Magic`, `Dl_engine.Parallel` or `Dl_engine.Indexed` —
@@ -159,7 +160,7 @@ if grep -rlE 'MONDET_PAR_MATCHER|set_matcher' lib bin test docs \
   README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md ROADMAP.md; then
   err "the files above name the removed Dl_parallel matcher option"
 fi
-loops=$(grep -l 'Instance\.union_disjoint old delta' lib/datalog/*.ml || true)
+loops=$(grep -l 'Dl_store\.commit' lib/datalog/*.ml || true)
 [ "$(echo "$loops" | grep -c .)" -eq 1 ] ||
   err "the semi-naive round loop must be written in exactly one lib/datalog file, found: $(echo $loops)"
 

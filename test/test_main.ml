@@ -7,6 +7,7 @@ let () =
       ("magic", Test_magic.suite);
       ("parallel", Test_parallel.suite);
       ("vm", Test_vm.suite);
+      ("semi", Test_semi.suite);
       ("incr", Test_incr.suite);
       ("parse", Test_parse.suite);
       ("views", Test_views.suite);

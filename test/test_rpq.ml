@@ -168,7 +168,9 @@ let test_translate () =
   check_int "back pairs" 3 (List.length back);
   (* anchored evaluation *)
   let reach = Rpq_translate.eval_from (Rpq.parse "e.e*") g (n 1) in
-  check_bool "from n1" true (reach = [ n 2; n 3; n 4 ]);
+  (* eval_from sorts by Const.compare, which follows intern order *)
+  check_bool "from n1" true
+    (reach = List.sort Const.compare [ n 2; n 3; n 4 ]);
   let reach0 = Rpq_translate.eval_from (Rpq.parse "e*") g (n 1) in
   check_bool "nullable anchors include source" true (List.mem (n 1) reach0);
   check_bool "holds" true (Rpq_translate.holds (Rpq.parse "e.e") g (n 0) (n 2));
@@ -184,6 +186,12 @@ let test_translate () =
   (* reserved prefix is rejected *)
   check_bool "prefix collision" true
     (match Rpq_translate.pairs (Rpq.parse "rpq_x") with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  (* ... by every use of a translation made once, not by the translation *)
+  let t = Rpq_translate.translate (Rpq.parse "rpq_x") in
+  check_bool "prefix collision on use" true
+    (match Rpq_translate.eval_from_translated t g (n 0) with
     | _ -> false
     | exception Invalid_argument _ -> true);
   (* the engine agrees with the oracle on a mixed-direction query *)
@@ -434,6 +442,25 @@ let prop_holds =
             nodes)
         nodes)
 
+(* A translation made once answers as the per-call entry points do, in
+   all three modes *)
+let prop_translated =
+  QCheck.Test.make ~name:"translated once = translated per call" ~count:120
+    rpq_pair_arb (fun (e, g) ->
+      let t = Rpq_translate.translate e in
+      let nodes = [ n 0; n 3; n 7 ] in
+      Rpq_translate.eval_translated t g = Rpq_translate.eval e g
+      && List.for_all
+           (fun x ->
+             Rpq_translate.eval_from_translated t g x
+             = Rpq_translate.eval_from e g x
+             && List.for_all
+                  (fun y ->
+                    Rpq_translate.holds_translated t g x y
+                    = Rpq_translate.holds e g x y)
+                  nodes)
+           nodes)
+
 let prop_rewrite_sound =
   QCheck.Test.make ~name:"rewriting sound, lossless exact" ~count:60
     (QCheck.make
@@ -464,5 +491,6 @@ let suite =
         prop_anchored;
         prop_minimize;
         prop_holds;
+        prop_translated;
         prop_rewrite_sound;
       ]
