@@ -473,9 +473,10 @@ let e16 () =
   pf "  (warm requests pay parse + canonical-form digest + LRU lookup;@.";
   pf "   single-core container numbers)@."
 
-(* E17 and E18 are measured by dedicated harnesses (the cache-key
-   differential suite and [mondet bench-serve] respectively); see
-   EXPERIMENTS.md.  The next in-process experiment is E19. *)
+(* E17 is measured by the cache-key differential suite, and E18 was a
+   TCP load run that is no longer in the tree; see EXPERIMENTS.md for
+   both, E18's history included.  The next in-process experiment is
+   E19. *)
 
 (* E19 — the register-bytecode VM: lowering cost and evaluation time.
 

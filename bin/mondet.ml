@@ -15,6 +15,13 @@ let views_of_file path = Parse.views (read_file path)
 let query_of ~goal path = Parse.query ~goal (read_file path)
 let instance_of path = Parse.instance (read_file path)
 
+(* one line per answer, sorted by its rendering as the service sorts
+   them: names in string order, not intern order *)
+let print_answers lines =
+  List.iter (Format.printf "%s@.") (List.sort_uniq String.compare lines)
+
+let tuple_line t = String.concat "," (List.map Const.to_string t)
+
 (* ------------------------------------------------------------------ *)
 
 let goal_arg =
@@ -48,13 +55,7 @@ let eval_cmd =
     let out = Dl_engine.eval q i in
     if Datalog.goal_arity q = 0 then
       Format.printf "%b@." (out <> [])
-    else
-      List.iter
-        (fun t ->
-          Format.printf "%a@."
-            Fmt.(array ~sep:(any ",") Const.pp)
-            t)
-        out;
+    else print_answers (List.map (fun t -> tuple_line (Array.to_list t)) out);
     `Ok ()
   in
   Cmd.v (Cmd.info "eval" ~doc:"Evaluate a Datalog query on an instance.")
@@ -244,14 +245,11 @@ let rpq_cmd =
       (match (from_, to_) with
       | None, Some _ -> failwith "--to needs --from"
       | None, None ->
-          List.iter
-            (fun (x, y) ->
-              Format.printf "%a,%a@." Const.pp x Const.pp y)
-            (pair_mode ())
+          print_answers
+            (List.map (fun (x, y) -> tuple_line [ x; y ]) (pair_mode ()))
       | Some c, None ->
-          List.iter
-            (fun x -> Format.printf "%a@." Const.pp x)
-            (from_mode (Const.named c))
+          print_answers
+            (List.map Const.to_string (from_mode (Const.named c)))
       | Some c, Some d ->
           Format.printf "%b@." (bool_mode (Const.named c) (Const.named d)));
       `Ok ()
@@ -547,197 +545,6 @@ let client_cmd =
           response.")
     Term.(ret (const run $ socket_arg $ tcp_arg $ strict $ script_arg))
 
-(* ------------------------------------------------------------------ *)
-(* bench-serve: the load harness.  Runs the TCP server in-process on an
-   ephemeral loopback port, drives it with Svc_loadgen, verifies every
-   response against the sequential oracle, and optionally merges
-   latency rows into a mondet-bench/1 JSON trajectory. *)
-
-(* same row format Bench_json writes and bench_diff parses *)
-let read_bench_rows path =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let rows = ref [] in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         match
-           Scanf.sscanf line " {\"name\": %S, \"ns_per_run\": %f" (fun n t ->
-               (n, t))
-         with
-         | row -> rows := row :: !rows
-         | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !rows
-  end
-
-let write_bench_rows path rows =
-  let oc = open_out path in
-  output_string oc "{\n";
-  output_string oc "  \"schema\": \"mondet-bench/1\",\n";
-  output_string oc "  \"unit\": \"ns_per_run\",\n";
-  output_string oc "  \"benchmarks\": [\n";
-  List.iteri
-    (fun i (name, t) ->
-      Printf.fprintf oc "    {\"name\": \"%s\", \"ns_per_run\": %.2f}%s\n" name
-        t
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc
-
-(* replace matching rows in place, append the rest *)
-let merge_bench_rows path fresh =
-  let existing = read_bench_rows path in
-  let replaced =
-    List.map
-      (fun (n, t) ->
-        match List.assoc_opt n fresh with Some t' -> (n, t') | None -> (n, t))
-      existing
-  in
-  let appended =
-    List.filter (fun (n, _) -> not (List.mem_assoc n existing)) fresh
-  in
-  write_bench_rows path (replaced @ appended)
-
-let bench_serve_cmd =
-  let conns_arg =
-    Arg.(
-      value & opt int 32
-      & info [ "c"; "conns" ] ~docv:"N" ~doc:"Concurrent connections.")
-  in
-  let per_conn_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "n"; "requests" ] ~docv:"N"
-          ~doc:"Requests per connection (closed loop: one outstanding).")
-  in
-  let warm_flag =
-    Arg.(
-      value & flag
-      & info [ "warm" ]
-          ~doc:
-            "After the cold pass, run the identical workload again \
-             against the now-warm server and record a $(b,-warm) row.")
-  in
-  let json_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json-out" ] ~docv:"PATH"
-          ~doc:
-            "Merge the p50-latency rows into a mondet-bench/1 JSON file \
-             (rows with the same name are replaced, others kept), so \
-             bench_diff can gate them.")
-  in
-  let no_verify_flag =
-    Arg.(
-      value & flag
-      & info [ "no-verify" ]
-          ~doc:"Skip the sequential-oracle byte-comparison pass.")
-  in
-  let run conns per_conn workers warm json_out no_verify =
-    (* PR3 caveat, restated where the numbers are produced: on one core
-       the concurrency rows measure multiplexing and scheduling
-       overhead, not parallel speedup *)
-    if Domain.recommended_domain_count () = 1 then
-      print_endline
-        "note: single core available — concurrency rows record \
-         scheduling/multiplexing overhead, not parallel speedup";
-    let service = Svc_service.create ~parallel:false () in
-    let stop = Atomic.make false in
-    let bound = ref None in
-    let mu = Mutex.create () in
-    let cv = Condition.create () in
-    let config =
-      { Svc_tcp.workers; max_conns = conns + 8; max_line = 1 lsl 20 }
-    in
-    let server =
-      Domain.spawn (fun () ->
-          Svc_tcp.serve
-            ~stop:(fun () -> Atomic.get stop)
-            ~on_listen:(fun a ->
-              Mutex.lock mu;
-              bound := Some a;
-              Condition.signal cv;
-              Mutex.unlock mu)
-            config service
-            (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)))
-    in
-    Mutex.lock mu;
-    while !bound = None do
-      Condition.wait cv mu
-    done;
-    let addr = Option.get !bound in
-    Mutex.unlock mu;
-    let pass name =
-      let stats, exchanges =
-        Svc_loadgen.run ~addr ~conns ~per_conn ~verify:false ()
-      in
-      Printf.printf
-        "%s: %d requests over %d conns in %.2f s\n\
-        \  throughput %.1f req/s   p50 %.1f µs   p99 %.1f µs\n\
-        \  ok %d  busy %d  failed %d\n%!"
-        name stats.Svc_loadgen.total conns stats.Svc_loadgen.elapsed_s
-        stats.Svc_loadgen.throughput_rps
-        (stats.Svc_loadgen.p50_ns /. 1e3)
-        (stats.Svc_loadgen.p99_ns /. 1e3)
-        stats.Svc_loadgen.ok stats.Svc_loadgen.busy stats.Svc_loadgen.failed;
-      (name, stats, exchanges)
-    in
-    let cold = pass (Printf.sprintf "service/tcp-c%d" conns) in
-    let passes =
-      if warm then [ cold; pass (Printf.sprintf "service/tcp-c%d-warm" conns) ]
-      else [ cold ]
-    in
-    (* stop the server and join its domains before the oracle replay:
-       the join publishes every worker-side write *)
-    Atomic.set stop true;
-    Domain.join server;
-    let bad = ref 0 in
-    List.iter
-      (fun (name, stats, exchanges) ->
-        bad := !bad + stats.Svc_loadgen.failed + stats.Svc_loadgen.busy;
-        if not no_verify then begin
-          let mism = Svc_loadgen.verify_exchanges exchanges in
-          if mism > 0 then begin
-            Printf.printf "%s: %d responses differ from the oracle\n%!" name
-              mism;
-            bad := !bad + mism
-          end
-          else Printf.printf "%s: all responses match the oracle\n%!" name
-        end)
-      passes;
-    (match json_out with
-    | Some path ->
-        merge_bench_rows path
-          (List.map
-             (fun (name, stats, _) -> (name, stats.Svc_loadgen.p50_ns))
-             passes);
-        Printf.printf "merged %d row(s) into %s\n%!" (List.length passes) path
-    | None -> ());
-    if !bad > 0 then
-      `Error (false, Printf.sprintf "%d bad/mismatched responses" !bad)
-    else `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Load-test the TCP decision service in-process: N closed-loop \
-          connections drive a deterministic mixed workload \
-          (eval/holds/mondet-test over grid and diamond sessions), every \
-          response is verified byte-identical against a sequential \
-          in-process oracle, and throughput plus p50/p99 latency are \
-          reported (optionally merged into a bench JSON for the \
-          regression gate).")
-    Term.(
-      ret
-        (const run $ conns_arg $ per_conn_arg $ workers_arg $ warm_flag
-       $ json_out_arg $ no_verify_flag))
-
 let main =
   Cmd.group
     (Cmd.info "mondet" ~version:"1.0"
@@ -746,7 +553,7 @@ let main =
           views (PODS 2020 reproduction).")
     [
       eval_cmd; md_cmd; rewrite_cmd; image_cmd; pebble_cmd; tiling_cmd;
-      rpq_cmd; serve_cmd; batch_cmd; client_cmd; bench_serve_cmd;
+      rpq_cmd; serve_cmd; batch_cmd; client_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -8,6 +8,14 @@ let find ?(cancel = Dl_cancel.none) (nta : Nta.t) (dta : Dta.t) =
   let mem q d = List.exists (fun (d', _) -> D.compare d d' = 0) (get q) in
   let found = ref None in
   let fresh = ref [] in
+  (* one cancel probe before every step: each step completes before the
+     next probe, so a cancelled search leaves the DTA's memo tables as
+     complete as after any earlier step, and overshoots a deadline by at
+     most one step *)
+  let step ds sym =
+    Dl_cancel.check cancel;
+    D.step ds sym
+  in
   let add q d w =
     if not (mem q d) then begin
       Hashtbl.replace table q ((d, w) :: get q);
@@ -43,13 +51,10 @@ let find ?(cancel = Dl_cancel.none) (nta : Nta.t) (dta : Dta.t) =
   List.iter
     (fun (tr : Nta.transition) ->
       if tr.Nta.children = [] then
-        let d = D.step [] tr.Nta.sym in
+        let d = step [] tr.Nta.sym in
         add tr.Nta.target d { Code.label = tr.Nta.sym.Nta.label; children = [] })
     nta.Nta.transitions;
   while !fresh <> [] && !found = None do
-    (* one probe per round, between steps: a cancelled search leaves the
-       DTA's memo tables as complete as after any earlier round *)
-    Dl_cancel.check cancel;
     let delta = !fresh in
     fresh := [];
     (* old table = current table minus this delta, per state *)
@@ -83,7 +88,7 @@ let find ?(cancel = Dl_cancel.none) (nta : Nta.t) (dta : Dta.t) =
                       List.iter
                         (fun (ds, ws) ->
                           if !found = None then
-                            let d = D.step ds tr.Nta.sym in
+                            let d = step ds tr.Nta.sym in
                             add tr.Nta.target d
                               {
                                 Code.label = tr.Nta.sym.Nta.label;

@@ -11,8 +11,8 @@ val find : ?cancel:Dl_cancel.t -> Nta.t -> Dta.t -> Code.t option
 (** A code accepted by the NTA on which the DTA accepts, or [None].
     Terminates because the DTA has finitely many states reachable from the
     NTA's symbols.  The search runs in semi-naive rounds and probes
-    [cancel] once at the start of each; a late round can take seconds,
-    so the overshoot past a deadline is at most one round.
+    [cancel] before every DTA step, so the overshoot past a deadline is
+    at most one step, not one round (a late round can take seconds).
     @raise Dl_cancel.Cancelled when a probe finds [cancel] cancelled. *)
 
 val check_empty : ?cancel:Dl_cancel.t -> Nta.t -> Dta.t -> bool

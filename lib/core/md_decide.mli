@@ -21,7 +21,7 @@ val compose_with_views : Datalog.query -> View.collection -> Datalog.query
 val datalog_contained_in_cq :
   ?cancel:Dl_cancel.t -> Datalog.query -> Cq.t -> bool
 (** [P ⊆ Q] for Boolean [Q]: every expansion of [P] satisfies [Q].
-    [cancel] is probed once per round of the emptiness search
+    [cancel] is probed before every DTA step of the emptiness search
     ({!Run.find}). *)
 
 val datalog_contained_in_ucq :
@@ -55,7 +55,7 @@ val decide :
     search, whose per-test evaluation uses [engine] (default: the
     engine, {!Dl_engine.Vm}; [Naive] selects the oracle).  [cancel]
     reaches both paths: the bounded search's evaluations, and the exact
-    path's emptiness search, probed once per round.
+    path's emptiness search, probed before every DTA step.
     @raise Dl_cancel.Cancelled when a probe finds [cancel] cancelled. *)
 
 val pp_verdict : verdict Fmt.t

@@ -3,11 +3,12 @@
    A token is either the shared never-cancelled [none] (so every fixpoint
    entry point can take a [?cancel] parameter without paying an
    allocation), or a real token carrying an atomic flag and an optional
-   wall-clock deadline.  Evaluators probe [check] at coarse, safe
-   boundaries — semi-naive round starts, chase steps — so an abort never
-   leaves shared state (compiled-rule caches, instance indexes, memoized
-   chase prefixes) half-written: everything those caches hold at abort
-   time was completed before the probe fired. *)
+   wall-clock deadline.  Evaluators probe [check] at safe boundaries —
+   semi-naive round starts, chase steps, each DTA step of the automata
+   emptiness search ([Run.find]) — so an abort never leaves shared state
+   (compiled-rule caches, instance indexes, memoized chase prefixes, DTA
+   memo tables) half-written: everything those caches hold at abort time
+   was completed before the probe fired. *)
 
 type t = {
   never : bool;  (* the shared [none]: [cancel] is a no-op on it *)

@@ -136,7 +136,7 @@ let rpq_set_part defs =
 
 (* ------------------------------------------------------------------ *)
 (* Verb bodies.  Each takes the cancellation token and evaluates with
-   the process default engine. *)
+   the one engine, whose planner picks magic sets per goal. *)
 
 let format_tuples = function
   | [] -> "none"
@@ -523,7 +523,7 @@ let step ~use_mats t ~cancel (s, load) req =
 (* The two regimes of [dispatch].
 
    [Coordinator] is the stdio loop's and the one-shot CLI's: one
-   thread, no locks, no quota, the process default engine.
+   thread, no locks, no quota.
 
    [Concurrent] is the TCP and Unix-socket workers' path, safe from
    many domains at once.  Its discipline, in lock order:
@@ -538,9 +538,10 @@ let step ~use_mats t ~cancel (s, load) req =
      additionally hold [t.heavy]: their decision procedures lean on
      process-global memo tables that are not domain-safe, so at most one
      such computation runs at a time, whatever the session;
-   - the cache carries its own lock.  Evaluation runs the process
-     default engine, as on the coordinator: every engine's caches
-     (compiled programs, demand transformations) are mutex-guarded.
+   - the cache carries its own lock.  Evaluation runs the one engine,
+     as on the coordinator, and its planner picks magic sets per goal:
+     the engine's caches (compiled programs, demand transformations)
+     are mutex-guarded.
 
    Per-session quotas shed with [busy] under the session lock, after the
    deadline and before any planning work. *)

@@ -35,7 +35,14 @@
 #      strategy is named — `--engine`, `MONDET_ENGINE`, `set_default`,
 #      `Dl_engine.Magic`, `Dl_engine.Parallel` or `Dl_engine.Indexed` —
 #      in any file under lib, bin, test, bench, docs, .github or
-#      .claude, nor in README.md, DESIGN.md or ARCHITECTURE.md.
+#      .claude, nor in README.md, DESIGN.md or ARCHITECTURE.md; nor does
+#      any of them describe a "process default engine";
+#  11. one load harness (mondetbench): the deleted `mondet bench-serve`
+#      and its private bench-row writer `merge_bench_rows` are named in
+#      no file under lib, bin, test, bench, docs, .github or .claude,
+#      nor in README.md, DESIGN.md or ARCHITECTURE.md, and no
+#      svc_loadgen file sits under lib (its concurrency oracle is a
+#      test helper).
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -170,6 +177,22 @@ if grep -rlE -e '--engine|MONDET_ENGINE|set_default|Dl_engine\.(Magic|Parallel|I
   lib bin test bench docs .github .claude README.md DESIGN.md \
   ARCHITECTURE.md; then
   err "the files above name an engine switch or a removed strategy"
+fi
+for f in $(grep -rli 'default' lib bin test bench docs .github .claude \
+  README.md DESIGN.md ARCHITECTURE.md); do
+  if tr -s ' \n' '  ' <"$f" | grep -qi 'process[ -]default engine'; then
+    err "$f describes a process default engine; the planner picks magic sets per goal"
+  fi
+done
+
+# 11. one load harness.  CHANGES.md, EXPERIMENTS.md and ROADMAP.md are
+#     history and keep the names.
+if grep -rlE 'bench-serve|merge_bench_rows' lib bin test bench docs .github \
+  .claude README.md DESIGN.md ARCHITECTURE.md; then
+  err "the files above name the deleted bench-serve harness"
+fi
+if [ -n "$(find lib -iname 'svc_loadgen*')" ]; then
+  err "lib holds a svc_loadgen file; the concurrency oracle lives in test/"
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -1,17 +1,15 @@
-(* Load generator for the TCP front-end: N closed-loop connections
-   driven from one single-threaded select loop, a deterministic mixed
-   workload over two sessions, and an in-process oracle that re-answers
-   every request sequentially so the harness can prove the concurrent
-   server returned byte-identical responses.
+(* Concurrent load for the TCP front-end, checked against a sequential
+   oracle: N closed-loop connections driven from one single-threaded
+   select loop, a deterministic mixed workload over two sessions, and an
+   in-process oracle that re-answers every request sequentially, so a
+   test can prove the concurrent server returned byte-identical
+   responses.
 
    Closed loop means one outstanding request per connection: a
-   connection sends, waits for the full response line, records the
-   latency, sends the next.  Throughput therefore reflects the server's
-   capacity to interleave [conns] independent request streams, and the
-   per-request latencies are honest (no client-side queueing delay
-   hidden inside them).  The driver itself is single-threaded on
-   purpose — domains are the server's resource; spending client domains
-   would perturb the very scheduler being measured. *)
+   connection sends, waits for the full response line, sends the next.
+   The load loop is single-threaded on purpose: domains are the
+   server's resource, and client domains would perturb the scheduler
+   under test. *)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic workload: a grid session (transitive closure over a
@@ -59,16 +57,9 @@ let request_line ~conn ~seq =
 (* ------------------------------------------------------------------ *)
 
 type stats = {
-  conns : int;
   total : int;  (** responses received *)
-  ok : int;
   busy : int;
   failed : int;  (** error/timeout responses, or connections cut short *)
-  mismatched : int;  (** responses that differ from the oracle's *)
-  elapsed_s : float;
-  throughput_rps : float;
-  p50_ns : float;
-  p99_ns : float;
 }
 
 type cstate = {
@@ -77,7 +68,6 @@ type cstate = {
   reader : Svc_reader.t;
   mutable seq : int;  (** next request to send *)
   mutable outstanding : string option;  (** the request line in flight *)
-  mutable sent_at : float;
   mutable closed : bool;
 }
 
@@ -91,15 +81,11 @@ let rec write_all fd s off len =
     in
     write_all fd s (off + n) (len - n)
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
-
 (* Oracle replay: a fresh sequential service answers every exchanged
-   request; any byte difference is a correctness failure of the
-   concurrent path, not noise.  Callers that ran the server in-process
-   should join its domains first so every published write is visible. *)
+   request and the count of byte differences is returned; any difference
+   is a correctness failure of the concurrent path, not noise.  Join an
+   in-process server's domains first so every published write is
+   visible. *)
 let verify_exchanges exchanges =
   let oracle = Svc_service.create ~parallel:false () in
   List.iter (fun l -> ignore (Svc_service.handle_line oracle l)) setup_lines;
@@ -111,9 +97,13 @@ let verify_exchanges exchanges =
       if String.equal expected resp then bad else bad + 1)
     0 exchanges
 
-let run ~addr ~conns ~per_conn ?(verify = true) () =
-  Svc_server.ignore_sigpipe ();
-  (* session setup over a throwaway lockstep connection *)
+(* Run the workload, [per_conn] requests on each of [conns] connections,
+   and return the stats and every (request, response) exchange in
+   completion order.  The server must allow [conns + 1] connections (one
+   for setup) and have no session quota, or [busy] sheds show up. *)
+let run ~addr ~conns ~per_conn =
+  (* session setup over a throwaway lockstep connection, which also
+     turns SIGPIPE off for the process *)
   let devnull = open_out "/dev/null" in
   let setup_bad = Svc_server.client ~addr setup_lines devnull in
   close_out_noerr devnull;
@@ -130,14 +120,11 @@ let run ~addr ~conns ~per_conn ?(verify = true) () =
           reader = Svc_reader.create ~max_line:(1 lsl 20);
           seq = 0;
           outstanding = None;
-          sent_at = 0.0;
           closed = false;
         })
   in
-  let total = ref 0 and ok = ref 0 and busy = ref 0 and failed = ref 0 in
-  let latencies = ref [] in
+  let total = ref 0 and busy = ref 0 and failed = ref 0 in
   let exchanges = ref [] in
-  (* (request, response) pairs for the oracle *)
   let live = ref conns in
   let finish c =
     if not c.closed then begin
@@ -158,22 +145,16 @@ let run ~addr ~conns ~per_conn ?(verify = true) () =
       let line = request_line ~conn:c.cix ~seq:c.seq in
       c.seq <- c.seq + 1;
       c.outstanding <- Some line;
-      c.sent_at <- Unix.gettimeofday ();
       try write_all c.fd (line ^ "\n") 0 (String.length line + 1)
       with Unix.Unix_error _ -> finish c
     end
   in
   let on_response c resp =
-    let now = Unix.gettimeofday () in
+    incr total;
     match c.outstanding with
-    | None ->
-        (* a response nobody asked for: corruption *)
-        incr total;
-        incr failed
+    | None -> (* a response nobody asked for: corruption *) incr failed
     | Some req ->
         c.outstanding <- None;
-        incr total;
-        latencies := (now -. c.sent_at) *. 1e9 :: !latencies;
         exchanges := (req, resp) :: !exchanges;
         let req_rid =
           match String.index_opt req ' ' with
@@ -182,65 +163,40 @@ let run ~addr ~conns ~per_conn ?(verify = true) () =
         in
         (match Svc_proto.parse_response resp with
         | Ok { Svc_proto.result = Svc_proto.Ok_ _; rid } when rid = req_rid ->
-            incr ok
-        | Ok { Svc_proto.result = Svc_proto.Ok_ _; _ } ->
-            (* ok body under the wrong id: cross-wired *)
-            incr failed
+            ()
         | Ok { Svc_proto.result = Svc_proto.Busy; _ } -> incr busy
+        (* an ok body under the wrong id is cross-wired *)
         | Ok _ | Error _ -> incr failed);
         send c
   in
   let scratch = Bytes.create 65536 in
-  let started = Unix.gettimeofday () in
   Array.iter send states;
   while !live > 0 do
     let fds =
       Array.to_list states
       |> List.filter_map (fun c -> if c.closed then None else Some c.fd)
     in
-    if fds <> [] then begin
-      let ready, _, _ =
-        try Unix.select fds [] [] 1.0
-        with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-      in
-      List.iter
-        (fun fd ->
-          match
-            Array.find_opt (fun c -> (not c.closed) && c.fd == fd) states
-          with
-          | None -> ()
-          | Some c -> (
-              let n =
-                try Unix.read c.fd scratch 0 (Bytes.length scratch)
-                with Unix.Unix_error _ -> 0
-              in
-              if n = 0 then finish c
-              else
-                Svc_reader.feed c.reader scratch ~off:0 ~len:n
-                |> List.iter (function
-                     | Svc_reader.Line l -> on_response c l
-                     | Svc_reader.Overlong ->
-                         incr total;
-                         incr failed)))
-        ready
-    end
+    let ready, _, _ =
+      try Unix.select fds [] [] 1.0
+      with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
+    in
+    List.iter
+      (fun fd ->
+        match Array.find_opt (fun c -> (not c.closed) && c.fd == fd) states with
+        | None -> ()
+        | Some c -> (
+            let n =
+              try Unix.read c.fd scratch 0 (Bytes.length scratch)
+              with Unix.Unix_error _ -> 0
+            in
+            if n = 0 then finish c
+            else
+              Svc_reader.feed c.reader scratch ~off:0 ~len:n
+              |> List.iter (function
+                   | Svc_reader.Line l -> on_response c l
+                   | Svc_reader.Overlong ->
+                       incr total;
+                       incr failed)))
+      ready
   done;
-  let elapsed = Unix.gettimeofday () -. started in
-  let exchanges = List.rev !exchanges in
-  let mismatched = if verify then verify_exchanges exchanges else 0 in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
-  ( {
-      conns;
-      total = !total;
-      ok = !ok;
-      busy = !busy;
-      failed = !failed;
-      mismatched;
-      elapsed_s = elapsed;
-      throughput_rps =
-        (if elapsed > 0.0 then float_of_int !total /. elapsed else 0.0);
-      p50_ns = percentile sorted 0.50;
-      p99_ns = percentile sorted 0.99;
-    },
-    exchanges )
+  ({ total = !total; busy = !busy; failed = !failed }, List.rev !exchanges)

@@ -97,7 +97,7 @@ let test_thm5_ucq () =
 (* The exact path honours deadlines.  Over the tc view, the 4-cycle ∪
    4-star UCQ runs Run.find for about 19 rounds and several seconds (two
    late rounds take over a second each); a 100 ms deadline must stop it
-   at the next round boundary. *)
+   at the next DTA step. *)
 let tc_datalog_view =
   View.datalog "VT"
     (Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).")
@@ -120,10 +120,11 @@ let test_thm5_deadline () =
     (Printf.sprintf "cancelled within 1 s (took %.3f s)" elapsed)
     true (elapsed < 1.0)
 
-(* A search cancelled between rounds leaves the DTA's memo tables as an
-   earlier round left them: the same automaton, searched again, gives the
+(* A search cancelled between steps leaves the DTA's memo tables as an
+   earlier step left them: the same automaton, searched again, gives the
    verdict of a fresh one.  The wrapper cancels the token from inside
-   [step], so the next round's probe raises mid-search, deterministically. *)
+   [step], so the probe before the next step raises, deterministically:
+   no step runs after the cancelling one. *)
 let test_thm5_cancel_rerun () =
   let q = Parse.cq "q() <- E(a,b), E(b,c), E(c,d), E(d,e), E(e,f)" in
   let q'' =
@@ -133,9 +134,9 @@ let test_thm5_cancel_rerun () =
   let nta, _ = Forward.approximations_nta q'' in
   let dta = Cq_dta.make ~negate:true q in
   let tok = Dl_cancel.token () in
+  let steps = ref 0 in
   let cancelling : Dta.t =
     let module D = (val dta) in
-    let steps = ref 0 in
     (module struct
       include D
 
@@ -148,6 +149,7 @@ let test_thm5_cancel_rerun () =
   (match Run.check_empty ~cancel:tok nta cancelling with
   | _ -> Alcotest.fail "expected Cancelled"
   | exception Dl_cancel.Cancelled -> ());
+  check_int "no step after the cancelling one" 50 !steps;
   check_bool "rerun on the cancelled automaton" true (Run.check_empty nta dta);
   check_bool "fresh automaton agrees" true
     (Run.check_empty nta (Cq_dta.make ~negate:true q));

@@ -275,18 +275,26 @@ let test_tcp_quota_busy () =
       Unix.close fd)
 
 let test_tcp_stress_oracle () =
-  let service = Svc_service.create ~parallel:false () in
-  let config = { Svc_tcp.default_config with Svc_tcp.max_conns = 40 } in
-  let stats, exchanges =
-    with_server ~config service (fun addr ->
-        Svc_loadgen.run ~addr ~conns:8 ~per_conn:12 ~verify:false ())
-  in
-  (* the server's domains are joined: every write is published *)
-  check_int "all responses received" (8 * 12) stats.Svc_loadgen.total;
-  check_int "no failures" 0 stats.Svc_loadgen.failed;
-  check_int "no sheds" 0 stats.Svc_loadgen.busy;
-  check_int "every response byte-identical to the oracle" 0
-    (Svc_loadgen.verify_exchanges exchanges)
+  (* 8 x 12 and the 4 x 32 shape of the retired CI load gate *)
+  List.iter
+    (fun (conns, per_conn) ->
+      let service = Svc_service.create ~parallel:false () in
+      let config = { Svc_tcp.default_config with Svc_tcp.max_conns = 40 } in
+      let stats, exchanges =
+        with_server ~config service (fun addr ->
+            Svc_loadgen.run ~addr ~conns ~per_conn)
+      in
+      (* the server's domains are joined: every write is published *)
+      let shape = Printf.sprintf "%d x %d: " conns per_conn in
+      check_int (shape ^ "all responses received") (conns * per_conn)
+        stats.Svc_loadgen.total;
+      check_int (shape ^ "no failures") 0 stats.Svc_loadgen.failed;
+      check_int (shape ^ "no sheds") 0 stats.Svc_loadgen.busy;
+      check_int
+        (shape ^ "every response byte-identical to the oracle")
+        0
+        (Svc_loadgen.verify_exchanges exchanges))
+    [ (8, 12); (4, 32) ]
 
 (* Concurrent clients mutating *distinct* sessions.  Each client owns a
    session (and its own constants, so evaluation really differs across
