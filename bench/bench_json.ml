@@ -359,11 +359,12 @@ let service_tests =
 (* ------------------------------------------------------------------ *)
 (* Incremental-maintenance probes (Dl_incr): a cold materialization
    build on the tc 128-chain vs repairing an existing one after
-   single-fact and batch-32 mutations.  Every run mutates and then
-   undoes, so the materialization re-enters each run in its start
-   state; the reported time is the mutate+undo PAIR (two repairs).
-   The headline comparison is incr/tc-128-assert-1 (two repairs)
-   against incr/tc-128-cold (one full fixpoint + counting build).     *)
+   single-fact and batch-32 mutations, plus the same cold/batch pair
+   for a two-stratum non-recursive join program on a random graph.
+   Every run mutates and then undoes, so the materialization re-enters
+   each run in its start state; the reported time is the mutate+undo
+   PAIR (two repairs).  The headline comparison is incr/tc-128-assert-1
+   (two repairs) against incr/tc-128-cold (one full fixpoint).        *)
 
 let incr_tests =
   let q =
@@ -387,10 +388,24 @@ let incr_tests =
       (Staged.stage (fun () ->
            ignore (Dl_incr.create q.Datalog.program g)))
   in
-  let pair name start ops =
+  (* non-recursive strata: P(x,y) <- E(x,z), E(z,y). Q(x) <- P(x,x).
+     over 1,500 random edges on 300 nodes (fixed seed); the cut
+     retracts the first 32 edges drawn *)
+  let joins =
+    Parse.query ~goal:"Q" "P(x,y) <- E(x,z), E(z,y). Q(x) <- P(x,x)."
+  in
+  let st = Random.State.make [| 300 |] in
+  let rand_edges =
+    List.init 1500 (fun _ ->
+        Fact.make "E"
+          [ node (Random.State.int st 300); node (Random.State.int st 300) ])
+  in
+  let rg = Db.of_list rand_edges in
+  let cut32 = List.filteri (fun i _ -> i < 32) rand_edges in
+  let pair_with p name start ops =
     Test.make ~name
       (Staged.stage
-         (let m = Dl_incr.create q.Datalog.program start in
+         (let m = Dl_incr.create p start in
           fun () ->
             List.iter
               (fun (add, fs) ->
@@ -398,6 +413,7 @@ let incr_tests =
                 else Dl_incr.retract_facts m fs)
               ops))
   in
+  let pair = pair_with q.Datalog.program in
   Test.make_grouped ~name:"incr"
     [
       cold;
@@ -407,6 +423,11 @@ let incr_tests =
       pair "tc-128-retract-32"
         (Db.union g (Db.of_list side))
         [ (false, side); (true, side) ];
+      Test.make ~name:"joins-rand-300-cold"
+        (Staged.stage (fun () ->
+             ignore (Dl_incr.create joins.Datalog.program rg)));
+      pair_with joins.Datalog.program "joins-rand-300-retract-32" rg
+        [ (false, cut32); (true, cut32) ];
     ]
 
 (* ------------------------------------------------------------------ *)

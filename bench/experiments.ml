@@ -663,7 +663,7 @@ let e20 () =
           (Dl_engine.fixpoint (Dl_incr.program m) (Dl_incr.base m))))
     workloads;
   pf "  (repair = one maintenance pass over an existing materialization;@.";
-  pf "   cold = Dl_incr.create, a full fixpoint + derivation counting —@.";
+  pf "   cold = Dl_incr.create, one full fixpoint of the program —@.";
   pf "   what a cache-missed eval pays; checked/proved/deleted = the@.";
   pf "   Backward/Forward counters of the repair (Dl_incr.last_repair).@.";
   pf "   Single-core container numbers)@."

@@ -22,6 +22,10 @@ let print_answers lines =
 
 let tuple_line t = String.concat "," (List.map Const.to_string t)
 
+let fact_line (f : Fact.t) =
+  if f.args = [||] then f.rel
+  else Printf.sprintf "%s(%s)" f.rel (tuple_line (Array.to_list f.args))
+
 (* ------------------------------------------------------------------ *)
 
 let goal_arg =
@@ -109,7 +113,7 @@ let image_cmd =
   let run vf df =
     let views = views_of_file vf in
     let i = instance_of df in
-    Format.printf "%a@." Instance.pp (View.image views i);
+    print_answers (List.map fact_line (Instance.facts (View.image views i)));
     `Ok ()
   in
   Cmd.v (Cmd.info "image" ~doc:"Compute the view image of an instance.")

@@ -1,6 +1,5 @@
-(* Incremental view maintenance: counting for the non-recursive strata,
-   Backward/Forward (B/F) deletion followed by a delta fixpoint for the
-   recursive ones.
+(* Incremental view maintenance: Backward/Forward (B/F) deletion
+   followed by a delta fixpoint, stratum by stratum.
 
    The maintained invariant is [ifull = Dl_engine.fixpoint iprogram ibase]
    with membership of every fact read as [base ∨ derived].  The program is
@@ -10,18 +9,17 @@
    in [state] and its *old* membership in the saved pre-mutation fixpoint.
    Two instances accumulate the finalized membership deltas — [dall]
    (deleted) and [aall] (added) — and are the only channel between
-   strata. *)
+   strata.  A non-recursive stratum is B/F's simplest case: no body atom
+   reads the stratum, so each candidate's search is one head-seeded run
+   that stops at its first surviving derivation. *)
 
 type stratum = {
   spreds : string list;  (* IDB predicates of this SCC, sorted *)
-  srecursive : bool;
   srules : Datalog.program;  (* rules whose head is in [spreds] *)
   sprogs : Dl_vm.rule_prog list;  (* the same, compiled to bytecode *)
   sseeded : (Dl_vm.rule_prog * Dl_vm.program * bool array) list;
-      (* recursive strata only: each rule with its head-seeded program
-         and its body positions drawing from this stratum marked *)
-  scounts : (Fact.t, int) Hashtbl.t;
-      (* derivation counts; only populated when [not srecursive] *)
+      (* each rule with its head-seeded program and its body positions
+         drawing from this stratum marked *)
 }
 
 type repair = { checked : int; proved : int; deleted : int }
@@ -51,7 +49,7 @@ let base t = t.ibase
 let full t = t.ifull
 let valid t = t.iok
 let last_repair t = t.ilast
-let strata t = List.map (fun s -> (s.spreds, s.srecursive)) t.istrata
+let strata t = List.map (fun s -> s.spreds) t.istrata
 
 (* ---------- stratification ---------- *)
 
@@ -87,9 +85,6 @@ let make_stratum p comp =
   let srules =
     List.filter (fun r -> List.mem r.Datalog.head.Cq.rel comp) p
   in
-  let srecursive =
-    match comp with [ a ] -> Datalog.depends_on p a a | _ -> true
-  in
   let sprogs = Dl_vm.compile srules in
   let seeded (rp : Dl_vm.rule_prog) =
     ( rp,
@@ -98,70 +93,35 @@ let make_stratum p comp =
   in
   {
     spreds = List.sort String.compare comp;
-    srecursive;
     srules;
     sprogs;
-    sseeded = (if srecursive then List.map seeded sprogs else []);
-    scounts = Hashtbl.create 64;
+    sseeded = List.map seeded sprogs;
   }
 
 (* ---------- derivation enumeration ---------- *)
 
-(* Enumerate, for every rule, every body match whose *leftmost* atom
-   drawing from [delta] sits at position j: positions left of j draw from
-   [lo], j from [delta], positions right of j from [hi].  With
-   [lo = hi ∖ delta] this produces each match using at least one [delta]
-   fact exactly once — the invariant the counting passes rely on.  These
-   are the units of one semi-naive round with [lo]/[hi] as its
-   [old]/[full], run by their delta-position programs. *)
-let fire_split ~cancel rules ~delta ~lo ~hi k =
-  Dl_semi.iter_units rules ~old:lo ~delta (fun (rp : Dl_vm.rule_prog) pos ->
-      Dl_vm.exec rp.semi.(pos) ~full:hi ~old:lo ~delta ~cancel (fun f ->
+(* Call [k] on the head of every match of [rules] over [full] that uses
+   at least one [delta] fact ([delta ⊆ full]), at least once each: the
+   units of one semi-naive round with [full] as both its [old] and its
+   [full], run by their delta-position programs. *)
+let fire ~cancel rules ~delta ~full k =
+  Dl_semi.iter_units rules ~old:full ~delta (fun (rp : Dl_vm.rule_prog) pos ->
+      Dl_vm.exec rp.semi.(pos) ~full ~old:full ~delta ~cancel (fun f ->
           k f;
           true);
       true)
-
-let count counts f =
-  match Hashtbl.find_opt counts f with Some c -> c | None -> 0
-
-let bump counts f d =
-  let c = count counts f + d in
-  if c = 0 then Hashtbl.remove counts f else Hashtbl.replace counts f c
 
 (* ---------- create ---------- *)
 
 let create ?strategy ?(cancel = Dl_cancel.none) p inst =
   Datalog.validate p;
   let strata = List.map (make_stratum p) (stratify p) in
-  let state = ref inst in
-  List.iter
-    (fun s ->
-      Dl_cancel.check cancel;
-      if s.srecursive then
-        state := Dl_engine.fixpoint ?strategy ~cancel s.srules !state
-      else begin
-        (* All body predicates live strictly below, so one full
-           enumeration over the state seen so far counts every
-           derivation of the stratum exactly once. *)
-        List.iter
-          (fun (rp : Dl_vm.rule_prog) ->
-            Dl_vm.exec (Dl_vm.naive_program rp.source) ~full:!state ~cancel
-              (fun f ->
-                bump s.scounts f 1;
-                true))
-          s.sprogs;
-        Hashtbl.iter
-          (fun f _ ->
-            if not (Instance.mem f !state) then state := Instance.add f !state)
-          s.scounts
-      end)
-    strata;
   {
     iprogram = p;
     istrategy = strategy;
     istrata = strata;
     ibase = inst;
-    ifull = !state;
+    ifull = Dl_engine.fixpoint ?strategy ~cancel p inst;
     iok = true;
     ilast = no_repair;
   }
@@ -182,7 +142,7 @@ module FH = Hashtbl.Make (struct
   let hash = Fact.hash
 end)
 
-(* B/F deletion for one recursive stratum (Motik, Nenov, Piro and
+(* B/F deletion for one stratum (Motik, Nenov, Piro and
    Horrocks, "Maintenance of Datalog materialisations revisited", AIJ
    2019).  [state] holds the final lower strata and the stratum's old
    facts; [seeds] are the stratum facts whose old derivations lost
@@ -313,7 +273,7 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
     queue := [];
     if round <> [] then begin
       let round = Instance.of_list round in
-      fire_split ~cancel s.sprogs ~delta:round ~lo:old_full ~hi:old_full (fun h ->
+      fire ~cancel s.sprogs ~delta:round ~full:old_full (fun h ->
           queue := h :: !queue);
       deleted := Instance.union !deleted round
     end
@@ -367,84 +327,42 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
             (fun f -> in_stratum f && not (Instance.mem f !state))
             idb_add
         in
-        if not s.srecursive then begin
-          (* Counting repair: one pass enumerating lost derivations
-             against the old state, one enumerating gained derivations
-             against the new, each derivation exactly once (leftmost
-             delta position); then recompute membership of every touched
-             fact.  Base edits to the stratum's own predicate join the
-             touched set and go through the same membership formula. *)
-          let touched = Hashtbl.create 16 in
-          let touch f = if not (Hashtbl.mem touched f) then Hashtbl.add touched f () in
-          if not (Instance.is_empty !dall) then
-            fire_split ~cancel s.sprogs ~delta:!dall
-              ~lo:(Instance.diff old_full !dall)
-              ~hi:old_full
-              (fun f ->
-                bump s.scounts f (-1);
-                touch f);
-          if not (Instance.is_empty !aall) then
-            fire_split ~cancel s.sprogs ~delta:!aall
-              ~lo:(Instance.diff !state !aall)
-              ~hi:!state
-              (fun f ->
-                bump s.scounts f 1;
-                touch f);
-          Instance.iter touch local_del;
-          Instance.iter touch local_add;
-          let fin = ref Instance.empty in
-          let fout = ref Instance.empty in
-          Hashtbl.iter
-            (fun f () ->
-              let now = Instance.mem f new_base || count s.scounts f > 0 in
-              let was = Instance.mem f !state in
-              if now && not was then fin := Instance.add f !fin
-              else if was && not now then fout := Instance.add f !fout)
-            touched;
-          state := Instance.union (Instance.diff !state !fout) !fin;
-          dall := Instance.union !dall !fout;
-          aall := Instance.union !aall !fin
-        end
-        else begin
-          (* B/F deletion, then close under insertions (lower-strata
-             additions and asserted seeds) with a delta fixpoint — this
-             is where the engine strategies serve maintenance. *)
-          let seeds = ref (Instance.facts local_del) in
-          fire_split ~cancel s.sprogs ~delta:!dall ~lo:old_full ~hi:old_full (fun f ->
-              seeds := f :: !seeds);
-          let d, r =
-            if !seeds = [] then (Instance.empty, no_repair)
-            else
-              bf_delete ~cancel s ~state:!state ~old_full ~new_base !seeds
-          in
-          repair := add_repair !repair r;
-          let state1 = Instance.diff !state d in
-          Dl_cancel.check cancel;
-          let delta = Instance.union !aall local_add in
-          let full2, derived =
-            if Instance.is_empty delta then (state1, Instance.empty)
-            else
-              Dl_engine.fixpoint_delta ?strategy:t.istrategy ~cancel s.srules
-                ~old:state1 ~delta
-          in
-          let out_del = Instance.diff d full2 in
-          let out_add =
-            (* pure-assert fast path: with nothing deleted and no
-               IDB seeds, every derived fact is fresh by construction
-               ([fixpoint_delta] only accumulates facts beyond [state1]),
-               so the membership filter is a no-op — skip its
-               O(derived · log) rebuild. *)
-            if Instance.is_empty d && Instance.is_empty local_add then
-              derived
-            else
-              Instance.filter
-                (fun f -> not (Instance.mem f !state))
-                (Instance.union local_add derived)
-          in
-          state := full2;
-          dall := Instance.union !dall out_del;
-          aall := Instance.union !aall out_add
-        end)
+        (* B/F deletion, then close under insertions (lower-strata
+           additions and asserted seeds) with a delta fixpoint — this
+           is where the engine strategies serve maintenance. *)
+        let seeds = ref (Instance.facts local_del) in
+        fire ~cancel s.sprogs ~delta:!dall ~full:old_full (fun f ->
+            seeds := f :: !seeds);
+        let d, r =
+          if !seeds = [] then (Instance.empty, no_repair)
+          else bf_delete ~cancel s ~state:!state ~old_full ~new_base !seeds
+        in
+        repair := add_repair !repair r;
+        let state1 = Instance.diff !state d in
+        Dl_cancel.check cancel;
+        let delta = Instance.union !aall local_add in
+        let full2, derived =
+          if Instance.is_empty delta then (state1, Instance.empty)
+          else
+            Dl_engine.fixpoint_delta ?strategy:t.istrategy ~cancel s.srules
+              ~old:state1 ~delta
+        in
+        let out_del = Instance.diff d full2 in
+        let out_add =
+          (* pure-assert fast path: with nothing deleted and no IDB
+             seeds, every derived fact is fresh by construction
+             ([fixpoint_delta] only accumulates facts beyond [state1]),
+             so the membership filter is a no-op — skip its
+             O(derived · log) rebuild. *)
+          if Instance.is_empty d && Instance.is_empty local_add then derived
+          else
+            Instance.filter
+              (fun f -> not (Instance.mem f !state))
+              (Instance.union local_add derived)
+        in
+        state := full2;
+        dall := Instance.union !dall out_del;
+        aall := Instance.union !aall out_add)
       t.istrata;
     t.ibase <- new_base;
     t.ifull <- !state;

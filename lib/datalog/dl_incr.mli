@@ -20,33 +20,26 @@
     retracting a base fact that is still derivable, or asserting one
     that was already derived, changes nothing downstream.
 
-    - {e Non-recursive strata} (single predicate, no self-dependency)
-      keep a per-fact {e derivation count}: the number of
-      (rule, body-binding) pairs producing the fact.  A change in the
-      inputs fires two semi-naive-split passes — one enumerating lost
-      derivations against the old state, one enumerating gained
-      derivations against the new — each derivation counted exactly
-      once; membership flips exactly when the count crosses zero (and
-      the fact is not base-asserted).
-    - {e Recursive strata} run Backward/Forward (B/F) deletion (Motik,
-      Nenov, Piro and Horrocks, "Maintenance of Datalog materialisations
-      revisited", AIJ 2019), then close under insertions.  Every stratum
-      fact whose old derivations lost support is first searched for an
-      alternative proof: backward through its old derivations that avoid
-      deleted facts, down to base-asserted facts and surviving lower
-      facts, and forward from every newly proved fact to the searched
-      facts waiting on it.  Only facts left unproved are deleted, and
-      their deletion queues the next candidates — so unlike
-      delete-and-rederive nothing is over-deleted and then derived
-      again, and a fact whose only support is a cycle through itself is
-      still deleted.  Insertions (lower-strata additions and asserted
-      seeds) then run a delta fixpoint — {!Dl_engine.fixpoint_delta}, so
-      the engine and the naive oracle both serve maintenance fixpoints,
-      reusing the warm
-      {!Instance.union} and {!Instance.diff} paths and incremental
-      fingerprints.  The counting passes and the Backward/Forward
-      search run {!Dl_vm} programs: the delta-position variants, and
-      the head- and body-seeded runs.
+    Every stratum runs Backward/Forward (B/F) deletion (Motik, Nenov,
+    Piro and Horrocks, "Maintenance of Datalog materialisations
+    revisited", AIJ 2019), then closes under insertions.  Each stratum
+    fact whose old derivations lost support is first searched for an
+    alternative proof: backward through its old derivations that avoid
+    deleted facts, down to base-asserted facts and surviving lower
+    facts, and forward from every newly proved fact to the searched
+    facts waiting on it.  Only facts left unproved are deleted, and
+    their deletion queues the next candidates — so unlike
+    delete-and-rederive nothing is over-deleted and then derived again,
+    and a fact whose only support is a cycle through itself is still
+    deleted.  In a non-recursive stratum no body atom reads the stratum,
+    so each candidate's search is one head-seeded run that stops at its
+    first surviving derivation.  Insertions (lower-strata additions and
+    asserted seeds) then run a delta fixpoint —
+    {!Dl_engine.fixpoint_delta}, so the engine and the naive oracle both
+    serve maintenance fixpoints, reusing the warm {!Instance.union} and
+    {!Instance.diff} paths and incremental fingerprints.  The search
+    runs {!Dl_vm} programs: the delta-position variants that queue
+    candidates, and the head- and body-seeded runs.
 
     {2 Ownership and threading}
 
@@ -66,9 +59,9 @@
     deletion round and fact searched for an alternative proof, and at
     every delta-fixpoint round.  A mutation is {e atomic}: it either
     completes (base and fixpoint both updated) or raises, in which case
-    the base is untouched but internal tables may be half-repaired — the
-    [t] is poisoned ({!valid} becomes [false] and further mutations
-    raise [Invalid_argument]).  Callers drop a poisoned materialization
+    base and fixpoint are left as they were and the [t] is poisoned
+    ({!valid} becomes [false] and further mutations raise
+    [Invalid_argument]).  Callers drop a poisoned materialization
     and rebuild from {!create}; the service maps this to its usual
     timeout-never-poisons-caches rule. *)
 
@@ -80,13 +73,11 @@ val create :
   Datalog.program ->
   Instance.t ->
   t
-(** Materialize the fixpoint of the program over the instance and set up
-    the maintenance bookkeeping (stratification, derivation counts).
-    [strategy] selects the {!Dl_engine} strategy used for recursive
-    strata now and for every later maintenance fixpoint: the engine
-    ([Vm], the default) or the naive oracle.  Cost is comparable to one
-    cold
-    {!Dl_engine.fixpoint}. *)
+(** Materialize the fixpoint of the program over the instance (one
+    {!Dl_engine.fixpoint} of the whole program) and stratify the program
+    for later repairs.  [strategy] selects the {!Dl_engine} strategy used
+    for that fixpoint and for every later maintenance fixpoint: the
+    engine ([Vm], the default) or the naive oracle. *)
 
 val program : t -> Datalog.program
 val strategy : t -> Dl_engine.strategy option
@@ -109,13 +100,13 @@ val apply : ?cancel:Dl_cancel.t -> t -> adds:Fact.t list -> dels:Fact.t list -> 
 (** Apply a combined edit — assertions and retractions together — in
     {e one} maintenance pass: the whole payload is normalized into a
     single add-delta and a single delete-delta, and every stratum runs
-    its counting or B/F repair once over the coalesced deltas (never
-    fact-by-fact).  This is what makes batch edits scale: a 32-edge
-    pendant chain asserted through [apply] costs one delta fixpoint, not
-    32.  [assert_facts] and [retract_facts] are thin wrappers.  Both
-    lists are normalized against the {e pre-edit} base — asserting a
-    present fact and retracting an absent one are no-ops — so a fact
-    named on both sides flips its base membership; don't do that. *)
+    its B/F repair once over the coalesced deltas (never fact-by-fact).
+    This is what makes batch edits scale: a 32-edge pendant chain
+    asserted through [apply] costs one delta fixpoint, not 32.
+    [assert_facts] and [retract_facts] are thin wrappers.  Both lists
+    are normalized against the {e pre-edit} base — asserting a present
+    fact and retracting an absent one are no-ops — so a fact named on
+    both sides flips its base membership; don't do that. *)
 
 val assert_facts : ?cancel:Dl_cancel.t -> t -> Fact.t list -> unit
 (** Add the facts to the base and repair the fixpoint.  Facts already in
@@ -137,12 +128,11 @@ type repair = {
 }
 
 val last_repair : t -> repair
-(** Backward/Forward counters of the last {!apply} (summed over the
-    recursive strata; all zero when it deleted nothing there).  [deleted]
+(** Backward/Forward counters of the last {!apply}, summed over all
+    strata (all zero when no stratum fact lost support).  [deleted]
     counts facts the deletion pass removed before the insertion fixpoint
     ran — on a pure retraction exactly the facts lost. *)
 
-val strata : t -> (string list * bool) list
+val strata : t -> string list list
 (** The stratification, in processing order: each stratum's IDB
-    predicates and whether it is recursive (maintained by B/F deletion
-    and a delta fixpoint rather than counting).  Exposed for tests and diagnostics. *)
+    predicates, sorted.  Exposed for tests and diagnostics. *)

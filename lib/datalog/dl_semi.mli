@@ -33,8 +33,9 @@ val iter_units :
   unit
 (** [iter_units rules ~old ~delta f] calls [f rule pos] on every unit of
     a round over instances, in rule order, until [f] answers [false]:
-    the enumeration {!Dl_incr}'s counting passes run.  The round loop
-    walks its store the same way.
+    the enumeration {!Dl_incr}'s Backward/Forward search runs to queue
+    the heads of lost derivations.  The round loop walks its store the
+    same way.
     Units that cannot match are skipped: every unit of a rule with a
     body relation that has no fact in [old ∪ delta] (the unit's
     [full]), those whose position's relation has no fact in [delta], and

@@ -2,7 +2,7 @@
    (Dl_plan) to a flat int-array bytecode executed by a tight dispatch
    loop over a preallocated register file of unboxed constants.  This is
    the only semi-naive matcher: every engine but the naive oracle, and
-   the counting and Backward/Forward passes of Dl_incr, run it.
+   the Backward/Forward passes of Dl_incr, run it.
 
    Why bytecode:
 

@@ -83,9 +83,9 @@ let set_instance t n i =
 
 let update_instance t n i = Hashtbl.replace t.instances n i
 
-(* Cap on materializations per instance: a mat is a full extra fixpoint
-   plus counting tables, and every one is repaired on every mutation, so
-   an unbounded set would make mutations arbitrarily slow.  Oldest out. *)
+(* Cap on materializations per instance: a mat is a full extra fixpoint,
+   and every one is repaired on every mutation, so an unbounded set
+   would make mutations arbitrarily slow.  Oldest out. *)
 let max_mats = 8
 
 let mats t n = Option.value (Hashtbl.find_opt t.mats n) ~default:[]

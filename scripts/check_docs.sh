@@ -18,9 +18,10 @@
 #      ARCHITECTURE.md; lib/service passes no ?strategy/?engine
 #      override; and no doc or service/TCP source claims the concurrent
 #      path forces an engine;
-#   7. recursive strata are maintained by Backward/Forward deletion:
-#      lib/datalog/dl_incr.ml must still name it, and no maintenance doc
-#      may claim recursive strata run DRed / delete-and-rederive again;
+#   7. every stratum is maintained by Backward/Forward deletion:
+#      lib/datalog/dl_incr.ml must still name it, no maintenance doc
+#      may claim recursive strata run DRed / delete-and-rederive again,
+#      and none may describe derivation counting as the repair scheme;
 #   8. the concurrent regime locks: the service must still take the
 #      session lock and the heavy-verb mutex, and the Unix-socket server
 #      runs on the concurrent worker loop — neither ARCHITECTURE.md nor
@@ -123,20 +124,31 @@ for f in ARCHITECTURE.md DESIGN.md README.md docs/GUIDE.md \
   fi
 done
 
-# 7. the recursive-strata maintenance algorithm.  A claim is a sentence
-#    (no period in between, flattened across lines as in rule 6) naming
-#    recursive strata together with DRed or delete-and-rederive, in
-#    either order, or pairing it with counting as the repair scheme.
+# 7. the maintenance algorithm.  A claim is a sentence (no period in
+#    between, flattened across lines as in rule 6) naming recursive
+#    strata together with DRed or delete-and-rederive, in either order,
+#    or pairing it with counting as the repair scheme; or a phrase
+#    naming derivation counts or counting strata, passes, builds,
+#    tables or repairs (Pebble's "support counting" is another
+#    algorithm and passes).
 incr_ml=lib/datalog/dl_incr.ml
 grep -q 'Backward/Forward' "$incr_ml" ||
   err "$incr_ml no longer names Backward/Forward (update rule 7 and the docs)"
 recursive='recursive (strata|stratum|ones)'
 dred='(dred|delete-and-rederive)'
-for f in lib/datalog/dl_incr.mli "$incr_ml" DESIGN.md README.md docs/GUIDE.md \
-  lib/service/svc_service.mli ARCHITECTURE.md; do
-  if tr -s ' \n' '  ' <"$f" |
+counting='derivation count|counting (strata|stratum|pass|passes|build|tables|repair)|counting( and|,| \+) (backward|b/f)'
+for f in lib/datalog/dl_incr.mli "$incr_ml" lib/datalog/dl_semi.mli \
+  lib/datalog/dl_vm.ml lib/service/svc_service.mli \
+  lib/service/svc_session.ml bench/experiments.ml bench/bench_json.ml \
+  .claude/skills/verify/SKILL.md README.md DESIGN.md ARCHITECTURE.md \
+  docs/GUIDE.md; do
+  flat=$(tr -s ' \n' '  ' <"$f")
+  if printf '%s\n' "$flat" |
     grep -Eqi "$recursive[^.]*$dred|$dred[^.]*$recursive|counting \+ $dred"; then
     err "$f claims recursive strata run DRed; they run Backward/Forward deletion"
+  fi
+  if printf '%s\n' "$flat" | grep -Eqi "$counting"; then
+    err "$f describes derivation counting; every stratum runs Backward/Forward deletion"
   fi
 done
 

@@ -40,23 +40,22 @@ let agrees m =
 (* --- stratification ------------------------------------------------- *)
 
 let test_stratify () =
-  check_bool "tc: one recursive stratum" true
+  check_bool "tc: one stratum" true
     (Dl_incr.strata (Dl_incr.create tc.Datalog.program (chain 3))
-    = [ ([ "T" ], true) ]);
+    = [ [ "T" ] ]);
   let m = Dl_incr.create joins.Datalog.program (chain 3) in
-  check_bool "joins: two counting strata in order" true
-    (Dl_incr.strata m = [ ([ "P" ], false); ([ "Q" ], false) ]);
+  check_bool "joins: two strata in order" true
+    (Dl_incr.strata m = [ [ "P" ]; [ "Q" ] ]);
   let m = Dl_incr.create tower.Datalog.program (chain 3) in
-  check_bool "tower: counting, B/F, counting" true
-    (Dl_incr.strata m
-    = [ ([ "B" ], false); ([ "T" ], true); ([ "Top" ], false) ]);
+  check_bool "tower: three strata in order" true
+    (Dl_incr.strata m = [ [ "B" ]; [ "T" ]; [ "Top" ] ]);
   (* mutually recursive predicates end up in one stratum *)
   let mutual =
     Parse.query ~goal:"A" "A(x) <- U(x). A(x) <- B(x). B(x) <- A(x)."
   in
   let m = Dl_incr.create mutual.Datalog.program Instance.empty in
   check_bool "mutual recursion: one SCC" true
-    (Dl_incr.strata m = [ ([ "A"; "B" ], true) ])
+    (Dl_incr.strata m = [ [ "A"; "B" ] ])
 
 (* --- unit mutation semantics ---------------------------------------- *)
 
@@ -114,10 +113,11 @@ let test_assert_already_derived () =
   check_bool "asserted fact survives" true
     (Instance.mem (t' "a0" "a2") (Dl_incr.full m))
 
-let test_counting_strata () =
-  (* diamond: P(x,y) has two derivations via the two middle nodes, so
-     retracting one leg must keep P alive (count 2 -> 1), the second
-     retraction kills it *)
+let test_nonrecursive_bf () =
+  (* diamond: P(s,t) has two derivations via the two middle nodes, so
+     retracting one leg must keep P alive — Backward/Forward finds the
+     other leg in one head-seeded run — and the second retraction kills
+     it *)
   let i = Instance.of_list [ e "s" "l"; e "s" "r"; e "l" "t"; e "r" "t" ] in
   let m = Dl_incr.create joins.Datalog.program i in
   let p = Fact.make "P" [ c "s"; c "t" ] in
@@ -125,9 +125,35 @@ let test_counting_strata () =
   Dl_incr.retract_facts m [ e "l" "t" ];
   check_bool "one leg left maintains" true (agrees m);
   check_bool "one leg still derives" true (Instance.mem p (Dl_incr.full m));
+  let r = Dl_incr.last_repair m in
+  check_int "one leg: P(s,t) checked" 1 r.Dl_incr.checked;
+  check_int "one leg: P(s,t) proved" 1 r.Dl_incr.proved;
+  check_int "one leg: nothing deleted" 0 r.Dl_incr.deleted;
   Dl_incr.retract_facts m [ e "s" "r" ];
   check_bool "no legs maintains" true (agrees m);
-  check_bool "no legs: gone" false (Instance.mem p (Dl_incr.full m))
+  check_bool "no legs: gone" false (Instance.mem p (Dl_incr.full m));
+  let r = Dl_incr.last_repair m in
+  check_int "no legs: P(s,t) proved" 0 r.Dl_incr.proved;
+  check_int "no legs: P(s,t) deleted" 1 r.Dl_incr.deleted
+
+let test_bodiless_rule () =
+  (* G() holds unconditionally: retracting its asserted copy keeps it,
+     and H() lives and dies with the edges *)
+  let g = Fact.make "G" [] and h = Fact.make "H" [] in
+  let p =
+    [ Datalog.rule (Cq.atom "G" []) []; Parse.rule "H() <- G(), E(x,y)." ]
+  in
+  let m = Dl_incr.create p (Instance.add g (chain 1)) in
+  check_bool "create = cold" true (agrees m);
+  Dl_incr.retract_facts m [ g ];
+  check_bool "G retract maintains" true (agrees m);
+  check_bool "G still derived" true (Instance.mem g (Dl_incr.full m));
+  Dl_incr.retract_facts m [ e "a0" "a1" ];
+  check_bool "edge retract maintains" true (agrees m);
+  check_bool "H gone" false (Instance.mem h (Dl_incr.full m));
+  Dl_incr.assert_facts m [ e "a0" "a1" ];
+  check_bool "edge assert maintains" true (agrees m);
+  check_bool "H back" true (Instance.mem h (Dl_incr.full m))
 
 let strategy_name = function Dl_engine.Naive -> "naive" | Dl_engine.Vm -> "vm"
 
@@ -186,9 +212,9 @@ let test_cyclic_self_support () =
     Parse.query ~goal:"T"
       "T(x,y) <- E(x,y). T(x,y) <- U(x,z), E(z,y). U(x,y) <- T(x,y)."
   in
-  check_bool "mutual: one recursive stratum" true
+  check_bool "mutual: one stratum" true
     (Dl_incr.strata (Dl_incr.create mutual.Datalog.program cycle_inst)
-    = [ ([ "T"; "U" ], true) ]);
+    = [ [ "T"; "U" ] ]);
   List.iter
     (fun strategy ->
       let m = Dl_incr.create ~strategy mutual.Datalog.program cycle_inst in
@@ -370,7 +396,9 @@ let suite =
       test_retract_base_also_derivable;
     Alcotest.test_case "assert already-derived" `Quick
       test_assert_already_derived;
-    Alcotest.test_case "counting strata" `Quick test_counting_strata;
+    Alcotest.test_case "non-recursive Backward/Forward" `Quick
+      test_nonrecursive_bf;
+    Alcotest.test_case "bodiless rule" `Quick test_bodiless_rule;
     Alcotest.test_case "all engines" `Quick test_engines;
     Alcotest.test_case "cyclic self-support" `Quick test_cyclic_self_support;
     Alcotest.test_case "repair counters" `Quick test_repair_counters;
