@@ -2,8 +2,8 @@
 
    Queries and programs use the Parse syntax (see lib/parse/parse.mli).
    A views file is a program whose rules are grouped by head predicate:
-   each group defines one view (a CQ view if a single rule, a UCQ view
-   otherwise). *)
+   each group defines one view, and the views are read as one Datalog
+   program, so a body atom naming a view head is that view. *)
 
 open Cmdliner
 
@@ -560,4 +560,16 @@ let main =
       rpq_cmd; serve_cmd; batch_cmd; client_cmd;
     ]
 
-let () = exit (Cmd.eval main)
+(* The one place a subcommand's exceptions land.  An input outside a
+   decision procedure's scope is an answer to the user, not a crash;
+   anything else is reported as cmdliner reports it. *)
+let () =
+  match Cmd.eval ~catch:false main with
+  | code -> exit code
+  | exception Unsupported.Error m ->
+      Printf.eprintf "mondet: unsupported: %s\n%!" m;
+      exit 2
+  | exception e ->
+      Printf.eprintf "mondet: internal error, uncaught exception:\n        %s\n%!"
+        (Printexc.to_string e);
+      exit Cmd.Exit.internal_error

@@ -3,9 +3,7 @@
 let compose_with_views (q : Datalog.query) (views : View.collection) =
   if Datalog.goal_arity q <> 0 then
     Unsupported.fail "compose_with_views: Boolean queries only";
-  let view_programs =
-    List.concat_map (fun v -> (View.def_as_datalog v).Datalog.program) views
-  in
+  let image = View.image views in
   let goal_rules =
     (* one rule per CQ approximation at the goal — for a CQ/UCQ query the
        complete unfolding is finite *)
@@ -18,12 +16,11 @@ let compose_with_views (q : Datalog.query) (views : View.collection) =
             (* an empty image gives the empty-body rule: V(Qi) is the
                trivially-true query, and determinacy can only hold if Q is
                trivial too — the containment check sorts it out *)
-            let image = View.image views (Cq.canonical_db qi) in
-            let vq = Cq.of_instance ~head:[] image in
+            let vq = Cq.of_instance ~head:[] (image (Cq.canonical_db qi)) in
             Datalog.rule (Cq.atom "Goal''" []) vq.Cq.body)
           disjuncts
   in
-  Datalog.query (view_programs @ goal_rules) "Goal''"
+  Datalog.query (View.combined_program views @ goal_rules) "Goal''"
 
 let datalog_contained_in_cq ?cancel (p : Datalog.query) (q : Cq.t) =
   let nta, _k = Forward.approximations_nta p in
@@ -72,7 +69,7 @@ let pp_verdict ppf = function
   | Determined -> Fmt.string ppf "monotonically determined (exact)"
   | Not_determined_cert None -> Fmt.string ppf "NOT monotonically determined"
   | Not_determined_cert (Some t) ->
-      Fmt.pf ppf "NOT monotonically determined; failing test:@ %a"
+      Fmt.pf ppf "@[<v>NOT monotonically determined; failing test:@,%a@]"
         Md_tests.pp_test t
   | Bounded_no_failure n ->
       Fmt.pf ppf "no failing canonical test among %d (bounded search)" n

@@ -14,8 +14,8 @@ let forward_backward_atomic (q : Datalog.query) (views : View.collection) =
   let mapping =
     List.filter_map
       (fun (v : View.t) ->
-        match v.View.def with
-        | View.Cq_def { Cq.head; body = [ { Cq.rel; args } ]; _ }
+        match View.as_cq v with
+        | Some { Cq.head; body = [ { Cq.rel; args } ] }
           when List.map (fun h -> Cq.Var h) head = args ->
             Some (rel, v.View.name)
         | _ -> None)
@@ -45,11 +45,9 @@ let forward_backward_atomic (q : Datalog.query) (views : View.collection) =
   Backward.backward ~schema:view_schema ~k projected
 
 let verify_boolean (q : Datalog.query) (r : Datalog.query) views insts =
+  let image = View.image views in
   List.for_all
-    (fun i ->
-      let lhs = Dl_engine.holds_boolean q i in
-      let rhs = Dl_engine.holds_boolean r (View.image views i) in
-      lhs = rhs)
+    (fun i -> Dl_engine.holds_boolean q i = Dl_engine.holds_boolean r (image i))
     insts
 
 let random_instances ?(n = 20) ?(size = 12) ~seed schema =

@@ -69,9 +69,8 @@ let chase_separator ?(mode = All) ?view_depth ?max_choices_per_fact
 
 let brute_force_certain ?(max_preimages = 50) ?engine (q : Datalog.query) views
     ~candidates j =
-  let matching =
-    List.filter (fun i -> Instance.subset j (View.image views i)) candidates
-  in
+  let image = View.image views in
+  let matching = List.filter (fun i -> Instance.subset j (image i)) candidates in
   let rec first_n n = function
     | [] -> []
     | _ when n = 0 -> []

@@ -42,37 +42,36 @@ let rec product = function
         (fun tail -> Seq.map (fun x -> x :: tail) (List.to_seq xs))
         (product rest)
 
+(* Staged: [chases views] unfolds the views once, so [tests] does not
+   unfold them again for every query approximation. *)
 let chases ?(view_depth = 3) ?(max_choices_per_fact = 4)
-    (views : View.collection) (image : Instance.t) : Instance.t Seq.t =
+    (views : View.collection) =
   let view_approxs =
-    List.map
-      (fun (v : View.t) ->
-        ( v.View.name,
-          View.def_approximations ~max_depth:view_depth ~max_count:64 v ))
-      views
+    View.approximations ~max_depth:view_depth ~max_count:64 views
   in
-  let facts = Instance.facts image in
-  let choices =
-    List.map
-      (fun (f : Fact.t) ->
-        let defs =
-          match List.assoc_opt f.Fact.rel view_approxs with
-          | Some l -> l
-          | None -> []
-        in
-        let insts = List.filter_map (fun d -> instantiate d f) defs in
-        let rec first_n n = function
-          | [] -> []
-          | _ when n = 0 -> []
-          | x :: r -> x :: first_n (n - 1) r
-        in
-        first_n max_choices_per_fact insts)
-      facts
-  in
-  if List.exists (fun c -> c = []) choices then Seq.empty
-  else
-    (* one bulk build per test over all its parts' facts *)
-    product choices |> Seq.map (fun parts -> Instance.of_list (List.concat parts))
+  fun image ->
+    let choices =
+      List.map
+        (fun (f : Fact.t) ->
+          let defs =
+            match List.assoc_opt f.Fact.rel view_approxs with
+            | Some l -> l
+            | None -> []
+          in
+          let insts = List.filter_map (fun d -> instantiate d f) defs in
+          let rec first_n n = function
+            | [] -> []
+            | _ when n = 0 -> []
+            | x :: r -> x :: first_n (n - 1) r
+          in
+          first_n max_choices_per_fact insts)
+        (Instance.facts image)
+    in
+    if List.exists (fun c -> c = []) choices then Seq.empty
+    else
+      (* one bulk build per test over all its parts' facts *)
+      product choices
+      |> Seq.map (fun parts -> Instance.of_list (List.concat parts))
 
 let tests ?(max_depth = 4) ?(view_depth = 3) ?(max_choices_per_fact = 4)
     ?(max_tests_per_approx = 256) (q : Datalog.query) (views : View.collection)
@@ -80,11 +79,12 @@ let tests ?(max_depth = 4) ?(view_depth = 3) ?(max_choices_per_fact = 4)
   if Datalog.goal_arity q <> 0 then
     invalid_arg "Md_tests: the query must be Boolean";
   let approxs = Dl_approx.approximations ~max_depth q in
+  let image = View.image views
+  and chases = chases ~view_depth ~max_choices_per_fact views in
   Seq.concat_map
     (fun (qi : Cq.t) ->
-      let db = Cq.canonical_db qi in
-      let image = View.image views db in
-      chases ~view_depth ~max_choices_per_fact views image
+      let image = image (Cq.canonical_db qi) in
+      chases image
       |> take max_tests_per_approx
       |> Seq.map (fun chased -> { approx = qi; image; chased }))
     (List.to_seq approxs)
@@ -110,6 +110,23 @@ let decide_bounded ?max_depth ?view_depth ?max_choices_per_fact
   | Some t -> Not_determined t
   | None -> No_failure_up_to !n
 
+(* One fact per line, sorted by rendering, as [mondet image] prints an
+   instance. *)
 let pp_test ppf t =
-  Fmt.pf ppf "@[<v>approx: %a@,image: %a@,chased: %a@]" Cq.pp t.approx
-    Instance.pp t.image Instance.pp t.chased
+  let line rel args =
+    if args = [] then rel else Printf.sprintf "%s(%s)" rel (String.concat "," args)
+  in
+  let term = function Cq.Var v -> v | Cq.Cst c -> "'" ^ Const.to_string c ^ "'" in
+  let atom (a : Cq.atom) = line a.rel (List.map term a.args)
+  and fact (f : Fact.t) = line f.rel (List.map Const.to_string (Array.to_list f.args)) in
+  let section ppf (name, lines) =
+    Fmt.string ppf (name ^ ":");
+    List.iter (Fmt.pf ppf "@,  %s") (List.sort_uniq String.compare lines)
+  in
+  Fmt.pf ppf "@[<v>%a@]"
+    Fmt.(list ~sep:cut section)
+    [
+      ("approx", List.map atom t.approx.Cq.body);
+      ("image", List.map fact (Instance.facts t.image));
+      ("chased", List.map fact (Instance.facts t.chased));
+    ]

@@ -26,9 +26,11 @@ val chases :
   Instance.t Seq.t
 (** All instances obtained from a view-schema instance by replacing every
     fact with a freshly-instantiated CQ approximation of its view
-    definition — the "inverses of view definitions" chase of §5.  The
-    sequence is empty when some fact cannot be inverted within the depth
-    bound (for CQ/UCQ views every fact can). *)
+    ({!View.approximations}) — the "inverses of view definitions" chase
+    of §5.  The sequence is empty when some fact cannot be inverted
+    within the depth bound (for CQ/UCQ views whose bodies name no view
+    head every fact can).  Staged: [chases views] unfolds the views
+    once for any number of images. *)
 
 val tests :
   ?max_depth:int ->
@@ -66,3 +68,5 @@ val decide_bounded :
     caller. *)
 
 val pp_test : test Fmt.t
+(** The approximation's body, the image and the chased instance, one
+    sorted fact per line under a heading each. *)

@@ -39,27 +39,31 @@ let subst_term m = function
 
 let subst_atom m (a : Cq.atom) = { a with args = List.map (subst_term m) a.args }
 
-(* Substitute an approximation [q] (over formal head vars) for the IDB atom
-   [a]: freshen existentials, map head vars to the atom's argument terms. *)
-let plug (q : Cq.t) (a : Cq.atom) : Cq.atom list =
-  let q = Cq.freshen q in
-  let m =
-    List.fold_left2
-      (fun m h t -> Smap.add h t m)
-      Smap.empty q.head a.args
-  in
-  List.map (subst_atom m) q.body
+(* Substitutions are triangular: a bound variable's image may itself be
+   bound, and [resolve] follows the chain. *)
+let rec resolve s = function
+  | Cq.Var v as t -> (
+      match Smap.find_opt v s with Some t' -> resolve s t' | None -> t)
+  | t -> t
 
-let distinct_head_vars (r : Datalog.rule) =
-  let vs = Datalog.head_vars r in
-  List.length vs = List.length (List.sort_uniq String.compare vs)
+let resolve_atom s (a : Cq.atom) = { a with args = List.map (resolve s) a.args }
+
+(* Extend [s] to unify [t1] and [t2]; [None] if two distinct constants
+   meet.  A formal head variable ([formal]) is bound only to another
+   formal variable or to a constant, so the approximation's head stays
+   made of formal variables whenever it can. *)
+let unify ~formal s (t1, t2) =
+  match s with
+  | None -> None
+  | Some s -> (
+      match (resolve s t1, resolve s t2) with
+      | Cq.Cst a, Cq.Cst b -> if Const.equal a b then Some s else None
+      | Cq.Var x, Cq.Var y when String.equal x y -> Some s
+      | Cq.Var x, t when not (formal x) -> Some (Smap.add x t s)
+      | t, Cq.Var y -> Some (Smap.add y t s)
+      | Cq.Var x, t -> Some (Smap.add x t s))
 
 let approximations_of_pred_uncached ~max_depth ~max_count p name =
-  List.iter
-    (fun r ->
-      if not (distinct_head_vars r) then
-        invalid_arg "Dl_approx: rule head with repeated variables")
-    p;
   let idb = Datalog.is_idb p in
   (* memo.(pred) at depth d: approximations with derivation depth ≤ d,
      heads = formal vars. *)
@@ -92,46 +96,75 @@ let approximations_of_pred_uncached ~max_depth ~max_count p name =
           else
             let per_rule (r : Datalog.rule) =
               (* rename the rule apart, then map its head vars to the
-                 formal variables of [pred]. *)
+                 formal variables of [pred]; a repeated head variable
+                 takes the formal variable of its first position *)
               let r = Datalog.rename_rule_apart r in
               let m =
                 List.fold_left2
-                  (fun m hv fv -> Smap.add hv (Cq.Var fv) m)
+                  (fun m hv fv ->
+                    if Smap.mem hv m then m else Smap.add hv (Cq.Var fv) m)
                   Smap.empty (Datalog.head_vars r) (formal_head p pred)
               in
+              let head = List.map (fun hv -> Smap.find hv m) (Datalog.head_vars r) in
+              let formal v = List.mem (Cq.Var v) head in
               let body = List.map (subst_atom m) r.body in
               let intensional, extensional =
                 List.partition (fun (a : Cq.atom) -> idb a.rel) body
               in
               (* choices: for each intensional atom, an approximation of
-                 depth ≤ depth-1 *)
-              let rec expand acc = function
-                | [] -> [ acc ]
-                | a :: rest ->
-                    let subs = approx a.Cq.rel (depth - 1) in
+                 depth ≤ depth-1, plugged in by mapping its head onto the
+                 atom's arguments; positions its head repeats unify *)
+              let rec expand s acc = function
+                | [] -> [ (s, acc) ]
+                | (a : Cq.atom) :: rest ->
                     List.concat_map
-                      (fun q -> expand (acc @ plug q a) rest)
-                      (take max_count subs)
+                      (fun q ->
+                        let q = Cq.freshen q in
+                        let m, eqs =
+                          List.fold_left2
+                            (fun (m, eqs) h t ->
+                              match Smap.find_opt h m with
+                              | Some t' -> (m, (t, t') :: eqs)
+                              | None -> (Smap.add h t m, eqs))
+                            (Smap.empty, []) q.head a.args
+                        in
+                        match List.fold_left (unify ~formal) (Some s) eqs with
+                        | None -> []
+                        | Some s ->
+                            expand s (acc @ List.map (subst_atom m) q.body) rest)
+                      (take max_count (approx a.rel (depth - 1)))
               in
-              take max_count (expand extensional intensional)
-            in
-            let bodies = List.concat_map per_rule (Datalog.rules_for p pred) in
-            let qs =
               List.map
-                (fun body -> Cq.make ~head:(formal_head p pred) body)
-                (List.filter
-                   (fun body ->
-                     (* every formal head var must occur in the body *)
-                     let bv =
-                       List.concat_map
-                         (fun (a : Cq.atom) ->
-                           List.filter_map
-                             (function Cq.Var v -> Some v | Cq.Cst _ -> None)
-                             a.args)
-                         body
-                     in
-                     List.for_all (fun v -> List.mem v bv) (formal_head p pred))
-                   bodies)
+                (fun (s, body) ->
+                  let head =
+                    List.map
+                      (fun t ->
+                        match resolve s t with
+                        | Cq.Var v -> v
+                        | Cq.Cst _ ->
+                            Unsupported.fail
+                              "Dl_approx: unfolding %s binds a head variable \
+                               to a constant"
+                              pred)
+                      head
+                  in
+                  { Cq.head; body = List.map (resolve_atom s) body })
+                (take max_count (expand Smap.empty extensional intensional))
+            in
+            let qs =
+              List.filter
+                (fun (q : Cq.t) ->
+                  (* every head var must occur in the body *)
+                  let bv =
+                    List.concat_map
+                      (fun (a : Cq.atom) ->
+                        List.filter_map
+                          (function Cq.Var v -> Some v | Cq.Cst _ -> None)
+                          a.args)
+                      q.body
+                  in
+                  List.for_all (fun v -> List.mem v bv) q.head)
+                (List.concat_map per_rule (Datalog.rules_for p pred))
             in
             take max_count (dedup qs)
         in

@@ -7,9 +7,12 @@
     is witnessed by some approximation (Prop. 1), so approximations drive
     the canonical tests of §5.
 
-    Rule heads must have pairwise-distinct variables (all of the paper's
-    constructions comply); {!approximations} raises [Invalid_argument]
-    otherwise. *)
+    A rule head may repeat a variable, as in [V(x,x) ← E(x,y)]: the
+    repeated positions share one formal variable, and plugging such an
+    approximation into an atom unifies the atom's arguments at those
+    positions (a choice whose constants clash is dropped).
+    @raise Unsupported.Error if unifying binds a head variable of the
+    unfolded predicate to a constant, which a CQ head cannot state. *)
 
 val approximations_of_pred :
   ?max_depth:int ->
@@ -18,7 +21,8 @@ val approximations_of_pred :
   string ->
   Cq.t list
 (** Approximations of predicate [p]; the CQ heads are the formal variables
-    [p#0 … p#(n-1)].  Defaults: depth 4, count 2000.  Deduplicated up to a
+    [p#0 … p#(n-1)], a position that repeats an earlier one repeating its
+    variable.  Defaults: depth 4, count 2000.  Deduplicated up to a
     canonical variable renaming. *)
 
 val approximations :

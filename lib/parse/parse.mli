@@ -32,7 +32,9 @@ val instance : string -> Instance.t
 
 val views : string -> View.collection
 (** A views program: rules grouped by head predicate, each group one view
-    (a CQ view for a single rule, a UCQ view otherwise).  This is the
+    (a CQ view for a single rule, a UCQ view otherwise).  A collection is
+    read as one Datalog program ({!View}), so a body atom naming a view
+    head, the group's own or another's, is that view.  This is the
     format of the CLI's VIEWS files and the service's [load views]
     payloads.
     @raise Error on syntax errors, or if some view head contains a

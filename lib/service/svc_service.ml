@@ -220,13 +220,14 @@ let rewrite_body ~cancel q vs samples =
   let r = Md_rewrite.inverse_rules q vs in
   let schema = Datalog.edb_schema q.Datalog.program in
   let insts = Md_rewrite.random_instances ~n ~size:10 ~seed:rewrite_seed schema in
+  let image = View.image vs in
   let rec go i = function
     | [] -> Printf.sprintf "verified samples=%d" n
     | inst :: rest ->
         Dl_cancel.check cancel;
         if
           Dl_engine.holds_boolean ~cancel q inst
-          = Dl_engine.holds_boolean ~cancel r (View.image vs inst)
+          = Dl_engine.holds_boolean ~cancel r (image inst)
         then go (i + 1) rest
         else Printf.sprintf "failed sample=%d" i
   in

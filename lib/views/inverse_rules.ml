@@ -43,9 +43,9 @@ let provenances (views : View.collection) =
   List.concat_map
     (fun (v : View.t) ->
       let q =
-        match v.View.def with
-        | View.Cq_def q -> q
-        | _ -> Unsupported.fail "inverse rules require CQ views (%s)" v.View.name
+        match View.as_cq v with
+        | Some q -> q
+        | None -> Unsupported.fail "inverse rules require CQ views (%s)" v.View.name
       in
       let head = q.Cq.head in
       let k = List.length head in

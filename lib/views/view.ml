@@ -1,40 +1,43 @@
-type def =
-  | Cq_def of Cq.t
-  | Ucq_def of Ucq.t
-  | Datalog_def of Datalog.query
-
-type t = { name : string; def : def }
+type t = { name : string; program : Datalog.query }
 type collection = t list
 
-let cq name q = { name; def = Cq_def q }
-let ucq name u = { name; def = Ucq_def u }
-let datalog name q = { name; def = Datalog_def q }
+let cq name q = { name; program = Datalog.of_cq ~goal:name q }
+let ucq name u = { name; program = Datalog.of_ucq ~goal:name u }
+
+let datalog name q =
+  {
+    name;
+    program =
+      Datalog.rename_idbs
+        (fun g -> if String.equal g q.Datalog.goal then name else name ^ "$" ^ g)
+        q;
+  }
 
 let atomic name rel n =
   let vars = List.init n (fun i -> Printf.sprintf "x%d" i) in
   cq name
     (Cq.make ~head:vars [ Cq.atom rel (List.map (fun v -> Cq.Var v) vars) ])
 
-let arity v =
-  match v.def with
-  | Cq_def q -> Cq.arity q
-  | Ucq_def u -> Ucq.arity u
-  | Datalog_def q -> Datalog.goal_arity q
+let arity v = Datalog.goal_arity v.program
 
-let def_as_datalog v =
-  match v.def with
-  | Cq_def q -> Datalog.of_cq ~goal:v.name q
-  | Ucq_def u -> Datalog.of_ucq ~goal:v.name u
-  | Datalog_def q ->
-      Datalog.rename_idbs
-        (fun g -> if String.equal g q.Datalog.goal then v.name else v.name ^ "$" ^ g)
-        q
+let as_cq v =
+  match v.program.Datalog.program with
+  | [ { Datalog.head; body } ]
+    when String.equal head.Cq.rel v.program.goal
+         && not (List.exists (fun (a : Cq.atom) -> String.equal a.rel head.rel) body)
+    ->
+      (* Datalog.rule admits only variables in heads *)
+      let var = function Cq.Var x -> x | Cq.Cst _ -> assert false in
+      Some { Cq.head = List.map var head.args; body }
+  | _ -> None
+
+let combined_program (vs : collection) =
+  List.concat_map (fun v -> v.program.Datalog.program) vs
 
 (* Fingerprint of a collection: an order-sensitive fold of the views'
-   names and the structural fingerprints of their canonical Datalog
-   forms ([def_as_datalog] is deterministic).  Memoized under physical
-   equality of the collection — sessions reuse the stored list across
-   requests, so warm cache-key construction is O(1). *)
+   names and the structural fingerprints of their programs.  Memoized
+   under physical equality of the collection — sessions reuse the stored
+   list across requests, so warm cache-key construction is O(1). *)
 let fp_cache : (collection * string) list ref = ref []
 
 let fingerprint_hex vs =
@@ -44,7 +47,7 @@ let fingerprint_hex vs =
       let h1, h2 =
         List.fold_left
           (fun (h1, h2) v ->
-            let f1, f2 = Datalog.fingerprint (def_as_datalog v) in
+            let f1, f2 = Datalog.fingerprint v.program in
             let n = Fp.string_hash v.name in
             (Fp.step (Fp.step h1 n) f1, Fp.step (Fp.step h2 n) f2))
           (Fp.mix Fp.seed1, Fp.mix Fp.seed2)
@@ -55,67 +58,41 @@ let fingerprint_hex vs =
       fp_cache := (vs, hex) :: keep;
       hex
 
-let def_approximations ?max_depth ?max_count v =
-  match v.def with
-  | Cq_def q -> [ q ]
-  | Ucq_def u -> u.Ucq.disjuncts
-  | Datalog_def q -> Dl_approx.approximations ?max_depth ?max_count q
+let approximations ?max_depth ?max_count vs =
+  let p = combined_program vs in
+  List.map
+    (fun v ->
+      (v.name, Dl_approx.approximations_of_pred ?max_depth ?max_count p v.name))
+    vs
 
 let view_schema (vs : collection) =
   List.fold_left (fun s v -> Schema.add v.name (arity v) s) Schema.empty vs
 
-let base_schema (vs : collection) =
-  List.fold_left
-    (fun s v ->
-      let q = def_as_datalog v in
-      Schema.union s (Datalog.edb_schema q.Datalog.program))
-    Schema.empty vs
+let base_schema vs = Datalog.edb_schema (combined_program vs)
 
-let eval v inst =
-  let tuples =
-    match v.def with
-    | Cq_def q -> Cq.eval q inst
-    | Ucq_def u -> Ucq.eval u inst
-    | Datalog_def q -> Dl_engine.eval q inst
-  in
-  let rid = Symtab.intern v.name in
-  List.map (fun t -> Fact.of_interned rid t) tuples
+let image vs =
+  let p = combined_program vs and s = view_schema vs in
+  fun inst -> Instance.restrict_schema s (Dl_engine.fixpoint p inst)
 
-let image vs inst =
-  List.fold_left
-    (fun acc v -> List.fold_left (fun acc f -> Instance.add f acc) acc (eval v inst))
-    Instance.empty vs
-
-let is_cq_collection vs =
-  List.for_all (fun v -> match v.def with Cq_def _ -> true | _ -> false) vs
-
-let is_fgdl_collection vs =
-  List.for_all
-    (fun v ->
-      match v.def with
-      | Cq_def _ -> true
-      | Ucq_def _ -> false
-      | Datalog_def q -> Dl_fragment.is_frontier_guarded q.Datalog.program)
-    vs
+let is_cq_collection vs = List.for_all (fun v -> as_cq v <> None) vs
 
 let max_radius vs =
   List.fold_left
     (fun acc v ->
-      match (acc, v.def) with
-      | None, _ -> None
-      | Some r, Cq_def q -> (
+      match (acc, as_cq v) with
+      | Some r, Some q -> (
           match Cq.radius q with Some r' -> Some (max r r') | None -> None)
-      | Some _, _ -> None)
+      | _ -> None)
     (Some 0) vs
 
 let all_connected_cqs vs =
   List.for_all
-    (fun v -> match v.def with Cq_def q -> Cq.connected q | _ -> false)
+    (fun v -> match as_cq v with Some q -> Cq.connected q | None -> false)
     vs
 
 let split_disconnected v =
-  match v.def with
-  | Cq_def q when not (Cq.connected q) ->
+  match as_cq v with
+  | Some q when not (Cq.connected q) ->
       let g = Gaifman.of_instance (Cq.canonical_db q) in
       let comps = Gaifman.components g in
       let var_of_const c =
@@ -130,26 +107,17 @@ let split_disconnected v =
           (fun comp -> List.filter_map var_of_const (Const.Set.elements comp))
           comps
       in
-      let parts =
-        List.mapi
-          (fun i vars ->
-            let head = List.filter (fun v -> List.mem v vars) q.Cq.head in
-            {
-              name = Printf.sprintf "%s|%d" v.name i;
-              def = Cq_def { q with Cq.head };
-            })
-          comp_vars
-      in
       (* only keep components that either export head variables or are the
          sole component; pure-existential components are still needed as
          Boolean guards, so keep them as 0-ary views *)
-      parts
+      List.mapi
+        (fun i vars ->
+          let head = List.filter (fun v -> List.mem v vars) q.Cq.head in
+          cq (Printf.sprintf "%s|%d" v.name i) { q with Cq.head })
+        comp_vars
   | _ -> [ v ]
 
+(* the goal is the name, so the rules say it all *)
 let pp ppf v =
-  match v.def with
-  | Cq_def q -> Fmt.pf ppf "%s := %a" v.name Cq.pp q
-  | Ucq_def u -> Fmt.pf ppf "%s := %a" v.name Ucq.pp u
-  | Datalog_def q -> Fmt.pf ppf "%s := %a" v.name Datalog.pp_query q
-
+  Fmt.pf ppf "@[<hov 2>%s :=@ %a@]" v.name Datalog.pp_program v.program.Datalog.program
 let pp_collection ppf vs = Fmt.(list ~sep:(any "@\n") pp) ppf vs

@@ -1,15 +1,19 @@
 (** Views and view images (paper §2).
 
     A view is a pair [(V, Q_V)] of a view relation name and a defining
-    query over the base schema; a collection of views maps instances of
-    the base schema to instances of the view schema. *)
+    query over the base schema, possibly recursive Datalog.  Here a view
+    {e is} its Datalog program: every constructor builds the query whose
+    goal is the view name, and every reading of a collection — its image,
+    the CQ approximations the canonical tests chase, the composition
+    [Q∘V] — goes through the collection's combined program, the
+    concatenation of its views' programs.  A view image is one fixpoint
+    of that program, restricted to the view schema.  A body atom that
+    names a view head, the view's own or another view's, is read as that
+    view everywhere. *)
 
-type def =
-  | Cq_def of Cq.t
-  | Ucq_def of Ucq.t
-  | Datalog_def of Datalog.query
-
-type t = { name : string; def : def }
+type t = { name : string; program : Datalog.query }
+(** [program]'s goal is [name]; the IDBs of a {!datalog} view are
+    renamed apart as [name$P]. *)
 
 type collection = t list
 
@@ -23,34 +27,40 @@ val atomic : string -> string -> int -> t
 
 val arity : t -> int
 
-val def_as_datalog : t -> Datalog.query
-(** Any definition as a Datalog query whose goal is the view name.
-    IDBs are renamed apart per view (prefixed with the view name). *)
+val as_cq : t -> Cq.t option
+(** The view's definition as a CQ, if its program is one rule whose head
+    is the goal and whose body names no IDB: the form the CQ-only paths
+    (inverse rules, Lemma 3's radius, Theorem 2's split) read. *)
+
+val combined_program : collection -> Datalog.program
+(** The concatenation of the views' programs, in collection order. *)
 
 val fingerprint_hex : collection -> string
 (** 32-hex-digit structural fingerprint of the collection (names and
-    definitions, order-sensitive), with the same contract as
+    programs, order-sensitive), with the same contract as
     {!Datalog.fingerprint}: equal collections fingerprint equal,
     process-local values, memoized under physical equality of the
     list. *)
 
-val def_approximations :
-  ?max_depth:int -> ?max_count:int -> t -> Cq.t list
-(** CQ approximations of the view definition (a single CQ for CQ views,
-    the disjuncts for UCQ views, unfoldings for Datalog views). *)
+val approximations :
+  ?max_depth:int -> ?max_count:int -> collection -> (string * Cq.t list) list
+(** Per view, in collection order, the CQ approximations of its goal
+    inside {!combined_program} ({!Dl_approx.approximations_of_pred}):
+    for a view whose body names no view head, its rules' bodies. *)
 
 val view_schema : collection -> Schema.t
-val base_schema : collection -> Schema.t
 
-val eval : t -> Instance.t -> Fact.t list
-(** Output facts [V(t̄)] of one view on a base instance. *)
+val base_schema : collection -> Schema.t
+(** The extensional relations of {!combined_program}. *)
 
 val image : collection -> Instance.t -> Instance.t
-(** The view image [V(I)]. *)
+(** The view image [V(I)]: one {!Dl_engine.fixpoint} of
+    {!combined_program}, restricted to the view schema.  Staged:
+    [image vs] builds the program and the schema once, so a caller
+    imaging many instances binds [let image = View.image vs in]. *)
 
 val is_cq_collection : collection -> bool
-val is_fgdl_collection : collection -> bool
-(** Every definition is a CQ or a frontier-guarded / monadic program. *)
+(** Every view has a CQ form ({!as_cq}). *)
 
 val max_radius : collection -> int option
 (** Greatest radius of a CQ definition (Lemma 3's [r]); [None] if some CQ

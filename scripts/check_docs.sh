@@ -44,6 +44,10 @@
 #      nor in README.md, DESIGN.md or ARCHITECTURE.md, and no
 #      svc_loadgen file sits under lib (its concurrency oracle is a
 #      test helper).
+#  12. one reading of a view: a view is its Datalog program, so the
+#      deleted per-kind definition tags `Cq_def`, `Ucq_def` and
+#      `Datalog_def` and the per-kind evaluator `View.eval` are named in
+#      no file under lib, bin, test, bench, examples or docs.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -205,6 +209,13 @@ if grep -rlE 'bench-serve|merge_bench_rows' lib bin test bench docs .github \
 fi
 if [ -n "$(find lib -iname 'svc_loadgen*')" ]; then
   err "lib holds a svc_loadgen file; the concurrency oracle lives in test/"
+fi
+
+# 12. one reading of a view.  CHANGES.md, EXPERIMENTS.md and ROADMAP.md
+#     are history and keep the names.
+if grep -rlE 'Cq_def|Ucq_def|Datalog_def|View\.eval' lib bin test bench \
+  examples docs; then
+  err "the files above name a per-kind view definition; a view is its Datalog program"
 fi
 
 if [ "$fail" -eq 0 ]; then

@@ -319,9 +319,32 @@ let test_chase_separator_identity () =
   check_bool "coincide" true (any = all);
   check_bool "equal query" true (any = Dl_engine.holds_boolean q i)
 
+(* The parsed tc views are a UCQ whose second rule names its own head:
+   read as one Datalog program, they are the tc view, with its image
+   and its verdict for "some cycle". *)
+let test_cycle_over_tc_views () =
+  let tc = "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y)." in
+  let parsed = Parse.views tc
+  and datalog = [ View.datalog "T" (Parse.query ~goal:"T" tc) ] in
+  let cyc =
+    Parse.query ~goal:"G"
+      "P(x,y) <- E(x,y). P(x,y) <- E(x,z), P(z,y). G() <- P(x,x)."
+  in
+  let chain = Parse.instance "E(a,b). E(b,c). E(c,d)." in
+  check_int "closure of the chain" 6 (Instance.size (View.image parsed chain));
+  check_bool "equal images" true
+    (Instance.equal (View.image parsed chain) (View.image datalog chain));
+  let verdict vs = Fmt.str "%a" Md_decide.pp_verdict (Md_decide.decide cyc vs) in
+  Alcotest.(check string) "same verdict" (verdict datalog) (verdict parsed);
+  check_bool "no failing test" true
+    (match Md_decide.decide cyc parsed with
+    | Md_decide.Bounded_no_failure _ -> true
+    | _ -> false)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "cycle over tc views" `Quick test_cycle_over_tc_views;
       Alcotest.test_case "chase separator" `Quick test_chase_separator;
       Alcotest.test_case "chase separator ucq" `Quick test_chase_separator_ucq;
       Alcotest.test_case "chase separator identity" `Quick test_chase_separator_identity;

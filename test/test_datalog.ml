@@ -225,6 +225,29 @@ let test_complete_unfolding () =
   | Some l -> check_int "two" 2 (List.length l));
   check_bool "recursive gives None" true (Dl_approx.complete_unfolding tc = None)
 
+(* A head repeating a variable unfolds by unification: plugging V(x,x)
+   into V(z,u) equates u with z; clashing constants drop the choice; a
+   head variable bound to a constant is unsupported. *)
+let test_approx_repeated_head () =
+  let v = "V(x,x) <- E(x,y). " in
+  let approx prog goal = Dl_approx.approximations (Parse.query ~goal prog) in
+  let key q = Dl_approx.canonical_string q in
+  (match approx (v ^ "W(z) <- V(z,u), F(u).") "W" with
+  | [ q ] ->
+      Alcotest.(check string) "u unified with z"
+        (key (Parse.cq "w(z) <- E(z,y), F(z)"))
+        (key q)
+  | l -> Alcotest.failf "expected one approximation, got %d" (List.length l));
+  check_int "goal head repeats its variable" 1
+    (List.length (approx v "V"));
+  check_bool "V's head is (V#0,V#0)" true
+    ((List.hd (approx v "V")).Cq.head = [ "V#0"; "V#0" ]);
+  check_int "clashing constants" 0
+    (List.length (approx (v ^ "W() <- V('a','b').") "W"));
+  match approx (v ^ "W(z) <- V(z,'a').") "W" with
+  | exception Unsupported.Error _ -> ()
+  | _ -> Alcotest.fail "a head variable bound to a constant is unsupported"
+
 (* --- properties ----------------------------------------------------- *)
 
 let instance_gen =
@@ -294,6 +317,8 @@ let suite =
     Alcotest.test_case "approximations of tc" `Quick test_approx_tc;
     Alcotest.test_case "proposition 1" `Quick test_approx_prop1;
     Alcotest.test_case "complete unfolding" `Quick test_complete_unfolding;
+    Alcotest.test_case "approximations unify repeated heads" `Quick
+      test_approx_repeated_head;
   ]
   @ qcheck
 

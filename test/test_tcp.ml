@@ -171,6 +171,23 @@ let test_tcp_basic () =
         (String.length stats > 0 && String.sub stats 0 2 = "q3");
       Unix.close fd)
 
+(* A views payload is one Datalog program over TCP too: the cycle
+   query finds no failing canonical test over the tc views. *)
+let test_tcp_tc_views () =
+  let service = Svc_service.create ~parallel:false () in
+  with_server service (fun addr ->
+      let fd, ic, oc = connect addr in
+      List.iter
+        (fun l -> ignore (roundtrip ic oc l))
+        [
+          "l1 load s program cyc goal G : P(x,y) <- E(x,y). P(x,y) <- \
+           E(x,z), P(z,y). G() <- P(x,x).";
+          "l2 load s views tc : T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).";
+        ];
+      check_string "cycle over tc" "q1 ok no-failure-up-to 340"
+        (roundtrip ic oc "q1 mondet-test s cyc tc");
+      Unix.close fd)
+
 let test_tcp_oversized_line () =
   let service = Svc_service.create ~parallel:false () in
   let config = { Svc_tcp.default_config with Svc_tcp.max_line = 100 } in
@@ -438,6 +455,7 @@ let suite =
       test_stale_socket_reclaim;
     Alcotest.test_case "tcp basic verbs" `Quick test_tcp_basic;
     Alcotest.test_case "tcp oversized line" `Quick test_tcp_oversized_line;
+    Alcotest.test_case "tcp tc views" `Quick test_tcp_tc_views;
     Alcotest.test_case "unix socket line cap and cleanup" `Quick
       test_unix_socket;
     Alcotest.test_case "tcp handler exception answered" `Quick

@@ -42,7 +42,8 @@ let test_qtp_is_mdl () =
   check_bool "views include UCQ S" true
     (List.exists
        (fun (v : View.t) ->
-         v.View.name = "S" && match v.View.def with View.Ucq_def _ -> true | _ -> false)
+         v.View.name = "S"
+         && Dl_fragment.classify v.View.program = Dl_fragment.UCQ)
        v_tp)
 
 let test_axes_start () =

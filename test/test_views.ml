@@ -30,7 +30,7 @@ let test_datalog_view () =
   check_int "tc tuples" 9 (List.length (Instance.tuples img "VT"))
 
 let test_def_as_datalog () =
-  let q = View.def_as_datalog path_view in
+  let q = path_view.View.program in
   check_bool "goal is view name" true (String.equal q.Datalog.goal "P2");
   let out = Dl_engine.eval q inst in
   check_int "same as direct eval" 3 (List.length out)
@@ -148,6 +148,130 @@ let prop_example1_inverse_rules =
       let rw = Inverse_rules.rewrite example1_query example1_views in
       Md_rewrite.verify_boolean example1_query rw example1_views insts)
 
+(* ------------- one reading: the combined program ------------- *)
+
+(* A random collection of CQ and UCQ views over E/2 and U/1, none of
+   whose bodies names a view head, kept next to the CQs and UCQs it was
+   built from.  Heads may repeat a variable. *)
+type drawn = { views : View.collection; defs : (string * Cq.t list) list }
+
+let collection_gen =
+  let open QCheck.Gen in
+  let var = oneofl [ "x"; "y"; "z"; "w" ] in
+  let atom =
+    oneof
+      [
+        map2 (fun a b -> Cq.atom "E" [ Cq.Var a; Cq.Var b ]) var var;
+        map (fun a -> Cq.atom "U" [ Cq.Var a ]) var;
+      ]
+  in
+  let cq arity =
+    list_size (int_range 1 3) atom >>= fun body ->
+    map
+      (fun head -> Cq.make ~head body)
+      (list_repeat arity (oneofl (Cq.vars (Cq.boolean body))))
+  in
+  let view i =
+    int_bound 2 >>= fun arity ->
+    list_size (int_range 1 3) (cq arity) >|= fun ds ->
+    let name = Printf.sprintf "V%d" i in
+    let v =
+      match ds with [ q ] -> View.cq name q | ds -> View.ucq name (Ucq.make ds)
+    in
+    (v, (name, ds))
+  in
+  int_range 1 3 >>= fun n ->
+  flatten_l (List.init n view) >|= fun vds ->
+  { views = List.map fst vds; defs = List.map snd vds }
+
+let small_instance_gen =
+  let open QCheck.Gen in
+  let elt = oneofl [ c "a"; c "b"; c "d"; c "e" ] in
+  let fact =
+    oneof
+      [
+        map2 (fun a b -> Fact.make "E" [ a; b ]) elt elt;
+        map (fun a -> Fact.make "U" [ a ]) elt;
+      ]
+  in
+  map Instance.of_list (list_size (int_bound 8) fact)
+
+let drawn_arb =
+  QCheck.make
+    ~print:(fun (d, i) ->
+      Fmt.str "%a@.%a" View.pp_collection d.views Instance.pp i)
+    QCheck.Gen.(pair collection_gen small_instance_gen)
+
+let facts_of name tuples = List.map (Fact.of_array name) tuples
+
+let datalog_views =
+  [
+    View.datalog "Tc"
+      (Parse.query ~goal:"T" "T(x,y) <- E(x,y). T(x,y) <- E(x,z), T(z,y).");
+    View.datalog "Even"
+      (Parse.query ~goal:"P"
+         "P(x,y) <- E(x,z), E(z,y). P(x,y) <- E(x,z), E(z,w), P(w,y).");
+    View.datalog "Reach"
+      (Parse.query ~goal:"R" "R(x) <- U(x). R(y) <- R(x), E(x,y).");
+  ]
+
+let prop_image_differential =
+  QCheck.Test.make ~name:"image = per-view Cq/Ucq eval and naive Datalog"
+    ~count:120 drawn_arb (fun (d, i) ->
+      let per_view =
+        List.concat_map
+          (fun (name, ds) ->
+            facts_of name
+              (match ds with
+              | [ q ] -> Cq.eval q i
+              | ds -> Ucq.eval (Ucq.make ds) i))
+          d.defs
+      and naive =
+        List.concat_map
+          (fun (v : View.t) ->
+            facts_of v.View.name
+              (Dl_engine.eval ~strategy:Dl_engine.Naive v.View.program i))
+          datalog_views
+      in
+      Instance.equal (View.image d.views i) (Instance.of_list per_view)
+      && Instance.equal (View.image datalog_views i) (Instance.of_list naive))
+
+let prop_approximations_are_disjuncts =
+  QCheck.Test.make ~name:"CQ/UCQ view approximations = its disjuncts"
+    ~count:120 drawn_arb (fun (d, _) ->
+      let keys qs = List.sort_uniq compare (List.map Dl_approx.canonical_string qs) in
+      List.for_all2
+        (fun (name, approxs) (name', ds) -> name = name' && keys approxs = keys ds)
+        (View.approximations d.views) d.defs)
+
+let test_as_cq () =
+  check_bool "CQ view" true (View.as_cq path_view <> None);
+  check_bool "UCQ view" true
+    (View.as_cq (View.ucq "U" (Parse.ucq "v(x) <- E(x,y). v(x) <- E(y,x).")) = None);
+  check_bool "self-naming rule" true
+    (View.as_cq (View.cq "T" (Parse.cq "t(x,y) <- E(x,z), T(z,y)")) = None);
+  check_bool "empty collection" true (Instance.is_empty (View.image [] inst))
+
+(* A head repeating a variable unfolds by unification: the canonical
+   tests of the query "an edge into a loop" over [V(x,x) <- E(x,y)] find
+   a failing test, in the library and through the service. *)
+let rep_query =
+  "P(x,y) <- E(x,y). P(x,y) <- E(x,z), P(z,y). G() <- P(x,y), E(y,y)."
+
+let test_repeated_head_view () =
+  let q = Parse.query ~goal:"G" rep_query in
+  let vs = Parse.views "V(x,x) <- E(x,y)." in
+  check_bool "library: not determined" true
+    (match Md_decide.decide q vs with
+    | Md_decide.Not_determined_cert (Some _) -> true
+    | _ -> false);
+  let svc = Svc_service.create () in
+  let h l = Svc_proto.print_response (Svc_service.handle_line svc l) in
+  ignore (h ("1 load s program r goal G : " ^ rep_query));
+  ignore (h "2 load s views v : V(x,x) <- E(x,y).");
+  Alcotest.(check string) "service: not determined" "3 ok not-determined"
+    (h "3 mondet-test s r v")
+
 let suite =
   [
     Alcotest.test_case "image" `Quick test_image;
@@ -163,5 +287,12 @@ let suite =
     Alcotest.test_case "inverse: guarding" `Quick test_inverse_guarded;
     Alcotest.test_case "inverse: unsupported" `Quick test_inverse_unsupported;
     Alcotest.test_case "certain answers monotone" `Quick test_certain_answers_monotone;
+    Alcotest.test_case "CQ form" `Quick test_as_cq;
+    Alcotest.test_case "repeated head variable" `Quick test_repeated_head_view;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_example1_inverse_rules ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [
+        prop_example1_inverse_rules;
+        prop_image_differential;
+        prop_approximations_are_disjuncts;
+      ]
