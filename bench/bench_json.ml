@@ -304,7 +304,7 @@ let service_tests =
   let cold =
     Test.make ~name:"eval-cold"
       (Staged.stage (fun () ->
-           let svc = Svc_service.create ~parallel:false () in
+           let svc = Svc_service.create () in
            feed svc load_prog;
            feed svc load_inst;
            feed svc "q1 eval s tc i"))
@@ -312,7 +312,7 @@ let service_tests =
   let warm =
     Test.make ~name:"eval-warm"
       (Staged.stage
-         (let svc = Svc_service.create ~parallel:false () in
+         (let svc = Svc_service.create () in
           feed svc load_prog;
           feed svc load_inst;
           feed svc "q1 eval s tc i";
@@ -323,7 +323,7 @@ let service_tests =
        dispatch overhead with every answer cached *)
     Test.make ~name:"batch8-warm"
       (Staged.stage
-         (let svc = Svc_service.create ~parallel:false () in
+         (let svc = Svc_service.create () in
           feed svc load_prog;
           feed svc load_inst;
           let lines =

@@ -416,7 +416,7 @@ let e14 () =
    grows with instance size even on hits. *)
 let e16 () =
   pf "@.### E16 — service result cache: cold vs warm replay ###@.";
-  let svc = Svc_service.create ~parallel:false () in
+  let svc = Svc_service.create () in
   let feed line =
     match (Svc_service.handle_line svc line).Svc_proto.result with
     | Svc_proto.Ok_ b -> b

@@ -36,22 +36,6 @@ let query_file = Arg.(required & pos 0 (some file) None & info [] ~docv:"QUERY")
 let data_pos n = Arg.(required & pos n (some file) None & info [] ~docv:"DATA")
 let views_pos n = Arg.(required & pos n (some file) None & info [] ~docv:"VIEWS")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Size of the domain pool that runs the batch's cache-missed \
-           requests side by side (the coordinating thread included).  \
-           Defaults to $(b,MONDET_DOMAINS) if set, else the machine's \
-           recommended domain count; clamped to [1, 64].")
-
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "verbose"; "v" ] ~doc:"Report the domain pool size on stderr.")
-
 let eval_cmd =
   let run qf goal df =
     let q = query_of ~goal qf in
@@ -410,14 +394,6 @@ let cache_arg =
     & info [ "cache" ] ~docv:"N"
         ~doc:"Capacity of the LRU result cache, in entries.")
 
-let sequential_arg =
-  Arg.(
-    value & flag
-    & info [ "sequential" ]
-        ~doc:
-          "Handle the batch sequentially on the coordinating thread \
-           instead of dispatching cache misses onto the domain pool.")
-
 let read_lines_of = function
   | "-" ->
       let rec go acc =
@@ -437,6 +413,8 @@ let script_arg =
 let serve_cmd =
   let run socket tcp cache workers max_conns max_line quota quota_window
       cache_file =
+    (* the quota sheds socket clients; a stdio pipe is one client *)
+    let quota = if socket = None && tcp = None then None else quota in
     let service =
       Svc_service.create ~cache_capacity:cache ?quota ~quota_window ()
     in
@@ -487,12 +465,8 @@ let serve_cmd =
        $ cache_file_arg))
 
 let batch_cmd =
-  let run script cache sequential cache_file domains verbose =
-    Option.iter Dl_parallel.set_domains domains;
-    if verbose then Format.eprintf "domains: %d@." (Dl_parallel.domains ());
-    let service =
-      Svc_service.create ~cache_capacity:cache ~parallel:(not sequential) ()
-    in
+  let run script cache cache_file =
+    let service = Svc_service.create ~cache_capacity:cache () in
     load_cache_file service cache_file;
     let lines =
       List.filter (fun l -> String.trim l <> "") (read_lines_of script)
@@ -506,14 +480,10 @@ let batch_cmd =
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "One-shot the decision service on a request script: all lines \
-          form one batch (loads and assert/retract mutations execute at \
-          their position; cache-missed eval/holds requests overlap on \
-          the domain pool) and the responses print in request order.")
-    Term.(
-      ret
-        (const run $ script_arg $ cache_arg $ sequential_arg $ cache_file_arg
-       $ domains_arg $ verbose_arg))
+         "One-shot the decision service on a request script: each line is \
+          handled in order, as $(b,serve) on stdio handles it, and the \
+          responses print in request order.")
+    Term.(ret (const run $ script_arg $ cache_arg $ cache_file_arg))
 
 let client_cmd =
   let strict =
@@ -560,12 +530,16 @@ let main =
       rpq_cmd; serve_cmd; batch_cmd; client_cmd;
     ]
 
-(* The one place a subcommand's exceptions land.  An input outside a
-   decision procedure's scope is an answer to the user, not a crash;
-   anything else is reported as cmdliner reports it. *)
+(* The one place a subcommand's exceptions land.  An input file that
+   does not parse, or one outside a decision procedure's scope, is an
+   answer to the user, not a crash; anything else is reported as
+   cmdliner reports it. *)
 let () =
   match Cmd.eval ~catch:false main with
   | code -> exit code
+  | exception Parse.Error m ->
+      Printf.eprintf "mondet: parse error: %s\n%!" m;
+      exit 2
   | exception Unsupported.Error m ->
       Printf.eprintf "mondet: unsupported: %s\n%!" m;
       exit 2

@@ -15,7 +15,9 @@ type chase_mode = Any | All
    — and a longer one under a larger [max_chases] with the same bounds —
    reuses the instantiated chases.  Keyed on the chase bounds, the views
    (physical equality: collections are built once upstream) and the image
-   (structural equality: images are recomputed per call). *)
+   (structural equality: images are recomputed per call).  One slot per
+   domain: the memoized prefix is lazy, and OCaml raises when two
+   domains force one lazy value. *)
 type chase_key = {
   k_view_depth : int option;
   k_max_choices : int option;
@@ -23,7 +25,8 @@ type chase_key = {
   k_image : Instance.t;
 }
 
-let chase_memo : (chase_key * Instance.t Seq.t) option ref = ref None
+let chase_memo : (chase_key * Instance.t Seq.t) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
 let memoized_chases ?view_depth ?max_choices_per_fact views j =
   let key =
@@ -34,6 +37,7 @@ let memoized_chases ?view_depth ?max_choices_per_fact views j =
       k_image = j;
     }
   in
+  let chase_memo = Domain.DLS.get chase_memo in
   match !chase_memo with
   | Some (k, seq)
     when k.k_view_depth = key.k_view_depth

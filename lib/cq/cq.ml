@@ -43,11 +43,14 @@ let term_const = function Var v -> const_of_var v | Cst c -> c
 (* The canonical database is asked for over and over on the same query
    value (containment tests, hom dualities, repeated Boolean checks), so
    it is memoized under physical equality — instances are persistent, so
-   sharing one across callers is safe.  Coordinator-only: unlike
-   [Dl_vm]'s compile cache, it takes no lock. *)
-let cdb_cache : (t * Instance.t) list ref = ref []
+   sharing one across callers is safe.  One memo per domain, so it
+   takes no lock, and no instance's index cache is filled from two
+   domains at once. *)
+let cdb_cache : (t * Instance.t) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let canonical_db q =
+  let cdb_cache = Domain.DLS.get cdb_cache in
   match List.find_opt (fun (q', _) -> q' == q) !cdb_cache with
   | Some (_, db) -> db
   | None ->
@@ -159,7 +162,8 @@ let rename_vars f q =
     body = List.map (fun a -> { a with args = List.map tm a.args }) q.body;
   }
 
-let fresh_var_counter = ref 0
+(* shared by every domain: a fresh name is never handed out twice *)
+let fresh_var_counter = Atomic.make 0
 
 let freshen q =
   let tbl = Hashtbl.create 8 in
@@ -167,8 +171,8 @@ let freshen q =
     match Hashtbl.find_opt tbl v with
     | Some v' -> v'
     | None ->
-        incr fresh_var_counter;
-        let v' = Printf.sprintf "%s~%d" v !fresh_var_counter in
+        let n = 1 + Atomic.fetch_and_add fresh_var_counter 1 in
+        let v' = Printf.sprintf "%s~%d" v n in
         Hashtbl.add tbl v v';
         v'
   in

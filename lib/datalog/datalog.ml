@@ -97,7 +97,8 @@ let head_vars r = atom_vars r.head
 let body_vars r =
   List.concat_map atom_vars r.body |> List.sort_uniq String.compare
 
-let fresh_counter = ref 0
+(* shared by every domain: a fresh name is never handed out twice *)
+let fresh_counter = Atomic.make 0
 
 let rename_rule_apart r =
   let tbl = Hashtbl.create 8 in
@@ -105,8 +106,8 @@ let rename_rule_apart r =
     match Hashtbl.find_opt tbl v with
     | Some v' -> v'
     | None ->
-        incr fresh_counter;
-        let v' = Printf.sprintf "%s!%d" v !fresh_counter in
+        let n = 1 + Atomic.fetch_and_add fresh_counter 1 in
+        let v' = Printf.sprintf "%s!%d" v n in
         Hashtbl.add tbl v v';
         v'
   in
@@ -214,10 +215,12 @@ let fp_stream seed chash (q : query) =
 (* Memoized under physical equality: sessions hand the same query value
    to every request, so warm cache-key construction never re-traverses
    the program (the first lookup of Dl_vm's compile cache follows the
-   same pattern). *)
-let fp_cache : (query * (int * int)) list ref = ref []
+   same pattern).  One memo per domain, so no lock. *)
+let fp_cache : (query * (int * int)) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let fingerprint q =
+  let fp_cache = Domain.DLS.get fp_cache in
   match List.find_opt (fun (q', _) -> q' == q) !fp_cache with
   | Some (_, v) -> v
   | None ->

@@ -175,11 +175,15 @@ let approximations_of_pred_uncached ~max_depth ~max_count p name =
 
 (* Approximation sets are requested repeatedly for the same few programs
    (the query under test and each view definition, once per chase round):
-   cache them.  Keys are structural, values immutable. *)
-let approx_tbl : (Datalog.program * string * int * int, Cq.t list) Hashtbl.t =
-  Hashtbl.create 16
+   cache them.  Keys are structural, values immutable.  One table per
+   domain, so no lock. *)
+let approx_tbl :
+    (Datalog.program * string * int * int, Cq.t list) Hashtbl.t Domain.DLS.key
+    =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
 
 let approximations_of_pred ?(max_depth = 4) ?(max_count = 2000) p name =
+  let approx_tbl = Domain.DLS.get approx_tbl in
   match Hashtbl.find_opt approx_tbl (p, name, max_depth, max_count) with
   | Some r -> r
   | None ->

@@ -60,8 +60,8 @@
     Any domain may evaluate: the compile cache ({!Dl_vm}) and the
     demand-transformation cache ({!Dl_magic}) are mutex-guarded.  Lazily
     built instance indexes are not, so one instance must not be
-    evaluated on two domains at once (the service serializes per session
-    and groups its batch pool by instance). *)
+    evaluated on two domains at once (the service serializes per
+    session). *)
 
 type strategy = Naive | Vm
 

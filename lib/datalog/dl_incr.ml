@@ -39,7 +39,6 @@ type t = {
   istrata : stratum list;  (* in topological (bottom-up) order *)
   mutable ibase : Instance.t;
   mutable ifull : Instance.t;
-  mutable iok : bool;  (* false while (or after) a mutation went wrong *)
   mutable ilast : repair;  (* B/F counters of the last [apply] *)
 }
 
@@ -47,7 +46,6 @@ let program t = t.iprogram
 let strategy t = t.istrategy
 let base t = t.ibase
 let full t = t.ifull
-let valid t = t.iok
 let last_repair t = t.ilast
 let strata t = List.map (fun s -> s.spreds) t.istrata
 
@@ -122,7 +120,6 @@ let create ?strategy ?(cancel = Dl_cancel.none) p inst =
     istrata = strata;
     ibase = inst;
     ifull = Dl_engine.fixpoint ?strategy ~cancel p inst;
-    iok = true;
     ilast = no_repair;
   }
 
@@ -283,13 +280,13 @@ let bf_delete ~cancel s ~state ~old_full ~new_base seeds =
 
 (* ---------- apply ---------- *)
 
+(* Every stratum works on persistent instances, and [ibase]/[ifull] are
+   written only after the last one: a cancel anywhere before leaves [t]
+   as it was. *)
 let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
-  if not t.iok then
-    invalid_arg "Dl_incr: materialization poisoned by a cancelled mutation";
   t.ilast <- no_repair;
   (* Normalize to real base edits (sets, restricted to actual changes):
-     retracting an absent fact and re-asserting a present one are no-ops
-     and must not poison anything. *)
+     retracting an absent fact and re-asserting a present one are no-ops. *)
   let del_inst =
     Instance.of_list (List.filter (fun f -> Instance.mem f t.ibase) dels)
   in
@@ -299,7 +296,6 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
   in
   if Instance.is_empty del_inst && Instance.is_empty add_inst then ()
   else begin
-    t.iok <- false;
     let old_full = t.ifull in
     let new_base =
       Instance.union (Instance.diff t.ibase del_inst) add_inst
@@ -366,8 +362,7 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
       t.istrata;
     t.ibase <- new_base;
     t.ifull <- !state;
-    t.ilast <- !repair;
-    t.iok <- true
+    t.ilast <- !repair
   end
 
 let assert_facts ?cancel t facts = apply ?cancel t ~adds:facts ~dels:[]

@@ -47,11 +47,9 @@
     {!assert_facts}/{!retract_facts} at a time, and nobody may read
     {!full} concurrently with a mutation.  The service upholds this by
     storing materializations inside {!Svc_session} and touching them
-    only under the session regime of the entry point in use (the
-    concurrent path's whole-request session lock, or the
-    single-coordinator discipline).  The instances returned by {!base}
-    and {!full} are immutable snapshots — safe to keep across later
-    mutations.
+    only under the session's whole-request lock.  The instances returned
+    by {!base} and {!full} are immutable snapshots — safe to keep across
+    later mutations.
 
     {2 Cancellation}
 
@@ -59,11 +57,10 @@
     deletion round and fact searched for an alternative proof, and at
     every delta-fixpoint round.  A mutation is {e atomic}: it either
     completes (base and fixpoint both updated) or raises, in which case
-    base and fixpoint are left as they were and the [t] is poisoned
-    ({!valid} becomes [false] and further mutations raise
-    [Invalid_argument]).  Callers drop a poisoned materialization
-    and rebuild from {!create}; the service maps this to its usual
-    timeout-never-poisons-caches rule. *)
+    base and fixpoint are left as they were and the [t] stays usable —
+    every stratum works on persistent instances, and the new base and
+    fixpoint are written only after the last one.  A later mutation, a
+    retry of the cancelled one included, starts from the old state. *)
 
 type t
 
@@ -88,13 +85,9 @@ val base : t -> Instance.t
 
 val full : t -> Instance.t
 (** The maintained fixpoint: {!base} extended with every derivable IDB
-    fact.  Equal to [Dl_engine.fixpoint (program t) (base t)] whenever
-    {!valid} — the invariant the qcheck differential suite checks after
-    every mutation. *)
-
-val valid : t -> bool
-(** [false] once a mutation was cancelled mid-repair; the only remedy is
-    to rebuild with {!create}. *)
+    fact.  Equal to [Dl_engine.fixpoint (program t) (base t)] — the
+    invariant the qcheck differential suite checks after every
+    mutation. *)
 
 val apply : ?cancel:Dl_cancel.t -> t -> adds:Fact.t list -> dels:Fact.t list -> unit
 (** Apply a combined edit — assertions and retractions together — in
@@ -112,14 +105,13 @@ val assert_facts : ?cancel:Dl_cancel.t -> t -> Fact.t list -> unit
 (** Add the facts to the base and repair the fixpoint.  Facts already in
     the base are no-ops; asserting a fact that was only {e derived} so
     far does extend the base (it survives retraction of its former
-    support).  Raises [Invalid_argument] if the materialization is not
-    {!valid}. *)
+    support). *)
 
 val retract_facts : ?cancel:Dl_cancel.t -> t -> Fact.t list -> unit
 (** Remove the facts from the base and repair the fixpoint.  Retracting
     a fact that was never asserted is a no-op; retracting a base fact
     that is also derivable keeps it in {!full} (membership is
-    [base ∨ derived]).  Raises [Invalid_argument] if not {!valid}. *)
+    [base ∨ derived]). *)
 
 type repair = {
   checked : int;  (** stratum facts searched for an alternative proof *)

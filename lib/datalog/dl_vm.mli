@@ -36,8 +36,8 @@
     {!exec}, {!exec_store} and the seeded entries are reentrant — all mutable state is
     per-call — provided no other domain builds the same instances'
     relation indexes meanwhile (see {!Instance.index}; only probed
-    relations are indexed): the service's batch pool groups its tasks by
-    instance for this.
+    relations are indexed): the service serializes the requests on a
+    session for this.
 
     {2 Cancellation}
 

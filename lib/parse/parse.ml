@@ -251,11 +251,42 @@ let instance s =
    otherwise).  Shared by the CLI's views files and the service's [load
    views] payloads. *)
 
+(* The views that derive something: the least set closed under "some
+   rule of the view reads only base relations and views in the set".  A
+   view outside it has no base case, so its image is empty and so are its
+   approximations. *)
+let grounded names (rules : Datalog.program) =
+  let rec grow ok =
+    let fires (r : Datalog.rule) =
+      List.for_all
+        (fun (a : Cq.atom) -> (not (List.mem a.rel names)) || List.mem a.rel ok)
+        r.body
+    in
+    let ok' =
+      List.filter
+        (fun n ->
+          List.exists
+            (fun (r : Datalog.rule) -> r.head.Cq.rel = n && fires r)
+            rules)
+        names
+    in
+    if List.length ok' = List.length ok then ok else grow ok'
+  in
+  grow []
+
 let views_of_program (rules : Datalog.program) : View.collection =
   let names =
     List.sort_uniq String.compare
       (List.map (fun (r : Datalog.rule) -> r.Datalog.head.Cq.rel) rules)
   in
+  let ok = grounded names rules in
+  List.iter
+    (fun n ->
+      if not (List.mem n ok) then
+        fail "view %s has no base case: each of its rules reads a view \
+              that has none"
+          n)
+    names;
   List.map
     (fun name ->
       let group =

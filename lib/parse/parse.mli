@@ -37,8 +37,10 @@ val views : string -> View.collection
     head, the group's own or another's, is that view.  This is the
     format of the CLI's VIEWS files and the service's [load views]
     payloads.
-    @raise Error on syntax errors, or if some view head contains a
-    constant (the message names the offending view). *)
+    @raise Error on syntax errors, if some view head contains a
+    constant, or if some view has no base case — none of its rules can
+    fire from base relations alone, even through other views, as in
+    [E(x,y) <- E(x,y).] (the message names the offending view). *)
 
 val views_of_program : Datalog.program -> View.collection
 (** {!views} on an already-parsed program. *)

@@ -17,9 +17,9 @@ let hash2 (c : t) = Fp.mix (c lxor Fp.seed2)
 
 let named s = Symtab.intern s lsl 1
 
-(* fresh-null generation must be race-free: decision procedures running on
-   the Dl_parallel domain pool (chase steps, rename_apart) may allocate
-   nulls concurrently *)
+(* fresh-null generation must be race-free: decision procedures serving
+   requests on different domains (chase steps, rename_apart) may
+   allocate nulls concurrently *)
 let counter = Atomic.make 0
 
 let fresh () =

@@ -1,10 +1,10 @@
 (** Server front-ends over {!Svc_service}: the stdio loop and the
     lockstep client.
 
-    The stdio loop is a single coordinator answering one request line
-    at a time through {!Svc_service.handle_line}.  Socket serving —
-    Unix-domain and TCP alike, worker domains multiplexing many
-    connections — lives in {!Svc_tcp}. *)
+    The stdio loop answers one request line at a time through
+    {!Svc_service.handle_line}, the request path every caller takes.
+    Socket serving — Unix-domain and TCP alike, worker domains
+    multiplexing many connections — lives in {!Svc_tcp}. *)
 
 val ignore_sigpipe : unit -> unit
 (** Turn SIGPIPE off for the process so a peer disconnecting mid-write

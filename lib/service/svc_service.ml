@@ -1,48 +1,32 @@
-(* Request dispatch: sessions + cache + deadlines + the domain pool.
+(* Request dispatch: sessions + cache + deadlines.
 
-   Every request runs the same steps: check the deadline, resolve the
-   session, run the verb.  Stats and the state-changing verbs (load,
-   rpq-load, assert, retract) run in place; a query verb is planned
-   (resolve the session objects into a cache key and a compute thunk),
-   looked up in the cache, computed on a miss and stored.  Only
-   successful bodies are cached, so a timeout or error never poisons
-   the cache.
-
-   [dispatch] serves one request under a regime that decides locking;
-   [handle] and [handle_concurrent] are its two regimes.
-   [handle_batch] shares the steps up to the cache probe and keeps its
-   own tail: it runs them for every request in order (so a load
-   followed by an eval of the loaded name works within one batch),
-   deduplicates the cache misses by key, runs the [eval]/[holds]/[rpq-*]
-   misses — the verbs whose evaluation allocates no fresh constants and
-   is therefore safe off the coordinating thread — on the {!Dl_parallel}
-   pool grouped by instance (so no two domains race to build one
-   instance's lazy indexes), runs the remaining misses on the
-   coordinator after the barrier, and stores every success there. *)
+   Every request runs the same steps on the calling domain: check the
+   deadline, resolve the session, take its lock, check the quota, run
+   the verb.  Stats and the state-changing verbs (load, rpq-load,
+   assert, retract) run in place; a query verb is planned (resolve the
+   session objects into a cache key and a compute thunk), looked up in
+   the cache, computed on a miss and stored.  Only successful bodies are
+   cached, so a timeout or error never poisons the cache.  The stdio
+   loop, [batch] and the socket workers all take this one path. *)
 
 open Svc_proto
 
 type t = {
   sessions : (string, Svc_session.t) Hashtbl.t;
   mu : Mutex.t; (* guards [sessions]; held for table ops only *)
-  heavy : Mutex.t;
-      (* serializes non-worker-safe verbs across socket workers: their
-         decision procedures share coordinator-only memo caches *)
   cache : Svc_cache.t;
-  parallel : bool; (* batch misses may use the domain pool *)
   quota : (int * float) option; (* per-session (limit, window seconds) *)
   requests : int Atomic.t;
   timeouts : int Atomic.t;
 }
 
-let create ?(cache_capacity = 512) ?(parallel = true) ?quota
-    ?(quota_window = 1.0) () =
+(* [parallel] is accepted and ignored (see the mli) *)
+let create ?(cache_capacity = 512) ?parallel:_ ?quota ?(quota_window = 1.0) ()
+    =
   {
     sessions = Hashtbl.create 8;
     mu = Mutex.create ();
-    heavy = Mutex.create ();
     cache = Svc_cache.create cache_capacity;
-    parallel;
     quota = Option.map (fun limit -> (limit, quota_window)) quota;
     requests = Atomic.make 0;
     timeouts = Atomic.make 0;
@@ -250,41 +234,35 @@ let stats_body t =
    fixpoints ({!Dl_incr.t}) keyed by the *program* fingerprint (the rule
    set alone — queries differing only in goal share one).  The mutation
    verbs repair them in place; eval answers from a matching one instead
-   of recomputing the fixpoint.  A mat is trusted only if it is still
-   [valid] (no cancelled repair) and its base fingerprints equal to the
-   session's current instance, so a [load instance] replacing the
-   contents — or any bug leaving the two out of step — degrades to a
-   cold evaluation, never to a wrong answer. *)
+   of recomputing the fixpoint.  A mat is trusted only if its base
+   fingerprints equal to the session's current instance, so a [load
+   instance] replacing the contents — or any bug leaving the two out of
+   step — degrades to a cold evaluation, never to a wrong answer. *)
 
 let prog_mat_key (q : Datalog.query) =
   let a, b = Datalog.program_fingerprint q.Datalog.program in
   Printf.sprintf "%x:%x" a b
 
+let on_instance i m =
+  Instance.fingerprint (Dl_incr.base m) = Instance.fingerprint i
+
 let valid_mat s inst_name (q : Datalog.query) i =
   match Svc_session.mat s inst_name (prog_mat_key q) with
-  | Some m
-    when Dl_incr.valid m
-         && Instance.fingerprint (Dl_incr.base m) = Instance.fingerprint i ->
-      Some m
+  | Some m when on_instance i m -> Some m
   | _ -> None
 
-(* The mutation body every path runs.  Callers must hold the session
-   regime of their path (the concurrent path's session lock; the
-   coordinator paths need nothing).  Semantics are atomic per
-   request: either the instance and every live materialization reflect
-   all the facts, or — on cancellation mid-repair — the instance is
-   untouched and the materializations are dropped wholesale (the next
-   eval rebuilds one cold), so a timeout can never publish a half-edited
-   state. *)
+(* The mutation body, run under the session lock.  Semantics are atomic
+   per request: either the instance and every live materialization
+   reflect all the facts, or — on cancellation mid-repair — the instance
+   is untouched.  A cancelled [Dl_incr] pass leaves its materialization
+   as it was, so the mats still on the unedited instance are kept; the
+   ones whose repair completed before the cancel are a step ahead and
+   go.  A timeout can never publish a half-edited state. *)
 let do_mutate s ~cancel ~asserted inst_name text =
   let i = Svc_session.instance s inst_name in
   let facts = Instance.facts (Parse.instance text) in
   let live =
-    List.filter
-      (fun (_, m) ->
-        Dl_incr.valid m
-        && Instance.fingerprint (Dl_incr.base m) = Instance.fingerprint i)
-      (Svc_session.mats s inst_name)
+    List.filter (fun (_, m) -> on_instance i m) (Svc_session.mats s inst_name)
   in
   (try
      List.iter
@@ -293,7 +271,8 @@ let do_mutate s ~cancel ~asserted inst_name text =
          else Dl_incr.retract_facts ~cancel m facts)
        live
    with e ->
-     Svc_session.drop_mats s inst_name;
+     Svc_session.set_mats s inst_name
+       (List.filter (fun (_, m) -> on_instance i m) live);
      raise e);
   let i' =
     match live with
@@ -313,8 +292,7 @@ let do_mutate s ~cancel ~asserted inst_name text =
 (* ------------------------------------------------------------------ *)
 (* Exception-to-result mapping.  The deadline is probed before [f] runs,
    so [deadline=0] answers [timeout] before a session is resolved or
-   created.  [exec] itself touches no service state, so it is safe on a
-   pool worker; counters are updated from the returned result. *)
+   created. *)
 
 let exec ~cancel f =
   try
@@ -331,49 +309,28 @@ let exec ~cancel f =
   | Invalid_argument m -> Error (Error_ m)
   | Failure m -> Error (Error_ m)
 
-let result_of = function Ok v -> Ok_ v | Error r -> r
-
 let cancel_of req =
   match req.deadline_ms with
   | None -> Dl_cancel.none
   | Some ms -> Dl_cancel.with_deadline_ms ms
 
-(* bookkeeping for one finished request; counters are atomic so both the
-   coordinator and the TCP workers may call this *)
-let record t result =
-  (match result with Timeout -> Atomic.incr t.timeouts | _ -> ());
-  result
-
 (* ------------------------------------------------------------------ *)
-(* Planning: resolve a query verb against the current session state and
-   return the cache key, an instance-identity group tag, whether the
-   computation is safe on a pool worker, and the compute thunk. *)
+(* Planning: resolve a query verb against the current session state into
+   its cache key and compute thunk. *)
 
-type plan = {
-  pkey : string;
-  pgroup : string;
-      (* instance fingerprint: pool tasks sharing it stay serial *)
-  pworker_safe : bool; (* eval/holds only: no fresh constants, no pool *)
-  pcompute : unit -> string;
-}
-
-let plan ~use_mats s ~cancel req : plan =
+let plan s ~cancel req =
   match req.verb with
   | Eval { program; instance } ->
       let q = Svc_session.program s program in
       let i = Svc_session.instance s instance in
-      (* Mat-aware evaluation, on the paths whose thunks run under the
-         session regime ([use_mats]; the batch pool's workers must not
-         touch session state, so batch evals stay mat-blind).  A
-         cache-missed tuple-returning eval answers from a matching live
-         materialization — O(goal) after a mutation instead of a cold
-         fixpoint — and otherwise *creates* one, so the fixpoint it had
-         to run anyway keeps paying off across future mutations.
+      (* A cache-missed tuple-returning eval answers from a matching
+         live materialization — O(goal) after a mutation instead of a
+         cold fixpoint — and otherwise *creates* one, so the fixpoint it
+         had to run anyway keeps paying off across future mutations.
          Boolean goals keep the early-stopping engine path and only read
          a mat when one already exists. *)
-      let pcompute () =
-        if not use_mats then eval_body ~cancel q i
-        else if Datalog.goal_arity q = 0 then
+      let compute () =
+        if Datalog.goal_arity q = 0 then
           match valid_mat s instance q i with
           | Some m ->
               if Instance.tuples (Dl_incr.full m) q.Datalog.goal <> [] then
@@ -391,19 +348,14 @@ let plan ~use_mats s ~cancel req : plan =
           in
           format_tuples (Instance.tuples (Dl_incr.full m) q.Datalog.goal)
       in
-      {
-        pkey =
-          cache_key
-            [ "eval"; Datalog.fingerprint_hex q; Instance.fingerprint_hex i ];
-        pgroup = Instance.fingerprint_hex i;
-        pworker_safe = true;
-        pcompute;
-      }
+      ( cache_key
+          [ "eval"; Datalog.fingerprint_hex q; Instance.fingerprint_hex i ],
+        compute )
   | Holds { program; instance; tuple } ->
       let q = Svc_session.program s program in
       let i = Svc_session.instance s instance in
-      let pcompute () =
-        match if use_mats then valid_mat s instance q i else None with
+      let compute () =
+        match valid_mat s instance q i with
         | Some m ->
             if List.length tuple <> Datalog.goal_arity q then
               reject "tuple has %d constants, goal arity is %d"
@@ -416,118 +368,61 @@ let plan ~use_mats s ~cancel req : plan =
             else "false"
         | None -> holds_body ~cancel q i tuple
       in
-      {
-        pkey =
-          cache_key
-            [ "holds"; Datalog.fingerprint_hex q; Instance.fingerprint_hex i;
-              String.concat "," tuple ];
-        pgroup = Instance.fingerprint_hex i;
-        pworker_safe = true;
-        pcompute;
-      }
+      ( cache_key
+          [ "holds"; Datalog.fingerprint_hex q; Instance.fingerprint_hex i;
+            String.concat "," tuple ],
+        compute )
   | Mondet_test { program; views; depth } ->
       let q = Svc_session.program s program in
       let vs = Svc_session.views s views in
-      {
-        pkey =
-          cache_key
-            [ "mondet-test"; Datalog.fingerprint_hex q; View.fingerprint_hex vs;
-              opt_part depth ];
-        pgroup = "";
-        pworker_safe = false;
-        pcompute = (fun () -> mondet_body ~cancel q vs depth);
-      }
+      ( cache_key
+          [ "mondet-test"; Datalog.fingerprint_hex q; View.fingerprint_hex vs;
+            opt_part depth ],
+        fun () -> mondet_body ~cancel q vs depth )
   | Certain_answers { program; views; instance } ->
       let q = Svc_session.program s program in
       let vs = Svc_session.views s views in
       let i = Svc_session.instance s instance in
-      {
-        pkey =
-          cache_key
-            [ "certain-answers"; Datalog.fingerprint_hex q;
-              View.fingerprint_hex vs; Instance.fingerprint_hex i ];
-        pgroup = "";
-        pworker_safe = false;
-        pcompute = (fun () -> certain_body ~cancel q vs i);
-      }
+      ( cache_key
+          [ "certain-answers"; Datalog.fingerprint_hex q;
+            View.fingerprint_hex vs; Instance.fingerprint_hex i ],
+        fun () -> certain_body ~cancel q vs i )
   | Rewrite_check { program; views; samples } ->
       let q = Svc_session.program s program in
       let vs = Svc_session.views s views in
-      {
-        pkey =
-          cache_key
-            [ "rewrite-check"; Datalog.fingerprint_hex q;
-              View.fingerprint_hex vs; opt_part samples ];
-        pgroup = "";
-        pworker_safe = false;
-        pcompute = (fun () -> rewrite_body ~cancel q vs samples);
-      }
+      ( cache_key
+          [ "rewrite-check"; Datalog.fingerprint_hex q;
+            View.fingerprint_hex vs; opt_part samples ],
+        fun () -> rewrite_body ~cancel q vs samples )
   | Rpq_eval { rpq; instance; tuple } ->
       let tr = Svc_session.rpq s rpq in
       let i = Svc_session.instance s instance in
-      {
-        pkey =
-          cache_key
-            [ "rpq-eval"; Rpq.fingerprint_hex (Rpq_translate.expr tr);
-              Instance.fingerprint_hex i; tuple_part tuple ];
-        pgroup = Instance.fingerprint_hex i;
-        pworker_safe = true;
-        pcompute = (fun () -> rpq_eval_body ~cancel tr i tuple);
-      }
+      ( cache_key
+          [ "rpq-eval"; Rpq.fingerprint_hex (Rpq_translate.expr tr);
+            Instance.fingerprint_hex i; tuple_part tuple ],
+        fun () -> rpq_eval_body ~cancel tr i tuple )
   | Rpq_rewrite { rpq; views; instance; tuple } ->
       let e = Rpq_translate.expr (Svc_session.rpq s rpq) in
       let vs = Svc_session.rpq_set s views in
       let i = Svc_session.instance s instance in
-      {
-        pkey =
-          cache_key
-            [ "rpq-rewrite"; Rpq.fingerprint_hex e; rpq_set_part vs;
-              Instance.fingerprint_hex i; tuple_part tuple ];
-        pgroup = Instance.fingerprint_hex i;
-        pworker_safe = true;
-        (* the rewrite construction is pure automata work (Symtab is the
-           only shared structure it touches, and that is domain-safe), so
-           it rides the worker thunk with the evaluation *)
-        pcompute =
-          (fun () ->
-            rpq_rewrite_body ~cancel (Rpq_views.rewrite ~views:vs e) i tuple);
-      }
+      ( cache_key
+          [ "rpq-rewrite"; Rpq.fingerprint_hex e; rpq_set_part vs;
+            Instance.fingerprint_hex i; tuple_part tuple ],
+        fun () ->
+          rpq_rewrite_body ~cancel (Rpq_views.rewrite ~views:vs e) i tuple )
   | Load _ | Rpq_load _ | Assert _ | Retract _ | Stats ->
-      assert false (* run in place by [step] *)
+      assert false (* run in place by [run] *)
 
 (* ------------------------------------------------------------------ *)
-(* The steps every path shares, up to the cache probe. *)
+(* One request, start to end.
 
-type step = Answer of string | Miss of plan
-
-(* Stats and the state-changing verbs run in place, at the request's
-   position; a query verb is planned and looked up.  Mutations are never
+   Stats and the state-changing verbs run in place; a query verb is
+   planned, looked up and computed on a miss.  Mutations are never
    cached (every execution changes state) and require an existing
-   session.  [use_mats] is off on the batch path, whose pool workers
-   must not touch session state. *)
-let step ~use_mats t ~cancel (s, load) req =
-  match (req.verb, s) with
-  | Stats, _ -> Answer (stats_body t)
-  | _, None -> reject "missing session"
-  | (Load _ | Rpq_load _), Some s -> Answer ((Option.get load) s)
-  | Assert { instance; text }, Some s ->
-      Answer (do_mutate s ~cancel ~asserted:true instance text)
-  | Retract { instance; text }, Some s ->
-      Answer (do_mutate s ~cancel ~asserted:false instance text)
-  | _, Some s -> (
-      let p = plan ~use_mats s ~cancel req in
-      match Svc_cache.find t.cache p.pkey with
-      | Some v -> Answer v
-      | None -> Miss p)
+   session.
 
-(* ------------------------------------------------------------------ *)
-(* The two regimes of [dispatch].
-
-   [Coordinator] is the stdio loop's and the one-shot CLI's: one
-   thread, no locks, no quota.
-
-   [Concurrent] is the TCP and Unix-socket workers' path, safe from
-   many domains at once.  Its discipline, in lock order:
+   [handle] is safe from many domains at once.  Its discipline, in lock
+   order:
 
    - [t.mu] guards the session table, held for table lookups only;
    - the session mutex is held for the whole of planning and evaluation,
@@ -535,24 +430,32 @@ let step ~use_mats t ~cancel (s, load) req =
      session-owned mutable structures (the instances' lazily built index
      caches foremost) safe to touch from many domains, with the mutex
      hand-off providing the publication edge;
-   - non-worker-safe verbs (mondet-test, certain-answers, rewrite-check)
-     additionally hold [t.heavy]: their decision procedures lean on
-     process-global memo tables that are not domain-safe, so at most one
-     such computation runs at a time, whatever the session;
-   - the cache carries its own lock.  Evaluation runs the one engine,
-     as on the coordinator, and its planner picks magic sets per goal:
-     the engine's caches (compiled programs, demand transformations)
-     are mutex-guarded.
+   - the cache carries its own lock.  The engine's caches (compiled
+     programs, demand transformations) are mutex-guarded; the decision
+     procedures' memo tables are per domain and their fresh-name
+     counters atomic, so requests on different sessions run side by
+     side whatever their verb.
 
    Per-session quotas shed with [busy] under the session lock, after the
    deadline and before any planning work. *)
 
-type regime = Coordinator | Concurrent
-
-let compute regime t p =
-  match regime with
-  | Concurrent when not p.pworker_safe -> Mutex.protect t.heavy p.pcompute
-  | _ -> p.pcompute ()
+let run t ~cancel (s, load) req =
+  match (req.verb, s) with
+  | Stats, _ -> stats_body t
+  | _, None -> reject "missing session"
+  | (Load _ | Rpq_load _), Some s -> (Option.get load) s
+  | Assert { instance; text }, Some s ->
+      do_mutate s ~cancel ~asserted:true instance text
+  | Retract { instance; text }, Some s ->
+      do_mutate s ~cancel ~asserted:false instance text
+  | _, Some s -> (
+      let key, compute = plan s ~cancel req in
+      match Svc_cache.find t.cache key with
+      | Some v -> v
+      | None ->
+          let v = compute () in
+          Svc_cache.add t.cache key v;
+          v)
 
 let admit t s =
   match t.quota with
@@ -561,146 +464,42 @@ let admit t s =
       raise Shed
   | _ -> ()
 
-let dispatch regime t req : response =
+let handle t req : response =
   Atomic.incr t.requests;
   let cancel = cancel_of req in
   let result =
     exec ~cancel (fun () ->
         let ((s, _) as resolved) = resolve t req in
-        let run () =
-          match step ~use_mats:true t ~cancel resolved req with
-          | Answer v -> v
-          | Miss p ->
-              let v = compute regime t p in
-              Svc_cache.add t.cache p.pkey v;
-              v
-        in
-        match (regime, s) with
-        | Concurrent, Some s ->
+        match s with
+        | None -> run t ~cancel resolved req
+        | Some s ->
             Svc_session.with_lock s (fun () ->
                 (* probe again once the lock is won: waiting for it may
                    have used the budget up *)
                 Dl_cancel.check cancel;
                 admit t s;
-                run ())
-        | _ -> run ())
+                run t ~cancel resolved req))
   in
-  { rid = req.id; result = record t (result_of result) }
-
-let handle t req = dispatch Coordinator t req
-let handle_concurrent t req = dispatch Concurrent t req
-
-(* ------------------------------------------------------------------ *)
-(* Batched entry point. *)
-
-type cell = {
-  cplan : plan;
-  ccancel : Dl_cancel.t;
-  mutable cout : Svc_proto.result option;
-}
-
-type slot =
-  | Done of Svc_proto.result
-  | Wait of cell (* shared by every request in the batch with this key *)
-
-let run_cell c = c.cout <- Some (result_of (exec ~cancel:c.ccancel c.cplan.pcompute))
-
-let handle_batch t reqs : response list =
-  let cells : (string, cell) Hashtbl.t = Hashtbl.create 16 in
-  (* every request's steps, in request order *)
-  let slots =
-    List.map
-      (fun req ->
-        Atomic.incr t.requests;
-        let cancel = cancel_of req in
-        match
-          exec ~cancel (fun () ->
-              step ~use_mats:false t ~cancel (resolve t req) req)
-        with
-        | Error r -> Done r
-        | Ok (Answer v) -> Done (Ok_ v)
-        | Ok (Miss p) -> (
-            match Hashtbl.find_opt cells p.pkey with
-            | Some c -> Wait c
-            | None ->
-                let c = { cplan = p; ccancel = cancel; cout = None } in
-                Hashtbl.add cells p.pkey c;
-                Wait c))
-      reqs
-  in
-  (* split the deduplicated misses into pool-safe and sequential work *)
-  let pooled, sequential =
-    Hashtbl.fold
-      (fun _ c (p, s) ->
-        if t.parallel && c.cplan.pworker_safe then (c :: p, s) else (p, c :: s))
-      cells ([], [])
-  in
-  (* group pool work by instance so one instance's lazy index caches are
-     only ever touched from one domain at a time *)
-  let groups : (string, cell list ref) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      match Hashtbl.find_opt groups c.cplan.pgroup with
-      | Some l -> l := c :: !l
-      | None -> Hashtbl.add groups c.cplan.pgroup (ref [ c ]))
-    pooled;
-  Dl_parallel.run_tasks
-    (Hashtbl.fold (fun _ l acc -> (fun () -> List.iter run_cell !l) :: acc) groups []);
-  (* remaining misses run on the coordinator after the barrier *)
-  List.iter run_cell sequential;
-  (* store successes, count timeouts, emit responses in request order *)
-  Hashtbl.iter
-    (fun key c ->
-      match c.cout with
-      | Some (Ok_ v) -> Svc_cache.add t.cache key v
-      | _ -> ())
-    cells;
-  List.map2
-    (fun req slot ->
-      let result =
-        match slot with
-        | Done r -> r
-        | Wait { cout = Some r; _ } -> r
-        | Wait { cout = None; _ } -> Error_ "internal: batch cell not computed"
-      in
-      { rid = req.id; result = record t result })
-    reqs slots
+  let result = match result with Ok v -> Ok_ v | Error r -> r in
+  (match result with Timeout -> Atomic.incr t.timeouts | _ -> ());
+  { rid = req.id; result }
 
 (* ------------------------------------------------------------------ *)
 (* Line-level entry points.  A line that does not parse answers [error],
    addressed to its first token. *)
 
-let parse_error t (id, msg) =
-  Atomic.incr t.requests;
-  { rid = id; result = Error_ msg }
-
-let on_line handle t line =
+let handle_line t line =
   match parse_request line with
-  | Error e -> parse_error t e
+  | Error (id, msg) ->
+      Atomic.incr t.requests;
+      { rid = id; result = Error_ msg }
   | Ok req -> handle t req
 
-let handle_line t line = on_line handle t line
-let handle_line_concurrent t line = on_line handle_concurrent t line
+let handle_lines t lines =
+  List.rev (List.fold_left (fun acc l -> handle_line t l :: acc) [] lines)
 
-(* Parse errors keep their position in the output; parsed requests go
-   through [handle_batch] together. *)
-let handle_lines t lines : response list =
-  let parsed = List.map parse_request lines in
-  let handled =
-    ref (handle_batch t (List.filter_map Result.to_option parsed))
-  in
-  List.map
-    (function
-      | Error e -> parse_error t e
-      | Ok _ -> (
-          match !handled with
-          | r :: rest ->
-              handled := rest;
-              r
-          | [] -> { rid = "-"; result = Error_ "internal: response underflow" }
-          ))
-    parsed
-
+let handle_concurrent = handle
+let handle_line_concurrent = handle_line
 let requests t = Atomic.get t.requests
 let timeouts t = Atomic.get t.timeouts
 let cache t = t.cache

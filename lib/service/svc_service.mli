@@ -3,24 +3,16 @@
     Owns the session store, the LRU result cache, and the per-request
     deadline machinery.  One [t] serves one server process.
 
-    Every entry point runs one request path: check the deadline,
-    resolve the session, run the verb — for a query verb, plan, look
-    up the cache, compute on a miss and store.  Two threading contracts
-    coexist on that path and must not be mixed on one [t]:
-
-    - the {e single-coordinator} entry points ({!handle},
-      {!handle_batch}, {!handle_line}, {!handle_lines}) must all be
-      called from one coordinating thread ({!handle_batch} farms work
-      out to the {!Dl_parallel} pool internally but never lets workers
-      touch the cache or the session store);
-    - the {e concurrent} entry points ({!handle_concurrent},
-      {!handle_line_concurrent}) may be called from many domains at
-      once — the TCP and Unix-socket connection workers do.  They
-      serialize per session (whole-request session lock), serialize the
-      non-worker-safe verbs globally (their decision procedures share
-      coordinator-only memo tables), and shed over-quota requests with
-      [busy] before planning.  Both evaluate with the one engine
-      ({!Dl_engine}); its planner picks magic sets per goal.
+    Every entry point runs one request path, on the calling domain:
+    check the deadline, resolve the session, take the session's lock,
+    check its quota, run the verb — for a query verb, plan, look up the
+    cache, compute on a miss and store.  The path is safe from many
+    domains at once, as the TCP and Unix-socket workers call it: it
+    serializes per session (whole-request session lock), the cache
+    carries its own lock, and the decision procedures keep their memo
+    tables per domain.  The stdio loop and [batch] call it from one
+    thread.  Evaluation runs the one engine ({!Dl_engine}); its planner
+    picks magic sets per goal.
 
     {2 Deadlines}
 
@@ -53,21 +45,19 @@
 
     [assert]/[retract] edit a session instance in place and are never
     cached (every execution changes state).  They require an existing
-    session, run sequentially at their position on the batch path, and
-    hold the session lock on the concurrent path like everything else.
-    Each session keeps a handful of incrementally maintained fixpoints
+    session and hold the session lock like everything else.  Each
+    session keeps a handful of incrementally maintained fixpoints
     ({!Dl_incr.t}) per instance, keyed by program fingerprint: a
-    cache-missed tuple-returning [eval] creates one (on the
-    single-request and concurrent paths — batch pool workers never touch
-    session state), mutations repair all of them
-    (Backward/Forward deletion), and subsequent [eval]/[holds] answer
-    from a repaired one instead of re-running the fixpoint.  Because
+    cache-missed tuple-returning [eval] creates one, mutations repair
+    all of them (Backward/Forward deletion), and subsequent
+    [eval]/[holds] answer from a repaired one instead of re-running the
+    fixpoint.  Because
     cache keys include the instance fingerprint, a mutation changes
     every affected key — the cache can never serve a pre-mutation
-    answer.  A deadline expiring mid-repair
-    drops the instance's materializations wholesale and leaves the
-    instance unedited, so [timeout] never publishes a half-applied
-    mutation; the next eval simply rebuilds cold. *)
+    answer.  A deadline expiring mid-repair leaves the instance
+    unedited, so [timeout] never publishes a half-applied mutation; the
+    materializations still on the unedited instance stay in use (a
+    cancelled repair leaves its materialization as it was). *)
 
 type t
 
@@ -78,40 +68,31 @@ val create :
   ?quota_window:float ->
   unit ->
   t
-(** [cache_capacity] defaults to 512 entries; [parallel] (default true)
-    lets {!handle_batch} dispatch cache-missed [eval]/[holds] requests
-    onto the {!Dl_parallel} domain pool.  [quota], when given, caps each
-    session at that many requests per [quota_window] seconds (default
-    window 1s) on the concurrent path; over-quota requests answer
-    [busy].  The single-coordinator entry points ignore the quota. *)
+(** [cache_capacity] defaults to 512 entries.  [quota], when given, caps
+    each session at that many requests per [quota_window] seconds
+    (default window 1s); over-quota requests answer [busy].  [parallel]
+    is ignored: it is kept only for callers written against an older
+    interface. *)
 
 val handle : t -> Svc_proto.request -> Svc_proto.response
-(** Handle one request synchronously on the calling thread. *)
-
-val handle_batch : t -> Svc_proto.request list -> Svc_proto.response list
-(** Handle a batch, returning responses in request order.  Loads and
-    stats execute sequentially at their position (so later requests in
-    the batch see them); cache-missed [eval]/[holds] requests are
-    deduplicated and run concurrently on the domain pool. *)
+(** Handle one request on the calling domain, safely concurrent with
+    other calls on other domains.  Returns [busy] when the session is
+    over quota. *)
 
 val handle_line : t -> string -> Svc_proto.response
 (** Parse one request line and handle it; a malformed line yields an
     [error] response addressed to the line's first token. *)
 
 val handle_lines : t -> string list -> Svc_proto.response list
-(** {!handle_batch} at the line level, preserving malformed lines'
-    positions in the output. *)
+(** {!handle_line} over the lines in order. *)
 
 val handle_concurrent : t -> Svc_proto.request -> Svc_proto.response
-(** Handle one request on the calling domain, safely concurrent with
-    other calls on other domains (see the threading contracts above).
-    Returns [busy] when the session is over quota. *)
+(** {!handle}, under an older name. *)
 
 val handle_line_concurrent : t -> string -> Svc_proto.response
-(** {!handle_concurrent} at the line level. *)
+(** {!handle_line}, under an older name. *)
 
 val requests : t -> int
 val timeouts : t -> int
 val sessions : t -> int
 val cache : t -> Svc_cache.t
-

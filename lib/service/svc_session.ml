@@ -1,14 +1,13 @@
 (* A named service session: the server-side store of loaded programs,
    view collections and instances that requests refer to by name.
 
-   Each session carries its own mutex.  The concurrent TCP workers hold
-   it for the whole handling of a request against the session —
-   planning, evaluation and stores — which serializes requests per
-   session and thereby publishes every session-owned mutable structure
-   (the instances' lazy index caches above all) between domains with a
-   proper happens-before edge.  Requests on different sessions never
-   share objects, so they run in parallel.  The single-coordinator
-   entry points do not take the lock (nothing to race with). *)
+   Each session carries its own mutex.  The service holds it for the
+   whole handling of a request against the session — planning,
+   evaluation and stores — on every entry point, which serializes
+   requests per session and thereby publishes every session-owned
+   mutable structure (the instances' lazy index caches above all)
+   between domains with a proper happens-before edge.  Requests on
+   different sessions never share objects, so they run in parallel. *)
 
 type t = {
   name : string;
@@ -24,8 +23,8 @@ type t = {
   (* materialized fixpoints over an instance, keyed by instance name and
      then by program fingerprint; maintained incrementally by the
      mutation verbs and consulted by eval/holds.  Owned by the session
-     like everything else here: touch only under the entry point's
-     session regime (see the mutex comment above). *)
+     like everything else here: touch only under the session lock (see
+     the mutex comment above). *)
   mats : (string, (string * Dl_incr.t) list) Hashtbl.t;
   (* fixed-window request quota, guarded by [mu] *)
   mutable win_start : float;
@@ -58,7 +57,7 @@ let with_lock t f =
 
 (* Count one request against the fixed [window]-second quota window;
    [true] means the caller must shed this request with [busy].  Must be
-   called with the session lock held (the concurrent path does). *)
+   called with the session lock held (the service does). *)
 let over_quota t ~limit ~window ~now =
   if now -. t.win_start >= window then begin
     t.win_start <- now;
@@ -99,7 +98,6 @@ let set_mat t n key m =
   set_mats t n (List.filteri (fun i _ -> i < max_mats) l)
 
 let mat t n key = List.assoc_opt key (mats t n)
-let drop_mats t n = Hashtbl.remove t.mats n
 
 let program t n =
   match Hashtbl.find_opt t.programs n with

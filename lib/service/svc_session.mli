@@ -4,14 +4,12 @@
     were [load]ed into it; query verbs refer to them by name.  Loads
     replace silently (reload-to-update is the intended workflow).
 
-    Each session owns a mutex.  The concurrent regime of
-    {!Svc_service} — the path the TCP and Unix-socket workers take —
-    wraps the whole handling of a request in {!with_lock}, serializing
-    requests per session: that is the synchronization that makes the
-    session-owned mutable structures — above all the instances' lazily
-    built index caches — safe to touch from many domains.  The
-    coordinator regime ({!Svc_service.handle}, [handle_batch]) skips
-    the lock; one process never mixes both regimes on one service. *)
+    Each session owns a mutex.  {!Svc_service} wraps the whole handling
+    of every request against a session in {!with_lock}, on every entry
+    point, serializing requests per session: that is the
+    synchronization that makes the session-owned mutable structures —
+    above all the instances' lazily built index caches — safe to touch
+    from many domains, as the TCP and Unix-socket workers do. *)
 
 type t
 
@@ -67,14 +65,12 @@ val rpq_set : t -> string -> (string * Rpq.t) list
     program's structural fingerprint, so a reloaded program never hits a
     stale entry).  At most a small fixed number are kept per instance
     (oldest evicted): each one is repaired on every mutation of the
-    instance.  Like all session state, access only under the entry
-    point's session regime — the concurrent path's {!with_lock}, or the
-    single-coordinator discipline. *)
+    instance.  Like all session state, access only under {!with_lock}. *)
 
 val mat : t -> string -> string -> Dl_incr.t option
 (** [mat t inst key]: the materialization registered for [inst] under
-    [key], if any.  Callers must still check {!Dl_incr.valid} and that
-    {!Dl_incr.base} matches the current instance. *)
+    [key], if any.  Callers must still check that {!Dl_incr.base}
+    matches the current instance. *)
 
 val set_mat : t -> string -> string -> Dl_incr.t -> unit
 (** Register a materialization (replacing any entry with the same key,
@@ -86,8 +82,4 @@ val mats : t -> string -> (string * Dl_incr.t) list
 
 val set_mats : t -> string -> (string * Dl_incr.t) list -> unit
 (** Replace the instance's whole materialization list (the mutation path
-    uses this to prune entries that went stale or were poisoned). *)
-
-val drop_mats : t -> string -> unit
-(** Forget every materialization for the instance name (the mutation
-    path's response to a cancellation mid-repair). *)
+    uses this to prune entries that went stale). *)

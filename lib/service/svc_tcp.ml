@@ -4,7 +4,7 @@
 
    Shape and why:
 
-   - a {e fixed} pool ({!Dl_parallel.spawn_workers}), not a domain per
+   - a {e fixed} pool of worker domains, not a domain per
      connection: domains are heavyweight (every one participates in
      every minor collection), so the domain count must track cores, not
      clients — 32 concurrent connections on 4 workers is the intended
@@ -15,9 +15,9 @@
    - each worker owns a self-pipe; the accept loop hands a connection
      over by pushing the fd onto the worker's mutex-guarded inbox and
      writing one byte to the pipe, which wakes the worker's select;
-   - requests go through {!Svc_service.handle_concurrent}, which
-     carries the whole cross-domain safety discipline (per-session
-     serialization, the heavy-verb mutex, the cache's own lock);
+   - requests go through {!Svc_service.handle_line}, which carries the
+     whole cross-domain safety discipline (per-session serialization,
+     the cache's own lock);
    - admission control sheds, never queues: when [max_conns]
      connections are active the accept loop answers the newcomer with
      one [- busy] line and closes it.  The client knows immediately and
@@ -36,6 +36,15 @@ type config = {
 }
 
 let default_config = { workers = 4; max_conns = 64; max_line = 1 lsl 20 }
+
+(* Join every worker domain, then re-raise the first exception any of
+   them died with. *)
+let join_workers workers =
+  let err = ref None in
+  Array.iter
+    (fun d -> try Domain.join d with e -> if !err = None then err := Some e)
+    workers;
+  Option.iter raise !err
 
 type conn = { fd : Unix.file_descr; reader : Svc_reader.t }
 
@@ -201,9 +210,7 @@ let bind_listener = function
   | addr -> bound_socket addr
 
 let serve ?(stop = fun () -> false) ?on_listen ?handle config service addr =
-  let handle =
-    Option.value handle ~default:(Svc_service.handle_line_concurrent service)
-  in
+  let handle = Option.value handle ~default:(Svc_service.handle_line service) in
   Svc_server.ignore_sigpipe ();
   let sock = bind_listener addr in
   Unix.listen sock 64;
@@ -212,8 +219,8 @@ let serve ?(stop = fun () -> false) ?on_listen ?handle config service addr =
   | None -> ());
   let closing = Atomic.make false in
   let active = Atomic.make 0 in
-  (* mirror the spawn_workers clamp so the slots exist — fully
-     initialized, published by Domain.spawn — before any worker runs *)
+  (* the slots exist — fully initialized, published by Domain.spawn —
+     before any worker runs *)
   let nworkers = max 1 (min config.workers 64) in
   let slots =
     Array.init nworkers (fun _ ->
@@ -221,11 +228,12 @@ let serve ?(stop = fun () -> false) ?on_listen ?handle config service addr =
         { inbox_mu = Mutex.create (); inbox = []; wake_r = r; wake_w = w })
   in
   let workers =
-    Dl_parallel.spawn_workers nworkers (fun i ->
-        worker_loop ~closing ~active ~max_line:config.max_line handle
-          slots.(i))
+    Array.map
+      (fun slot ->
+        Domain.spawn (fun () ->
+            worker_loop ~closing ~active ~max_line:config.max_line handle slot))
+      slots
   in
-  assert (Dl_parallel.worker_count workers = nworkers);
   let next = ref 0 in
   while not (stop ()) do
     let ready, _, _ =
@@ -255,7 +263,7 @@ let serve ?(stop = fun () -> false) ?on_listen ?handle config service addr =
   done;
   Atomic.set closing true;
   Array.iter poke slots;
-  Dl_parallel.join_workers workers;
+  join_workers workers;
   Array.iter
     (fun s ->
       close_quietly s.wake_r;

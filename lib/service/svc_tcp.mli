@@ -5,9 +5,8 @@
     to a fixed pool of worker domains; each worker multiplexes its
     share of the connections with its own select loop, framing requests
     through the length-capped {!Svc_reader} and answering them with
-    {!Svc_service.handle_concurrent} (which enforces the cross-domain
-    safety discipline: per-session serialization, the heavy-verb mutex,
-    the locked cache).
+    {!Svc_service.handle_line} (which enforces the cross-domain safety
+    discipline: per-session serialization and the locked cache).
 
     {2 Admission contract}
 
@@ -59,10 +58,6 @@ val serve :
     Without [stop], never returns.
 
     [handle] answers one request line; it defaults to
-    {!Svc_service.handle_line_concurrent} on [service].  An exception it
+    {!Svc_service.handle_line} on [service].  An exception it
     raises is answered [- error internal: EXN] and the worker goes on
-    serving that connection and every other one.
-
-    The [service] must be dedicated to this server and not driven
-    through the single-coordinator entry points concurrently (see
-    {!Svc_service}). *)
+    serving that connection and every other one. *)

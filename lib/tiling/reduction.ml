@@ -3,8 +3,12 @@ let tile_rel t = "T_" ^ t
 (* The reduction's queries, views, and test instances are pure functions of
    the tiling problem (and grid size), and the harnesses request the same
    handful over and over: cache them.  Cached instances also keep their
-   secondary indexes warm across requests. *)
-let memoize (tbl : ('a, 'b) Hashtbl.t) k f =
+   secondary indexes warm across requests.  One table per domain, so an
+   instance's index cache is only ever filled from one domain. *)
+let table () = Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+let memoize key k f =
+  let tbl = Domain.DLS.get key in
   match Hashtbl.find_opt tbl k with
   | Some v -> v
   | None ->
@@ -45,7 +49,7 @@ let va_cq =
       Cq.atom "YSucc" [ v "y1"; v "y2" ];
     ]
 
-let query_tbl : (Tiling.t, Datalog.query) Hashtbl.t = Hashtbl.create 8
+let query_tbl : (Tiling.t, Datalog.query) Hashtbl.t Domain.DLS.key = table ()
 
 let query (tp : Tiling.t) =
   memoize query_tbl tp @@ fun () ->
@@ -121,7 +125,8 @@ let query (tp : Tiling.t) =
   in
   Datalog.query (base @ hc_rules @ vc_rules @ init_rules @ final_rules) "Q"
 
-let views_tbl : (Tiling.t, View.collection) Hashtbl.t = Hashtbl.create 8
+let views_tbl : (Tiling.t, View.collection) Hashtbl.t Domain.DLS.key =
+  table ()
 
 let views (tp : Tiling.t) : View.collection =
   memoize views_tbl tp @@ fun () ->
@@ -192,7 +197,7 @@ let xi i = c (Printf.sprintf "x%d" i)
 let yj j = c (Printf.sprintf "y%d" j)
 let zij i j = c (Printf.sprintf "z%d_%d" i j)
 
-let axes_tbl : (int, Instance.t) Hashtbl.t = Hashtbl.create 8
+let axes_tbl : (int, Instance.t) Hashtbl.t Domain.DLS.key = table ()
 
 let axes l =
   memoize axes_tbl l @@ fun () ->
@@ -212,8 +217,9 @@ let axes l =
   add (Fact.make "YEnd" [ yj l ]);
   Instance.of_list !facts
 
-let grid_test_tbl : (Tiling.t * string list * int * int, Instance.t) Hashtbl.t =
-  Hashtbl.create 8
+let grid_test_tbl :
+    (Tiling.t * string list * int * int, Instance.t) Hashtbl.t Domain.DLS.key =
+  table ()
 
 let grid_test (tp : Tiling.t) ~tau n m =
   (* materialize the tile assignment so the memo key captures it *)

@@ -37,10 +37,13 @@ let combined_program (vs : collection) =
 (* Fingerprint of a collection: an order-sensitive fold of the views'
    names and the structural fingerprints of their programs.  Memoized
    under physical equality of the collection — sessions reuse the stored
-   list across requests, so warm cache-key construction is O(1). *)
-let fp_cache : (collection * string) list ref = ref []
+   list across requests, so warm cache-key construction is O(1).  One
+   memo per domain, so no lock. *)
+let fp_cache : (collection * string) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let fingerprint_hex vs =
+  let fp_cache = Domain.DLS.get fp_cache in
   match List.find_opt (fun (vs', _) -> vs' == vs) !fp_cache with
   | Some (_, v) -> v
   | None ->

@@ -11,7 +11,7 @@
 #      bin/mondet.ml (catches docs of removed/renamed options);
 #   4. every mondet subcommand must appear in README.md;
 #   5. every wire verb must appear in the docs/GUIDE.md walkthroughs;
-#   6. both service regimes evaluate with the one engine, whose planner
+#   6. the service evaluates with the one engine, whose planner
 #      picks magic sets per goal:
 #      the removed Dl_engine.pool_strategy is named in no file under
 #      lib, bin, test, bench or docs, nor in README.md, DESIGN.md or
@@ -22,12 +22,12 @@
 #      lib/datalog/dl_incr.ml must still name it, no maintenance doc
 #      may claim recursive strata run DRed / delete-and-rederive again,
 #      and none may describe derivation counting as the repair scheme;
-#   8. the concurrent regime locks: the service must still take the
-#      session lock and the heavy-verb mutex, and the Unix-socket server
-#      runs on the concurrent worker loop — neither ARCHITECTURE.md nor
-#      svc_server.mli may call it a single-threaded or batch loop, and
-#      Svc_server must not grow a socket server of its own again;
-#   9. one semi-naive round loop: Dl_parallel has no worker-matcher option
+#   8. the request path locks: the service must still take the session
+#      lock, and the Unix-socket server runs on the concurrent worker
+#      loop — neither ARCHITECTURE.md nor svc_server.mli may call it a
+#      single-threaded or batch loop, and Svc_server must not grow a
+#      socket server of its own again;
+#   9. one semi-naive round loop: no worker-matcher option
 #      (MONDET_PAR_MATCHER / set_matcher appear in no source, test or
 #      doc), and the round boundary `Dl_store.commit` (the one way a
 #      round's derived tuples become the next delta) is called in exactly
@@ -48,6 +48,13 @@
 #      deleted per-kind definition tags `Cq_def`, `Ucq_def` and
 #      `Datalog_def` and the per-kind evaluator `View.eval` are named in
 #      no file under lib, bin, test, bench, examples or docs.
+#  13. one request path in the service: the deleted batch pool and its
+#      second request path — `handle_batch`, `run_tasks`, `set_domains`,
+#      `MONDET_DOMAINS`, `pworker_safe`, `Dl_parallel`, the "coordinator
+#      regime", `batch --sequential` and `--domains` — are named in no
+#      file under lib, bin, test, bench, examples, docs, .github or
+#      .claude, nor in README.md, DESIGN.md, ARCHITECTURE.md, PAPER.md,
+#      PAPERS.md or SNIPPETS.md.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -107,7 +114,7 @@ for s in $subs; do
   grep -q "$s" README.md || err "subcommand '$s' not mentioned in README.md"
 done
 
-# 6. the concurrent path's engine is the planner's.  An override
+# 6. the service's engine is the planner's.  An override
 #    is a labelled [?strategy]/[~strategy]/[?engine]/[~engine] argument
 #    in a service source; claims wrap across lines, so each file is
 #    flattened to one line before matching.  CHANGES.md, EXPERIMENTS.md
@@ -118,7 +125,7 @@ if grep -rlE 'pool_strategy' lib bin test bench docs README.md DESIGN.md \
   err "the files above name the removed Dl_engine.pool_strategy"
 fi
 if grep -rnE '[?~](strategy|engine)\b' lib/service; then
-  err "lib/service overrides the engine above; both regimes run the planner"
+  err "lib/service overrides the engine above; the service runs the planner"
 fi
 for f in ARCHITECTURE.md DESIGN.md README.md docs/GUIDE.md \
   lib/service/svc_service.mli "$service_ml" lib/service/svc_tcp.ml; do
@@ -156,15 +163,13 @@ for f in lib/datalog/dl_incr.mli "$incr_ml" lib/datalog/dl_semi.mli \
   fi
 done
 
-# 8. the concurrent regime's locks, matched in their call shapes as in
-#    rule 6 (the comments naming them bracket the names instead); and
-#    the Unix-socket server's shape.  A claim pairs a Unix-socket term
+# 8. the request path's session lock, matched in its call shape as in
+#    rule 6 (the comments naming it bracket the name instead); and the
+#    Unix-socket server's shape.  A claim pairs a Unix-socket term
 #    with "single-threaded" or "batch" within one clause-sized window
 #    (no period or table bar in between), flattened as in rule 6.
 grep -q 'Svc_session\.with_lock s (' "$service_ml" ||
   err "$service_ml no longer takes the session lock (update rule 8 and the docs)"
-grep -Eq 'Mutex\.(protect|lock) t\.heavy' "$service_ml" ||
-  err "$service_ml no longer locks the heavy-verb mutex (update rule 8 and the docs)"
 server_mli=lib/service/svc_server.mli
 unix_sock='unix[- ](socket|domain)'
 loop_claim='(single-threaded|batch)'
@@ -181,7 +186,7 @@ fi
 # 9. the semi-naive round loop.  CHANGES.md is history and keeps the names.
 if grep -rlE 'MONDET_PAR_MATCHER|set_matcher' lib bin test docs \
   README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md ROADMAP.md; then
-  err "the files above name the removed Dl_parallel matcher option"
+  err "the files above name the removed worker-matcher option"
 fi
 loops=$(grep -l 'Dl_store\.commit' lib/datalog/*.ml || true)
 [ "$(echo "$loops" | grep -c .)" -eq 1 ] ||
@@ -216,6 +221,14 @@ fi
 if grep -rlE 'Cq_def|Ucq_def|Datalog_def|View\.eval' lib bin test bench \
   examples docs; then
   err "the files above name a per-kind view definition; a view is its Datalog program"
+fi
+
+# 13. one request path.  CHANGES.md, EXPERIMENTS.md and ROADMAP.md are
+#     history and keep the names.
+if grep -rlE -e 'handle_batch|run_tasks|set_domains|MONDET_DOMAINS|pworker_safe|Dl_parallel|coordinator regime|--sequential|--domains' \
+  lib bin test bench examples docs .github .claude README.md DESIGN.md \
+  ARCHITECTURE.md PAPER.md PAPERS.md SNIPPETS.md; then
+  err "the files above name the deleted batch pool or its second request path"
 fi
 
 if [ "$fail" -eq 0 ]; then

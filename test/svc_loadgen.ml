@@ -15,7 +15,7 @@
 (* Deterministic workload: a grid session (transitive closure over a
    31-edge chain) and a diamond session (the Figure-3 query/view pair),
    mixed so the stream exercises cheap cached hits, distinct-key eval
-   and holds misses, and the heavy decision verbs. *)
+   and holds misses, and the decision verbs. *)
 
 let setup_lines =
   [
@@ -81,14 +81,14 @@ let rec write_all fd s off len =
     in
     write_all fd s (off + n) (len - n)
 
-(* Oracle replay: a fresh sequential service answers every exchanged
-   request and the count of byte differences is returned; any difference
-   is a correctness failure of the concurrent path, not noise.  Join an
-   in-process server's domains first so every published write is
-   visible. *)
-let verify_exchanges exchanges =
-  let oracle = Svc_service.create ~parallel:false () in
-  List.iter (fun l -> ignore (Svc_service.handle_line oracle l)) setup_lines;
+(* Oracle replay: a fresh service, after the [setup] lines, answers
+   every exchanged request sequentially and the count of byte
+   differences is returned; any difference is a correctness failure of
+   the concurrent run, not noise.  Join an in-process server's domains
+   first so every published write is visible. *)
+let verify_exchanges ?(setup = setup_lines) exchanges =
+  let oracle = Svc_service.create () in
+  List.iter (fun l -> ignore (Svc_service.handle_line oracle l)) setup;
   List.fold_left
     (fun bad (req, resp) ->
       let expected =

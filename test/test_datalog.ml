@@ -534,3 +534,35 @@ let suite =
         prop_cq_differential;
         prop_round_counts;
       ]
+
+(* Fresh names from many domains at once: the counters behind
+   [Cq.freshen] and [Datalog.rename_rule_apart] are shared by every
+   domain, so no name is handed out twice. *)
+let test_fresh_names_across_domains () =
+  let q = Cq.make ~head:[ "x" ] [ Cq.atom "E" [ Cq.Var "x"; Cq.Var "x" ] ] in
+  let r =
+    Datalog.rule (Cq.atom "P" [ Cq.Var "x" ]) [ Cq.atom "E" [ Cq.Var "x" ] ]
+  in
+  let per_domain = 20_000 in
+  let names () =
+    List.init per_domain (fun _ ->
+        let q' = Cq.freshen q and r' = Datalog.rename_rule_apart r in
+        match (q'.Cq.head, r'.Datalog.head.Cq.args) with
+        | [ v ], [ Cq.Var w ] -> (v, w)
+        | _ -> Alcotest.fail "one head variable expected")
+  in
+  let all =
+    List.concat_map Domain.join (List.init 4 (fun _ -> Domain.spawn names))
+  in
+  let distinct l = List.length (List.sort_uniq String.compare l) in
+  check_int "Cq.freshen names distinct" (4 * per_domain)
+    (distinct (List.map fst all));
+  check_int "rename_rule_apart names distinct" (4 * per_domain)
+    (distinct (List.map snd all))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "fresh names across domains" `Quick
+        test_fresh_names_across_domains;
+    ]

@@ -5,7 +5,6 @@ let () =
       ("cq", Test_cq.suite);
       ("datalog", Test_datalog.suite);
       ("magic", Test_magic.suite);
-      ("parallel", Test_parallel.suite);
       ("vm", Test_vm.suite);
       ("semi", Test_semi.suite);
       ("incr", Test_incr.suite);

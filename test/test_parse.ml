@@ -105,6 +105,25 @@ let test_views () =
         (String.length m >= 6 && String.sub m 0 6 = "view V")
   | _ -> Alcotest.fail "expected Parse.Error for constant in view head"
 
+(* A view must have a base case: some rule that fires from base
+   relations alone, possibly through other views that have one. *)
+let test_views_base_case () =
+  let rejects name text =
+    match Parse.views text with
+    | exception Parse.Error m ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S names view %s" m name)
+          true
+          (String.starts_with ~prefix:("view " ^ name ^ " has no base case") m)
+    | _ -> Alcotest.failf "%s: expected Parse.Error" text
+  in
+  rejects "E" "E(x,y) <- E(x,y).";
+  rejects "A" "A(x) <- B(x). B(x) <- A(x).";
+  rejects "B" "A(x) <- U(x). B(x) <- A(x), B(x).";
+  Alcotest.(check int)
+    "a view reading a grounded view loads" 2
+    (List.length (Parse.views "A(x,y) <- E(x,y). B(x,y) <- A(x,z), A(z,y)."))
+
 let suite =
   [
     Alcotest.test_case "rule" `Quick test_rule;
@@ -117,4 +136,5 @@ let suite =
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "error positions" `Quick test_error_positions;
     Alcotest.test_case "views" `Quick test_views;
+    Alcotest.test_case "views need a base case" `Quick test_views_base_case;
   ]

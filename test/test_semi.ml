@@ -160,6 +160,26 @@ let prop_eval_order =
           = Instance.tuples (naive p i) goal)
         Test_datalog.dg_idbs)
 
+(* The delta-start entry under every semi-naive engine: resume from the
+   naive fixpoint with a random delta (IDB facts included, as the
+   maintenance layer's seeds are); [(full, derived)] must equal Naive's,
+   which recomputes from the union. *)
+let prop_fixpoint_delta_differential =
+  let delta_arb =
+    QCheck.make ~print:(Fmt.str "%a" Instance.pp) Test_datalog.dg_instance
+  in
+  QCheck.Test.make ~name:"fixpoint_delta = naive under every engine"
+    ~count:120
+    (QCheck.pair Test_datalog.dg_pair_arb delta_arb)
+    (fun ((p, i), delta) ->
+      let old = Dl_eval.fixpoint_naive p i in
+      let run s = Dl_engine.fixpoint_delta ~strategy:s p ~old ~delta in
+      let want_full, want_derived = run Dl_engine.Naive in
+      let agree (full, derived) =
+        Instance.equal full want_full && Instance.equal derived want_derived
+      in
+      agree (run Dl_engine.Vm))
+
 let suite =
   [
     Alcotest.test_case "IDB facts in the input" `Quick test_idb_in_input;
@@ -172,4 +192,5 @@ let suite =
     Alcotest.test_case "bodiless rules and input goal facts" `Quick
       test_bodiless_and_input_goals;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_delta_derived; prop_eval_order ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_delta_derived; prop_eval_order; prop_fixpoint_delta_differential ]

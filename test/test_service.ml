@@ -349,7 +349,7 @@ let test_mutation_deadline_race () =
   check_string "still consistent" "6 ok true" (p "6 holds s tc big (n0,n5)")
 
 (* ------------------------------------------------------------------ *)
-(* Mixed two-session workload, batched through the domain-pool path,
+(* Mixed two-session workload, 25 rounds through [handle_lines],
    cross-checked request by request against direct evaluation. *)
 
 let chain n =
@@ -377,7 +377,7 @@ let format_tuples q i =
         |> String.concat ";"
 
 let test_mixed_workload () =
-  let svc = Svc_service.create ~cache_capacity:256 ~parallel:true () in
+  let svc = Svc_service.create ~cache_capacity:256 () in
   let sessions = [ "s1"; "s2" ] in
   let progs = [ ("tc", "T", tc_text); ("hop", "H", hop_text) ] in
   let insts =
@@ -488,14 +488,14 @@ let test_mixed_workload () =
 (* ------------------------------------------------------------------ *)
 (* Differential keying: the fingerprint-keyed service must keep the
    cache trace of the printed-key scheme it replaced (Key_oracle).  The
-   same 1200-request mixed workload the pool test drives goes through
-   the service; a test-side cache fed the printed keys in the batch
-   path's order — find every request, then store each distinct miss —
-   must show the same hits, misses, entries and evictions after every
-   round, and a printed-key hit must carry the service's answer. *)
+   same 1200-request mixed workload as above goes through the service; a
+   test-side cache fed the printed keys in the service's order — find,
+   then store on a miss, request by request — must show the same hits,
+   misses, entries and evictions after every round, and a printed-key
+   hit must carry the service's answer. *)
 
 let test_key_mode_differential () =
-  let svc = Svc_service.create ~cache_capacity:256 ~parallel:true () in
+  let svc = Svc_service.create ~cache_capacity:256 () in
   let oracle = Svc_cache.create 256 in
   let sessions = [ "s1"; "s2" ] in
   let progs = [ ("tc", "T", tc_text); ("hop", "H", hop_text) ] in
@@ -575,25 +575,17 @@ let test_key_mode_differential () =
     let reqs = round_lines () in
     total := !total + List.length reqs;
     let resps = Svc_service.handle_lines svc (List.map fst reqs) in
-    let misses =
-      List.fold_left2
-        (fun misses (line, key) resp ->
-          let body =
-            match resp.Svc_proto.result with
-            | Svc_proto.Ok_ b -> b
-            | _ -> Alcotest.fail ("request failed: " ^ line)
-          in
-          match Svc_cache.find oracle key with
-          | Some b ->
-              check_string ("printed-key hit answers alike: " ^ line) b body;
-              misses
-          | None ->
-              if List.mem_assoc key misses then misses
-              else (key, body) :: misses)
-        [] reqs resps
-    in
-    List.iter (fun (key, body) -> Svc_cache.add oracle key body)
-      (List.rev misses);
+    List.iter2
+      (fun (line, key) resp ->
+        let body =
+          match resp.Svc_proto.result with
+          | Svc_proto.Ok_ b -> b
+          | _ -> Alcotest.fail ("request failed: " ^ line)
+        in
+        match Svc_cache.find oracle key with
+        | Some b -> check_string ("printed-key hit answers alike: " ^ line) b body
+        | None -> Svc_cache.add oracle key body)
+      reqs resps;
     check_string
       (Printf.sprintf "same cache trace after round %d" round)
       (trace oracle)
@@ -625,7 +617,7 @@ let shuffle_gen l =
    running [run_a]; true when it hit the cache.  [None] when [run_a]
    did not succeed. *)
 let second_hits ~setup ~load_a ~load_b ~run_a ~run_b =
-  let svc = Svc_service.create ~parallel:false () in
+  let svc = Svc_service.create () in
   let ok line =
     match (Svc_service.handle_line svc line).Svc_proto.result with
     | Svc_proto.Ok_ _ -> true
@@ -901,7 +893,6 @@ let qcheck_rpq_keys =
 let line_entries =
   [
     ("handle_line", Svc_service.handle_line);
-    ("handle_line_concurrent", Svc_service.handle_line_concurrent);
     ( "handle_lines",
       fun svc line -> List.hd (Svc_service.handle_lines svc [ line ]) );
   ]
@@ -921,7 +912,7 @@ let check_no_session entry svc handle =
 let test_deadline_first () =
   List.iter
     (fun (entry, handle) ->
-      let svc = Svc_service.create ~parallel:false () in
+      let svc = Svc_service.create () in
       List.iter
         (fun line ->
           check_string
@@ -943,7 +934,7 @@ let test_deadline_first () =
 let test_failed_load_no_session () =
   List.iter
     (fun (entry, handle) ->
-      let svc = Svc_service.create ~parallel:false () in
+      let svc = Svc_service.create () in
       List.iter
         (fun (line, prefix) ->
           let out = Svc_proto.print_response (handle svc line) in
@@ -961,17 +952,16 @@ let test_failed_load_no_session () =
     line_entries
 
 (* Inputs outside a decision procedure's scope answer [error
-   unsupported: ...] on both single-line entry points, whichever
-   procedure rejects them, and the service keeps answering: constants in
-   the query reach the CQ automaton, constants in a view the forward
-   automaton, and a 63-atom query overflows the CQ automaton's atom
-   masks. *)
+   unsupported: ...], whichever procedure rejects them, and the service
+   keeps answering: constants in the query reach the CQ automaton,
+   constants in a view the forward automaton, and a 63-atom query
+   overflows the CQ automaton's atom masks. *)
 let test_unsupported_inputs () =
   List.iter
     (fun (entry, handle) ->
       List.iter
         (fun (query, views) ->
-          let svc = Svc_service.create ~parallel:false () in
+          let svc = Svc_service.create () in
           let answer line = Svc_proto.print_response (handle svc line) in
           check_string (entry ^ ": load program") "1 ok loaded program g"
             (answer ("1 load s program g goal G : " ^ query));
@@ -998,7 +988,7 @@ let test_unsupported_inputs () =
 
 (* malformed lines keep their position in handle_lines output *)
 let test_handle_lines_order () =
-  let svc = Svc_service.create ~parallel:false () in
+  let svc = Svc_service.create () in
   let lines =
     [
       "1 load s program tc goal T : T(x,y) <- E(x,y).";

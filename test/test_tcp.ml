@@ -158,7 +158,7 @@ let load_lines =
   ]
 
 let test_tcp_basic () =
-  let service = Svc_service.create ~parallel:false () in
+  let service = Svc_service.create () in
   with_server service (fun addr ->
       let fd, ic, oc = connect addr in
       List.iter (fun l -> ignore (roundtrip ic oc l)) load_lines;
@@ -174,7 +174,7 @@ let test_tcp_basic () =
 (* A views payload is one Datalog program over TCP too: the cycle
    query finds no failing canonical test over the tc views. *)
 let test_tcp_tc_views () =
-  let service = Svc_service.create ~parallel:false () in
+  let service = Svc_service.create () in
   with_server service (fun addr ->
       let fd, ic, oc = connect addr in
       List.iter
@@ -189,7 +189,7 @@ let test_tcp_tc_views () =
       Unix.close fd)
 
 let test_tcp_oversized_line () =
-  let service = Svc_service.create ~parallel:false () in
+  let service = Svc_service.create () in
   let config = { Svc_tcp.default_config with Svc_tcp.max_line = 100 } in
   with_server ~config service (fun addr ->
       let fd, ic, oc = connect addr in
@@ -208,7 +208,7 @@ let test_tcp_oversized_line () =
 let test_unix_socket () =
   let path = Filename.temp_file "mondet-unix" ".sock" in
   Sys.remove path;
-  let service = Svc_service.create ~parallel:false () in
+  let service = Svc_service.create () in
   let config = { Svc_tcp.default_config with Svc_tcp.max_line = 64 } in
   with_server ~config ~addr:(Unix.ADDR_UNIX path) service (fun addr ->
       check_bool "listening on the path" true (addr = Unix.ADDR_UNIX path);
@@ -228,11 +228,11 @@ let test_unix_socket () =
    internal: ...] and the single worker keeps serving: the next request
    on the same connection and one on a new connection both answer. *)
 let test_tcp_handler_exception () =
-  let service = Svc_service.create ~parallel:false () in
+  let service = Svc_service.create () in
   let config = { Svc_tcp.default_config with Svc_tcp.workers = 1 } in
   let handle line =
     if String.starts_with ~prefix:"boom" line then raise Not_found
-    else Svc_service.handle_line_concurrent service line
+    else Svc_service.handle_line service line
   in
   with_server ~config ~handle service (fun addr ->
       let fd, ic, oc = connect addr in
@@ -248,7 +248,7 @@ let test_tcp_handler_exception () =
       Unix.close fd)
 
 let test_tcp_admission_shed () =
-  let service = Svc_service.create ~parallel:false () in
+  let service = Svc_service.create () in
   let config = { Svc_tcp.default_config with Svc_tcp.max_conns = 1 } in
   with_server ~config service (fun addr ->
       let fd1, ic1, oc1 = connect addr in
@@ -272,7 +272,7 @@ let test_tcp_quota_busy () =
   (* window far longer than the test: deterministically, the first
      [limit] requests pass and every later one sheds *)
   let service =
-    Svc_service.create ~parallel:false ~quota:4 ~quota_window:3600.0 ()
+    Svc_service.create ~quota:4 ~quota_window:3600.0 ()
   in
   with_server service (fun addr ->
       let fd, ic, oc = connect addr in
@@ -295,7 +295,7 @@ let test_tcp_stress_oracle () =
   (* 8 x 12 and the 4 x 32 shape of the retired CI load gate *)
   List.iter
     (fun (conns, per_conn) ->
-      let service = Svc_service.create ~parallel:false () in
+      let service = Svc_service.create () in
       let config = { Svc_tcp.default_config with Svc_tcp.max_conns = 40 } in
       let stats, exchanges =
         with_server ~config service (fun addr ->
@@ -312,6 +312,57 @@ let test_tcp_stress_oracle () =
         0
         (Svc_loadgen.verify_exchanges exchanges))
     [ (8, 12); (4, 32) ]
+
+(* The decision verbs side by side: four clients, each on its own
+   session and domain, load the reachability query under IDB names of
+   their own (so every request misses the cache) and run mondet-test,
+   certain-answers and rewrite-check.  Their procedures share no memo
+   table and no counter unsafely, so every answer must equal the
+   sequential oracle's. *)
+let decision_script k =
+  let s = Printf.sprintf "d%d" k in
+  List.concat_map
+    (fun r ->
+      let t = Printf.sprintf "T%d_%d" k r in
+      List.map
+        (fun line -> Printf.sprintf "%s_%d_%s" s r line)
+        [
+          Printf.sprintf
+            "p load %s program reach goal Goal : Goal() <- %s(x,y). %s(x,y) \
+             <- E(x,y). %s(x,y) <- E(x,z), %s(z,y)."
+            s t t t t;
+          Printf.sprintf "v load %s views v : V(x,y) <- E(x,y)." s;
+          Printf.sprintf "i load %s instance vi : V(a,b). V(b,c)." s;
+          Printf.sprintf "m mondet-test %s reach v" s;
+          Printf.sprintf "c certain-answers %s reach v vi" s;
+          Printf.sprintf "r rewrite-check %s reach v" s;
+        ])
+    [ 0; 1; 2 ]
+
+let test_tcp_decision_verbs_side_by_side () =
+  let service = Svc_service.create () in
+  let nclients = 4 in
+  let exchanges =
+    with_server service (fun addr ->
+        List.init nclients (fun k ->
+            Domain.spawn (fun () ->
+                let fd, ic, oc = connect addr in
+                let script = decision_script k in
+                let rs = List.map (roundtrip ic oc) script in
+                Unix.close fd;
+                List.combine script rs))
+        |> List.concat_map Domain.join)
+  in
+  check_int "decision requests all missed the cache" (nclients * 3 * 3)
+    (Svc_cache.misses (Svc_service.cache service));
+  List.iter
+    (fun (req, resp) ->
+      match Svc_proto.parse_response resp with
+      | Ok { Svc_proto.result = Svc_proto.Ok_ _; _ } -> ()
+      | _ -> Alcotest.failf "%s answered %s" req resp)
+    exchanges;
+  check_int "every answer equals the sequential oracle's" 0
+    (Svc_loadgen.verify_exchanges ~setup:[] exchanges)
 
 (* Concurrent clients mutating *distinct* sessions.  Each client owns a
    session (and its own constants, so evaluation really differs across
@@ -344,7 +395,7 @@ let mutation_script k =
     ]
 
 let test_tcp_concurrent_mutations () =
-  let service = Svc_service.create ~parallel:false () in
+  let service = Svc_service.create () in
   let nclients = 4 in
   let transcripts =
     with_server service (fun addr ->
@@ -358,7 +409,7 @@ let test_tcp_concurrent_mutations () =
         in
         List.map Domain.join clients)
   in
-  let oracle = Svc_service.create ~parallel:false () in
+  let oracle = Svc_service.create () in
   List.iteri
     (fun k got ->
       List.iter2
@@ -382,13 +433,13 @@ let test_snapshot_roundtrip () =
   let queries =
     [ "q1 eval s tc i"; "q2 holds s tc i (a,c)"; "q3 holds s tc i (c,a)" ]
   in
-  let svc1 = Svc_service.create ~parallel:false () in
+  let svc1 = Svc_service.create () in
   List.iter (fun l -> ignore (feed svc1 l)) load_lines;
   let cold = List.map (feed svc1) queries in
   Svc_persist.save path svc1;
   (* a warm service: same loads, snapshot reloaded — every query must
      hit and answer byte-identically *)
-  let svc2 = Svc_service.create ~parallel:false () in
+  let svc2 = Svc_service.create () in
   (match Svc_persist.load path svc2 with
   | Ok n -> check_int "all entries reloaded" 3 n
   | Error m -> Alcotest.fail ("snapshot load failed: " ^ m));
@@ -426,7 +477,7 @@ let test_snapshot_lru_order () =
    printed-key scheme's, without touching the cache. *)
 let test_snapshot_mode_mismatch () =
   let path = Filename.temp_file "mondet-cache" ".snap" in
-  let svc1 = Svc_service.create ~parallel:false () in
+  let svc1 = Svc_service.create () in
   List.iter
     (fun l -> ignore (Svc_service.handle_line svc1 l))
     (load_lines @ [ "q1 eval s tc i" ]);
@@ -438,7 +489,7 @@ let test_snapshot_mode_mismatch () =
       output_string oc
         "mondet-cache/1 mode=printed syms=0 entries=1\n\
          \"0123456789abcdef0123456789abcdef\" \"a,b;a,c;b,c\"\n");
-  let svc2 = Svc_service.create ~parallel:false () in
+  let svc2 = Svc_service.create () in
   (match Svc_persist.load path svc2 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "snapshot accepted under the wrong key mode");
@@ -465,6 +516,8 @@ let suite =
     Alcotest.test_case "tcp stress vs oracle" `Slow test_tcp_stress_oracle;
     Alcotest.test_case "tcp concurrent mutations" `Quick
       test_tcp_concurrent_mutations;
+    Alcotest.test_case "tcp decision verbs side by side" `Quick
+      test_tcp_decision_verbs_side_by_side;
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot lru order" `Quick test_snapshot_lru_order;
     Alcotest.test_case "snapshot mode mismatch" `Quick

@@ -419,8 +419,3 @@ let suite =
         prop_vm_holds_differential;
         prop_seeded_runs;
       ]
-  @ [
-      Alcotest.test_case "pool shutdown" `Quick (fun () ->
-          Dl_parallel.set_domains 1;
-          Dl_parallel.shutdown ());
-    ]
