@@ -246,16 +246,18 @@ let engine_tests =
   in
   let rpq_holds =
     (* mondetbench serve-churn's graph and RPQ, one (x, y) membership:
-       each call builds a fresh anchored program, so the planner finds
-       its transform by fingerprint, never physically; an all-free state
-       relation sends the goal to the VM *)
+       each call translates the query afresh, so the planner finds the
+       anchored program's transform by fingerprint, never physically; an
+       all-free state relation sends the goal to the VM *)
     let churn =
       Rpq_graph.scale_free ~seed:7919 ~labels:[ "knows"; "follows" ]
         ~nodes:1536 ~edges:2000 ()
     in
     let q = Rpq.parse "(knows|follows)*.follows" in
     row "rpq-holds-churn" (fun () ->
-        ignore (Rpq_translate.holds q churn (node 700) (node 3)))
+        ignore
+          (Rpq_translate.holds (Rpq_translate.translate q) churn (node 700)
+             (node 3)))
   in
   let thm9 =
     (* the Theorem 9 query on a full run encoding: separator work is
@@ -433,17 +435,19 @@ let incr_tests =
 (* ------------------------------------------------------------------ *)
 (* RPQ probes: all-pairs and source-anchored evaluation of the Datalog
    translation on chain/grid/scale-free graphs, the view-rewriting
-   automaton construction alone (pure automata work, no evaluation),
-   and certain answers through a lossless rewriting — the direct vs
+   construction alone (automata work and the translations of R_max and
+   the views, no evaluation), and certain answers through a lossless
+   rewriting (evaluation only) — the direct vs
    rewritten trajectory at graph scale lives in E21.  Built on demand:
    picking the churn row's source evaluates the query from every node. *)
 
 (* The source with the most answers to [q] on [g]. *)
 let heaviest_source q g =
+  let t = Rpq_translate.translate q in
   fst
     (Const.Set.fold
        (fun s ((_, n) as best) ->
-         let k = List.length (Rpq_translate.eval_from q g s) in
+         let k = List.length (Rpq_translate.eval_from t g s) in
          if k > n then (s, k) else best)
        (Db.adom g) (Rpq_graph.node 0, -1))
 
@@ -474,21 +478,24 @@ let rpq_tests () =
   in
   let churn_q = Rpq.parse "(knows|follows)*.follows" in
   let churn_src = heaviest_source churn_q churn in
+  (* each row translates inside its timed closure, as a one-off query does *)
+  let tr = Rpq_translate.translate in
   Test.make_grouped ~name:"rpq"
     [
       Test.make ~name:"chain-256-star"
-        (Staged.stage (fun () -> ignore (Rpq_translate.eval star chain)));
+        (Staged.stage (fun () -> ignore (Rpq_translate.eval (tr star) chain)));
       Test.make ~name:"grid-16-anchored"
         (Staged.stage (fun () ->
              ignore
-               (Rpq_translate.eval_from grid_q grid (Rpq_graph.grid_node 0 0))));
+               (Rpq_translate.eval_from (tr grid_q) grid
+                  (Rpq_graph.grid_node 0 0))));
       Test.make ~name:"scale-free-2k-anchored"
         (Staged.stage (fun () ->
-             ignore (Rpq_translate.eval_from sf_q sf (Rpq_graph.node 0))));
+             ignore (Rpq_translate.eval_from (tr sf_q) sf (Rpq_graph.node 0))));
       Test.make ~name:"churn-anchored-1536"
         (Staged.stage (fun () ->
              ignore
-               (Rpq_translate.eval_from churn_q churn churn_src)));
+               (Rpq_translate.eval_from (tr churn_q) churn churn_src)));
       Test.make ~name:"rewrite-construct"
         (Staged.stage (fun () ->
              ignore (Rpq_views.rewrite ~views ksf_q)));

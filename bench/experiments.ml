@@ -319,8 +319,7 @@ let e14 () =
       "S(x,y) <- E(p,x), E(p,y). S(x,y) <- E(p,x), S(p,q), E(q,y)."
   in
   let anchored e src g =
-    (Rpq_translate.anchored (Rpq.parse e),
-     Instance.add (Fact.make (Rpq_translate.src_rel ()) [ src ]) g)
+    Rpq_translate.anchored (Rpq_translate.translate (Rpq.parse e)) g src
   in
   let churn =
     Rpq_graph.scale_free ~seed:7919 ~labels:[ "knows"; "follows" ] ~nodes:1536
@@ -686,7 +685,9 @@ let e21 () =
       %d anchored rules@."
     (Rpq_nfa.of_regex q).Rpq_nfa.n
     (Rpq_nfa.minimize (Rpq_nfa.of_regex q)).Rpq_nfa.n
-    (List.length (Rpq_translate.anchored q).Datalog.program);
+    (List.length
+       (fst (Rpq_translate.anchored (Rpq_translate.translate q) Instance.empty
+               (Rpq_graph.node 0))).Datalog.program);
   (* source-anchored product-BFS oracle: frontier over (node, state) *)
   let oracle_from e g src =
     let nfa = Rpq_nfa.of_regex e in
@@ -729,7 +730,9 @@ let e21 () =
   in
   pf "  graph: scale-free, 2048 nodes, %d edges@." (Instance.size g);
   let src = Rpq_graph.node 0 in
-  let d_vm, t_vm = time (fun () -> Rpq_translate.eval_from q g src) in
+  let d_vm, t_vm =
+    time (fun () -> Rpq_translate.eval_from (Rpq_translate.translate q) g src)
+  in
   let cert, t_cert = time (fun () -> Rpq_views.certain_from rw g src) in
   let orac, t_or = time (fun () -> oracle_from q g src) in
   let agree = List.sort compare d_vm = orac && List.sort compare cert = orac in
@@ -749,7 +752,9 @@ let e21 () =
   let rels = Rpq.rels q in
   let sub = Instance.restrict (fun r -> List.mem r rels) g2 in
   let nodes = Const.Set.elements (Instance.adom sub) in
-  let d2, t_d2 = time (fun () -> Rpq_translate.eval q g2) in
+  let d2, t_d2 =
+    time (fun () -> Rpq_translate.eval (Rpq_translate.translate q) g2)
+  in
   let c2, t_c2 = time (fun () -> Rpq_views.certain rw g2) in
   let o2, t_o2 =
     time (fun () ->

@@ -215,9 +215,10 @@ let rpq_cmd =
       let pair_mode, from_mode, bool_mode =
         match views with
         | None ->
-            ( (fun () -> Rpq_translate.eval e i),
-              (fun c -> Rpq_translate.eval_from e i c),
-              fun x y -> Rpq_translate.holds e i x y )
+            let t = Rpq_translate.translate e in
+            ( (fun () -> Rpq_translate.eval t i),
+              (fun c -> Rpq_translate.eval_from t i c),
+              fun x y -> Rpq_translate.holds t i x y )
         | Some vf ->
             let defs = Rpq.parse_defs (read_file vf) in
             let rw = Rpq_views.rewrite ~views:defs e in

@@ -1,6 +1,3 @@
-let of_rewriting ?engine ?cancel r j =
-  Dl_engine.holds_boolean ?strategy:engine ?cancel r j
-
 let certain_answers_cq_views ?engine ?cancel q views j =
   Dl_engine.holds_boolean ?strategy:engine ?cancel (Inverse_rules.rewrite q views) j
 

@@ -7,17 +7,6 @@
     is monotonically determined; Theorem 9 shows no computable time bound
     covers all Datalog query/view pairs. *)
 
-val of_rewriting :
-  ?engine:Dl_engine.strategy ->
-  ?cancel:Dl_cancel.t ->
-  Datalog.query ->
-  Instance.t ->
-  bool
-(** The separator induced by a Boolean Datalog rewriting.  [engine]
-    [Naive] selects the oracle instead of the engine; [cancel] is the
-    cooperative cancellation token threaded into evaluation (likewise
-    below). *)
-
 val certain_answers_cq_views :
   ?engine:Dl_engine.strategy ->
   ?cancel:Dl_cancel.t ->
@@ -26,7 +15,10 @@ val certain_answers_cq_views :
   Instance.t ->
   bool
 (** The inverse-rules separator for CQ views (Theorem 10): certain answers
-    of the Boolean query over an arbitrary view-schema instance. *)
+    of the Boolean query over an arbitrary view-schema instance.
+    [engine] [Naive] selects the oracle instead of the engine; [cancel]
+    is the cooperative cancellation token threaded into evaluation
+    (likewise below). *)
 
 type chase_mode = Any | All
 

@@ -35,7 +35,6 @@ let add_repair a b =
 
 type t = {
   iprogram : Datalog.program;
-  istrategy : Dl_engine.strategy option;
   istrata : stratum list;  (* in topological (bottom-up) order *)
   mutable ibase : Instance.t;
   mutable ifull : Instance.t;
@@ -43,7 +42,6 @@ type t = {
 }
 
 let program t = t.iprogram
-let strategy t = t.istrategy
 let base t = t.ibase
 let full t = t.ifull
 let last_repair t = t.ilast
@@ -111,15 +109,14 @@ let fire ~cancel rules ~delta ~full k =
 
 (* ---------- create ---------- *)
 
-let create ?strategy ?(cancel = Dl_cancel.none) p inst =
+let create ?(cancel = Dl_cancel.none) p inst =
   Datalog.validate p;
   let strata = List.map (make_stratum p) (stratify p) in
   {
     iprogram = p;
-    istrategy = strategy;
     istrata = strata;
     ibase = inst;
-    ifull = Dl_engine.fixpoint ?strategy ~cancel p inst;
+    ifull = Dl_engine.fixpoint ~cancel p inst;
     ilast = no_repair;
   }
 
@@ -340,8 +337,7 @@ let apply ?(cancel = Dl_cancel.none) t ~adds ~dels =
         let full2, derived =
           if Instance.is_empty delta then (state1, Instance.empty)
           else
-            Dl_engine.fixpoint_delta ?strategy:t.istrategy ~cancel s.srules
-              ~old:state1 ~delta
+            Dl_engine.fixpoint_delta ~cancel s.srules ~old:state1 ~delta
         in
         let out_del = Instance.diff d full2 in
         let out_add =

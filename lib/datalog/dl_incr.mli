@@ -65,19 +65,16 @@
 type t
 
 val create :
-  ?strategy:Dl_engine.strategy ->
   ?cancel:Dl_cancel.t ->
   Datalog.program ->
   Instance.t ->
   t
 (** Materialize the fixpoint of the program over the instance (one
     {!Dl_engine.fixpoint} of the whole program) and stratify the program
-    for later repairs.  [strategy] selects the {!Dl_engine} strategy used
-    for that fixpoint and for every later maintenance fixpoint: the
-    engine ([Vm], the default) or the naive oracle. *)
+    for later repairs.  That fixpoint and every later maintenance
+    fixpoint run the engine. *)
 
 val program : t -> Datalog.program
-val strategy : t -> Dl_engine.strategy option
 
 val base : t -> Instance.t
 (** The current base (extensional) instance: the loaded facts as edited

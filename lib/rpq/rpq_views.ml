@@ -20,10 +20,11 @@
    i.e. Nta.product emptiness on the unary-tree encodings. *)
 
 type t = {
-  views : (string * Rpq.t) list;
+  views : (string * Rpq_translate.t) list;
   query : Rpq.t;
   dfa : Rpq_nfa.t;
   rauto : Rpq_nfa.t;
+  program : Rpq_translate.t;
   lossless : bool;
   gap : Rpq_nfa.letter list option;
 }
@@ -132,46 +133,43 @@ let rewrite ~views query =
   in
   let rauto = Rpq_nfa.complement ~alphabet:omega b in
   let gap = Rpq_nfa.subseteq ~alphabet:sigma nfaq (substitution rauto vnfas) in
-  { views; query; dfa; rauto; lossless = gap = None; gap }
+  {
+    views = List.map (fun (n, d) -> (n, Rpq_translate.translate d)) views;
+    query;
+    dfa;
+    rauto;
+    program = Rpq_translate.of_nfa rauto;
+    lossless = gap = None;
+    gap;
+  }
 
-let image ?strategy ?cancel views inst =
+(* the view instance V(G): one binary relation per view name *)
+let image ?cancel t inst =
   List.fold_left
-    (fun acc (name, def) ->
+    (fun acc (name, tr) ->
       List.fold_left
         (fun acc (x, y) -> Instance.add (Fact.make name [ x; y ]) acc)
         acc
-        (Rpq_translate.eval ?strategy ?cancel def inst))
-    Instance.empty views
+        (Rpq_translate.eval ?cancel tr inst))
+    Instance.empty t.views
 
-let certain ?strategy ?cancel t inst =
-  let img = image ?strategy ?cancel t.views inst in
-  let tuples =
-    Dl_engine.eval ?strategy ?cancel (Rpq_translate.pairs_of_nfa t.rauto) img
-  in
-  let pairs = List.map (fun tp -> (tp.(0), tp.(1))) tuples in
-  (* the base-instance diagonal (see the .mli headnote) *)
-  let diag =
-    Const.Set.fold
-      (fun c acc -> (c, c) :: acc)
-      (Rpq_translate.diagonal t.query inst)
-      []
-  in
-  List.sort_uniq compare (diag @ pairs)
+(* R_max's translation has no empty-word rule: each mode adds the
+   query's, drawn from the base graph (see the .mli headnote).  The
+   trio's answers come sorted, so only a diagonal calls for a merge. *)
+let certain ?cancel t inst =
+  let pairs = Rpq_translate.eval ?cancel t.program (image ?cancel t inst) in
+  let diag = Rpq_translate.diagonal t.query inst in
+  if Const.Set.is_empty diag then pairs
+  else
+    List.sort_uniq compare
+      (Const.Set.fold (fun c acc -> (c, c) :: acc) diag pairs)
 
-let certain_from ?strategy ?cancel t inst src =
-  let img = image ?strategy ?cancel t.views inst in
-  let img = Instance.add (Fact.make (Rpq_translate.src_rel ()) [ src ]) img in
-  let tuples =
-    Dl_engine.eval ?strategy ?cancel
-      (Rpq_translate.anchored_of_nfa t.rauto)
-      img
-  in
-  let out = List.map (fun tp -> tp.(0)) tuples in
-  let out = if Rpq.nullable t.query then src :: out else out in
-  List.sort_uniq Const.compare out
+let certain_from ?cancel t inst src =
+  let img = image ?cancel t inst in
+  let out = Rpq_translate.eval_from ?cancel t.program img src in
+  if Rpq.nullable t.query then List.sort_uniq Const.compare (src :: out)
+  else out
 
-let certain_holds ?strategy ?cancel t inst x y =
+let certain_holds ?cancel t inst x y =
   (Const.equal x y && Const.Set.mem x (Rpq_translate.diagonal t.query inst))
-  || Rpq_translate.holds_nfa ?strategy ?cancel t.rauto
-       (image ?strategy ?cancel t.views inst)
-       x y
+  || Rpq_translate.holds ?cancel t.program (image ?cancel t inst) x y

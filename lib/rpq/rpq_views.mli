@@ -25,60 +25,49 @@
     [ε ∈ L(R_max)] iff [ε ∈ L(Q)] (complementation over a total DFA
     preserves the empty-word verdict), and {!certain} keeps the
     convention of {!Rpq}: the diagonal is drawn from the {e base}
-    instance restricted to [Q]'s alphabet — the evaluation functions
-    here take the base graph and compute the view image internally, so
-    rewriting answers stay comparable with {!Rpq_translate.eval} on the
-    nose. *)
+    instance restricted to [Q]'s alphabet, not from the view image.  So
+    [R_max] is translated with no empty-word rule
+    ({!Rpq_translate.of_nfa}), and the evaluation functions here take
+    the base graph, compute the view image internally and add [Q]'s
+    diagonal themselves: rewriting answers stay comparable with
+    {!Rpq_translate.eval} on the nose. *)
 
 type t = private {
-  views : (string * Rpq.t) list;
+  views : (string * Rpq_translate.t) list;  (** each view, translated *)
   query : Rpq.t;
   dfa : Rpq_nfa.t;  (** [A_d]: [Q]'s NFA determinized over [Σ], total *)
   rauto : Rpq_nfa.t;  (** [R_max], a DFA over the view-name alphabet *)
+  program : Rpq_translate.t;
+      (** [R_max] translated ({!Rpq_translate.of_nfa}): no empty-word rule *)
   lossless : bool;
   gap : Rpq_nfa.letter list option;
       (** a word of [L(Q) \ σ(L(R_max))]; [None] iff lossless *)
 }
 
 val rewrite : views:(string * Rpq.t) list -> Rpq.t -> t
-(** @raise Invalid_argument on duplicate view names or view names that
+(** Builds [R_max] and translates it and each view once, so the
+    evaluation functions below only evaluate.
+    @raise Invalid_argument on duplicate view names or view names that
     collide with the reserved [rpq_] relation prefix. *)
 
-val image :
-  ?strategy:Dl_engine.strategy ->
-  ?cancel:Dl_cancel.t ->
-  (string * Rpq.t) list ->
-  Instance.t ->
-  Instance.t
-(** The view instance [V(G)]: one binary relation per view name holding
-    that view's all-pairs answer on the base graph. *)
+(** {2 Certain answers}
+
+    Each function evaluates the view image [V(G)] (one binary relation
+    per view name, holding that view's all-pairs answer on the base
+    graph), runs {!Rpq_translate}'s trio on [R_max]'s translation over
+    it, and adds the query's empty-word answers on the base graph. *)
 
 val certain :
-  ?strategy:Dl_engine.strategy ->
-  ?cancel:Dl_cancel.t ->
-  t ->
-  Instance.t ->
-  (Const.t * Const.t) list
-(** Rewriting answers on the base graph: evaluate [R_max]'s Datalog
-    translation over the view image, plus the base diagonal if
-    [ε ∈ L(Q)].  Sorted; always a subset of
-    [Rpq_translate.eval query], and equal to it when {!lossless}. *)
+  ?cancel:Dl_cancel.t -> t -> Instance.t -> (Const.t * Const.t) list
+(** Rewriting answers on the base graph, plus the query's
+    {!Rpq_translate.diagonal}.  Sorted; always a subset of the query's
+    {!Rpq_translate.eval}, and equal to it when {!lossless}. *)
 
 val certain_from :
-  ?strategy:Dl_engine.strategy ->
-  ?cancel:Dl_cancel.t ->
-  t ->
-  Instance.t ->
-  Const.t ->
-  Const.t list
+  ?cancel:Dl_cancel.t -> t -> Instance.t -> Const.t -> Const.t list
 (** Source-anchored rewriting answers; includes the source iff
     [ε ∈ L(Q)], matching {!Rpq_translate.eval_from}. *)
 
 val certain_holds :
-  ?strategy:Dl_engine.strategy ->
-  ?cancel:Dl_cancel.t ->
-  t ->
-  Instance.t ->
-  Const.t ->
-  Const.t ->
-  bool
+  ?cancel:Dl_cancel.t -> t -> Instance.t -> Const.t -> Const.t -> bool
+(** Boolean [(x, y)] membership in {!certain}'s answer. *)

@@ -151,14 +151,11 @@ let format_nodes ns = format_tuples (List.map (fun c -> [| c |]) ns)
    = nodes reachable from that source, two = Boolean membership *)
 let rpq_eval_body ~cancel tr i tuple =
   match tuple with
-  | None -> format_pairs (Rpq_translate.eval_translated ~cancel tr i)
+  | None -> format_pairs (Rpq_translate.eval ~cancel tr i)
   | Some [ x ] ->
-      format_nodes
-        (Rpq_translate.eval_from_translated ~cancel tr i (Const.named x))
+      format_nodes (Rpq_translate.eval_from ~cancel tr i (Const.named x))
   | Some [ x; y ] ->
-      if
-        Rpq_translate.holds_translated ~cancel tr i (Const.named x)
-          (Const.named y)
+      if Rpq_translate.holds ~cancel tr i (Const.named x) (Const.named y)
       then "true"
       else "false"
   | Some l -> reject "rpq tuple has %d constants, expected 1 or 2"
@@ -395,14 +392,14 @@ let plan s ~cancel req =
             View.fingerprint_hex vs; opt_part samples ],
         fun () -> rewrite_body ~cancel q vs samples )
   | Rpq_eval { rpq; instance; tuple } ->
-      let tr = Svc_session.rpq s rpq in
+      let e, tr = Svc_session.rpq s rpq in
       let i = Svc_session.instance s instance in
       ( cache_key
-          [ "rpq-eval"; Rpq.fingerprint_hex (Rpq_translate.expr tr);
+          [ "rpq-eval"; Rpq.fingerprint_hex e;
             Instance.fingerprint_hex i; tuple_part tuple ],
         fun () -> rpq_eval_body ~cancel tr i tuple )
   | Rpq_rewrite { rpq; views; instance; tuple } ->
-      let e = Rpq_translate.expr (Svc_session.rpq s rpq) in
+      let e, _ = Svc_session.rpq s rpq in
       let vs = Svc_session.rpq_set s views in
       let i = Svc_session.instance s instance in
       ( cache_key

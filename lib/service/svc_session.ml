@@ -15,8 +15,8 @@ type t = {
   programs : (string, Datalog.query) Hashtbl.t;
   views : (string, View.collection) Hashtbl.t;
   instances : (string, Instance.t) Hashtbl.t;
-  rpqs : (string, Rpq_translate.t) Hashtbl.t;
-  (* each definition translated once, at load *)
+  rpqs : (string, Rpq.t * Rpq_translate.t) Hashtbl.t;
+  (* each definition beside its translation, made once at load *)
   (* the ordered definition lists as loaded, so a load's NAME doubles as
      a view set for [rpq-rewrite] *)
   rpq_sets : (string, (string * Rpq.t) list) Hashtbl.t;
@@ -119,10 +119,9 @@ let instance t n =
    RPQ (when the list is a singleton it shadows nothing) and as the view
    set of [rpq-rewrite]. *)
 let set_rpqs t n defs =
-  let translated =
-    List.map (fun (dn, e) -> (dn, Rpq_translate.translate e)) defs
-  in
-  List.iter (fun (dn, tr) -> Hashtbl.replace t.rpqs dn tr) translated;
+  List.iter
+    (fun (dn, e) -> Hashtbl.replace t.rpqs dn (e, Rpq_translate.translate e))
+    defs;
   Hashtbl.replace t.rpq_sets n defs
 
 let rpq t n =

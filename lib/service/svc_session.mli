@@ -50,12 +50,17 @@ val instance : t -> string -> Instance.t
 
 val set_rpqs : t -> string -> (string * Rpq.t) list -> unit
 (** Register an [rpq-load]'s parsed definitions: each definition
-    individually (usable wherever a verb takes an RPQ name), translated
-    to its Datalog programs once, here ({!Rpq_translate.translate}), and
-    the ordered list as a whole under the load's own name (usable as
-    the view set of [rpq-rewrite]). *)
+    individually (usable wherever a verb takes an RPQ name), beside its
+    translation to Datalog ({!Rpq_translate.translate}), made once here
+    and evaluated by every [rpq-eval] of the name; and the ordered list
+    as a whole under the load's own name (usable as the view set of
+    [rpq-rewrite], whose {!Rpq_views.rewrite} translates the views
+    with [R_max]).  A definition the translation rejects still loads:
+    every evaluation of it answers the error. *)
 
-val rpq : t -> string -> Rpq_translate.t
+val rpq : t -> string -> Rpq.t * Rpq_translate.t
+(** The named definition and its translation. *)
+
 val rpq_set : t -> string -> (string * Rpq.t) list
 
 (** {2 Materialized fixpoints}

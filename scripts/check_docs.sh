@@ -55,6 +55,13 @@
 #      file under lib, bin, test, bench, examples, docs, .github or
 #      .claude, nor in README.md, DESIGN.md, ARCHITECTURE.md, PAPER.md,
 #      PAPERS.md or SNIPPETS.md.
+#  14. one way to run an RPQ: a translation (`Rpq_translate.translate`
+#      or `of_nfa`) evaluated through one trio, so the deleted per-call
+#      and `_translated` entry points — `eval_translated`,
+#      `eval_from_translated`, `holds_translated`, `pairs_of_nfa`,
+#      `anchored_of_nfa` and `holds_nfa` — are named in no file under
+#      lib, bin, test, bench, examples or docs, nor in README.md,
+#      DESIGN.md or ARCHITECTURE.md.
 #
 # Run from the repository root: scripts/check_docs.sh
 
@@ -229,6 +236,13 @@ if grep -rlE -e 'handle_batch|run_tasks|set_domains|MONDET_DOMAINS|pworker_safe|
   lib bin test bench examples docs .github .claude README.md DESIGN.md \
   ARCHITECTURE.md PAPER.md PAPERS.md SNIPPETS.md; then
   err "the files above name the deleted batch pool or its second request path"
+fi
+
+# 14. one way to run an RPQ.  CHANGES.md, EXPERIMENTS.md and ROADMAP.md
+#     are history and keep the names.
+if grep -rlE 'eval_translated|eval_from_translated|holds_translated|pairs_of_nfa|anchored_of_nfa|holds_nfa' \
+  lib bin test bench examples docs README.md DESIGN.md ARCHITECTURE.md; then
+  err "the files above name a deleted RPQ entry point; translate once and run Rpq_translate.eval/eval_from/holds"
 fi
 
 if [ "$fail" -eq 0 ]; then

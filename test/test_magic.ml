@@ -177,7 +177,11 @@ let test_planner_magic () =
 let test_planner_vm () =
   (* the anchored RPQ program: the demand on the answer binds y, but the
      state relations it reads are also demanded all-free *)
-  let rpq = Rpq_translate.anchored (Rpq.parse "(knows|follows)*.follows") in
+  let rpq, _ =
+    Rpq_translate.anchored
+      (Rpq_translate.translate (Rpq.parse "(knows|follows)*.follows"))
+      Instance.empty (c "a0")
+  in
   check_bool "anchored rpq is applicable" true (Dl_magic.applicable rpq);
   check_bool "anchored rpq has an all-free adornment" true
     (List.exists

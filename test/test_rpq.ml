@@ -138,14 +138,17 @@ let test_minimize () =
   let q = Rpq.parse "(knows|follows)*.follows" in
   check_int "churn query: thompson states" 9 (Rpq_nfa.of_regex q).Rpq_nfa.n;
   check_int "churn query: minimal states" 2 (states "(knows|follows)*.follows");
-  let prog = (Rpq_translate.anchored q).Datalog.program in
+  let anchored, _ =
+    Rpq_translate.anchored (Rpq_translate.translate q) Instance.empty (n 0)
+  in
+  let prog = anchored.Datalog.program in
   check_int "churn query: anchored rules" 7 (List.length prog);
   let heads =
     List.sort_uniq String.compare
       (List.map (fun r -> r.Datalog.head.Cq.rel) prog)
   in
   check_int "churn query: state relations" 2
-    (List.length (List.filter (fun r -> r <> Rpq_translate.ans_rel ()) heads));
+    (List.length (List.filter (fun r -> r <> anchored.Datalog.goal) heads));
   check_int "e* has one state" 1 (states "e*");
   check_int "e.e* has two" 2 (states "e.e*");
   (* an empty language minimizes to no states at all *)
@@ -156,48 +159,52 @@ let test_minimize () =
 
 let test_translate () =
   let g = Rpq_graph.chain ~label:"e" 5 in
+  let tr s = Rpq_translate.translate (Rpq.parse s) in
+  let eval s = Rpq_translate.eval (tr s) in
+  let eval_from s = Rpq_translate.eval_from (tr s) in
+  let holds s = Rpq_translate.holds (tr s) in
   (* e* on a 4-edge chain: all ordered pairs i ≤ j *)
-  let pairs = Rpq_translate.eval (Rpq.parse "e*") g in
+  let pairs = eval "e*" g in
   check_int "chain closure" 15 (List.length pairs);
   check_bool "includes diagonal" true (List.mem (n 0, n 0) pairs);
   check_bool "includes span" true (List.mem (n 0, n 4) pairs);
   check_bool "directed" false (List.mem (n 4, n 0) pairs);
   (* inverse edges walk the chain backwards *)
-  let back = Rpq_translate.eval (Rpq.parse "e^.e^") g in
+  let back = eval "e^.e^" g in
   check_bool "two steps back" true (List.mem (n 3, n 1) back);
   check_int "back pairs" 3 (List.length back);
   (* anchored evaluation *)
-  let reach = Rpq_translate.eval_from (Rpq.parse "e.e*") g (n 1) in
+  let reach = eval_from "e.e*" g (n 1) in
   (* eval_from sorts by Const.compare, which follows intern order *)
   check_bool "from n1" true
     (reach = List.sort Const.compare [ n 2; n 3; n 4 ]);
-  let reach0 = Rpq_translate.eval_from (Rpq.parse "e*") g (n 1) in
+  let reach0 = eval_from "e*" g (n 1) in
   check_bool "nullable anchors include source" true (List.mem (n 1) reach0);
-  check_bool "holds" true (Rpq_translate.holds (Rpq.parse "e.e") g (n 0) (n 2));
-  check_bool "holds rejects" false
-    (Rpq_translate.holds (Rpq.parse "e.e") g (n 2) (n 0));
+  check_bool "holds" true (holds "e.e" g (n 0) (n 2));
+  check_bool "holds rejects" false (holds "e.e" g (n 2) (n 0));
   (* ε-semantics: diagonal only over the sub-instance of the alphabet *)
   let g2 = Instance.add (Fact.make "f" [ n 7; n 8 ]) g in
-  let opt = Rpq_translate.eval (Rpq.parse "e?") g2 in
+  let opt = eval "e?" g2 in
   check_bool "alphabet node on diagonal" true (List.mem (n 3, n 3) opt);
   check_bool "foreign node off diagonal" false (List.mem (n 7, n 7) opt);
   check_int "eps alone is empty" 0
-    (List.length (Rpq_translate.eval Rpq.Eps g2));
-  (* reserved prefix is rejected *)
-  check_bool "prefix collision" true
-    (match Rpq_translate.pairs (Rpq.parse "rpq_x") with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  (* ... by every use of a translation made once, not by the translation *)
-  let t = Rpq_translate.translate (Rpq.parse "rpq_x") in
-  check_bool "prefix collision on use" true
-    (match Rpq_translate.eval_from_translated t g (n 0) with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
-  (* the engine agrees with the oracle on a mixed-direction query *)
-  let q = Rpq.parse "(e|e^)*.e" in
-  check_bool "engine = naive" true
-    (Rpq_translate.eval q g = Rpq_translate.eval ~strategy:Dl_engine.Naive q g)
+    (List.length (eval "eps" g2));
+  (* the reserved prefix is rejected by every use of the translation, in
+     every mode — the diagonal of a nullable expression included — not
+     by the translation itself *)
+  let rejects f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let bad = Rpq_translate.translate (Rpq.parse "rpq_x*") in
+  let gx = Instance.of_list [ Fact.make "rpq_x" [ n 0; n 1 ] ] in
+  check_bool "prefix collision: all pairs" true
+    (rejects (fun () -> Rpq_translate.eval bad gx));
+  check_bool "prefix collision: anchored" true
+    (rejects (fun () -> Rpq_translate.eval_from bad gx (n 0)));
+  check_bool "prefix collision: pair" true
+    (rejects (fun () -> Rpq_translate.holds bad gx (n 0) (n 1)));
+  check_bool "prefix collision: diagonal pair" true
+    (rejects (fun () -> Rpq_translate.holds bad gx (n 0) (n 0)))
 
 (* ---------- view rewriting ---------- *)
 
@@ -216,13 +223,14 @@ let test_rewrite_lossless () =
         Fact.make "f" [ n 4; n 5 ];
       ]
   in
-  let direct = Rpq_translate.eval (Rpq.parse "(k|k^)*.f") g in
+  let q = Rpq_translate.translate (Rpq.parse "(k|k^)*.f") in
+  let direct = Rpq_translate.eval q g in
   let certain = Rpq_views.certain r g in
   check_bool "lossless certain = direct" true (certain = direct);
   check_bool "crosses the undirected chain" true (List.mem (n 0, n 3) direct);
   let from0 = Rpq_views.certain_from r g (n 0) in
   check_bool "anchored matches" true
-    (from0 = Rpq_translate.eval_from (Rpq.parse "(k|k^)*.f") g (n 0));
+    (from0 = Rpq_translate.eval_from q g (n 0));
   check_bool "certain_holds" true (Rpq_views.certain_holds r g (n 0) (n 3));
   check_bool "certain_holds rejects" false
     (Rpq_views.certain_holds r g (n 3) (n 0))
@@ -241,7 +249,8 @@ let test_rewrite_lossy () =
   | None -> Alcotest.fail "expected a gap witness");
   (* soundness still holds: certain answers are a subset of direct *)
   let g = Rpq_graph.chain ~label:"a" 6 in
-  let direct = Rpq_translate.eval (Rpq.parse "a*") g in
+  let a_star = Rpq_translate.translate (Rpq.parse "a*") in
+  let direct = Rpq_translate.eval a_star g in
   let certain = Rpq_views.certain r g in
   check_bool "sound" true
     (List.for_all (fun p -> List.mem p direct) certain);
@@ -360,11 +369,10 @@ let pair_print (e, g) =
 
 let rpq_pair_arb = QCheck.make ~print:pair_print QCheck.Gen.(pair gen_rpq gen_graph)
 
-let prop_strategy name strategy =
-  QCheck.Test.make ~name ~count:120 rpq_pair_arb (fun (e, g) ->
-      Rpq_translate.eval ~strategy e g = oracle_pairs e g)
-
-let prop_vm = prop_strategy "rpq vm = oracle" Dl_engine.Vm
+let prop_vm =
+  QCheck.Test.make ~name:"rpq vm = oracle" ~count:120 rpq_pair_arb
+    (fun (e, g) ->
+      Rpq_translate.eval (Rpq_translate.translate e) g = oracle_pairs e g)
 
 (* the forced magic arm on the source-anchored programs, where the
    planner itself runs the VM (their state relations adorn all-free as
@@ -373,12 +381,10 @@ let prop_magic =
   QCheck.Test.make ~name:"rpq magic = oracle" ~count:120 rpq_pair_arb
     (fun (e, g) ->
       let all = oracle_pairs e g in
-      let q = Rpq_translate.anchored e in
+      let t = Rpq_translate.translate e in
       List.for_all
         (fun src ->
-          let seeded =
-            Instance.add (Fact.make (Rpq_translate.src_rel ()) [ src ]) g
-          in
+          let q, seeded = Rpq_translate.anchored t g src in
           List.for_all
             (fun dst ->
               let got =
@@ -394,9 +400,10 @@ let prop_anchored =
   QCheck.Test.make ~name:"rpq anchored = oracle slice" ~count:120 rpq_pair_arb
     (fun (e, g) ->
       let all = oracle_pairs e g in
+      let t = Rpq_translate.translate e in
       List.for_all
         (fun src ->
-          let got = Rpq_translate.eval_from e g src in
+          let got = Rpq_translate.eval_from t g src in
           let expect =
             List.sort_uniq Const.compare
               ((if Rpq.nullable e then [ src ] else [])
@@ -433,33 +440,50 @@ let prop_minimize =
 let prop_holds =
   QCheck.Test.make ~name:"rpq holds = all-pairs membership" ~count:120
     rpq_pair_arb (fun (e, g) ->
-      let all = Rpq_translate.eval e g in
+      let t = Rpq_translate.translate e in
+      let all = Rpq_translate.eval t g in
       let nodes = [ n 0; n 2; n 5; n 7 ] in
       List.for_all
         (fun x ->
           List.for_all
-            (fun y -> Rpq_translate.holds e g x y = List.mem (x, y) all)
+            (fun y -> Rpq_translate.holds t g x y = List.mem (x, y) all)
             nodes)
         nodes)
 
-(* A translation made once answers as the per-call entry points do, in
-   all three modes *)
+(* One translation serves every mode on every instance: translated
+   once, it answers all pairs, each node's anchored slice and each
+   pair's membership as the oracle does, on two different graphs (nodes
+   n 0 .. n 5 occur in [gen_graph], n 7 never does) *)
 let prop_translated =
-  QCheck.Test.make ~name:"translated once = translated per call" ~count:120
-    rpq_pair_arb (fun (e, g) ->
+  QCheck.Test.make ~name:"translated once = oracle on two graphs" ~count:120
+    (QCheck.make
+       ~print:(fun (e, (g1, g2)) ->
+         Fmt.str "%s on %a and on %a" (Rpq.to_string e) Instance.pp g1
+           Instance.pp g2)
+       QCheck.Gen.(pair gen_rpq (pair gen_graph gen_graph)))
+    (fun (e, (g1, g2)) ->
       let t = Rpq_translate.translate e in
-      let nodes = [ n 0; n 3; n 7 ] in
-      Rpq_translate.eval_translated t g = Rpq_translate.eval e g
-      && List.for_all
-           (fun x ->
-             Rpq_translate.eval_from_translated t g x
-             = Rpq_translate.eval_from e g x
-             && List.for_all
-                  (fun y ->
-                    Rpq_translate.holds_translated t g x y
-                    = Rpq_translate.holds e g x y)
-                  nodes)
-           nodes)
+      let nodes = n 7 :: List.init 6 n in
+      let agrees g =
+        let all = oracle_pairs e g in
+        let slice x =
+          List.sort_uniq Const.compare
+            ((if Rpq.nullable e then [ x ] else [])
+            @ List.filter_map
+                (fun (a, b) -> if Const.equal a x then Some b else None)
+                all)
+        in
+        Rpq_translate.eval t g = all
+        && List.for_all
+             (fun x ->
+               Rpq_translate.eval_from t g x = slice x
+               && List.for_all
+                    (fun y ->
+                      Rpq_translate.holds t g x y = List.mem (x, y) all)
+                    nodes)
+             nodes
+      in
+      agrees g1 && agrees g2)
 
 let prop_rewrite_sound =
   QCheck.Test.make ~name:"rewriting sound, lossless exact" ~count:60
@@ -470,7 +494,7 @@ let prop_rewrite_sound =
        QCheck.Gen.(pair (triple gen_rpq_small gen_rpq_small gen_rpq_small) gen_graph))
     (fun ((v1, v2, q), g) ->
       let r = Rpq_views.rewrite ~views:[ ("v1", v1); ("v2", v2) ] q in
-      let direct = Rpq_translate.eval q g in
+      let direct = Rpq_translate.eval (Rpq_translate.translate q) g in
       let certain = Rpq_views.certain r g in
       List.for_all (fun p -> List.mem p direct) certain
       && ((not r.Rpq_views.lossless) || certain = direct))

@@ -1033,7 +1033,7 @@ let suite =
       test_failed_load_no_session;
     Alcotest.test_case "unsupported inputs answer an error" `Quick
       test_unsupported_inputs;
-    Alcotest.test_case "mixed workload (2 sessions, pool)" `Slow
+    Alcotest.test_case "mixed workload (2 sessions)" `Slow
       test_mixed_workload;
     Alcotest.test_case "key modes agree (fingerprint vs printed)" `Slow
       test_key_mode_differential;
